@@ -230,9 +230,6 @@ class DropTail:
         self.bytes = 0
         self.counters = QueueCounters()
 
-    def pi2_update(self, now: SimTime) -> None:  # no controller to advance
-        pass
-
     def enqueue(self, packet: Packet, now: SimTime) -> EnqueueOutcome:
         self.counters.enqueued += 1
         if self.bytes + packet.size_bytes > self.config.queue_limit_bytes:

@@ -92,14 +92,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         with open(args.scenario, encoding="utf-8") as fh:
             data = json.load(fh)
+        # Overrides go into the file's own keys, so that what derives from
+        # them (source ECN mode, GCC parameter base) follows the override.
+        if isinstance(data, dict):
+            if args.controller is not None and isinstance(data.get("controller"), dict):
+                data["controller"] = dict(data["controller"], kind=args.controller.value)
+            if args.seed is not None:
+                data["seed"] = args.seed
+            if args.duration is not None:
+                data["duration_s"] = args.duration
         scenario = scenario_from_dict(data)
-        if args.controller is not None:
-            scenario.controller = args.controller
-        if args.seed is not None:
-            scenario.seed = args.seed
-        if args.duration is not None:
-            scenario.duration_s = args.duration
-        scenario.validate()
     metrics, log = run_scenario(scenario, timeline=args.timeline is not None)
     if args.timeline is not None:
         log.to_csv(args.timeline)

@@ -6,19 +6,19 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 from .aqm import DropTailConfig, DualPi2Config
 from .cc import ControllerKind, GccParams, ScalableParams
-from .core import EcnCodepoint, SimTime, us_from_s
+from .core import US_PER_MS, US_PER_S, EcnCodepoint, SimTime
 from .media import SourceConfig
 from .netem import (
+    CapacityPattern,
     Constant,
     JitterProfile,
     SquareWave,
-    TracePattern,
     average_capacity_bps,
     jitter_profile_ms,
     load_trace_csv,
@@ -73,7 +73,7 @@ def compute_metrics(log: TimelineLog, scenario: Scenario) -> MetricsReport:
         quality_mbps=quality_bps / 1e6,
         bandwidth_utilization=quality_bps / avg_capacity,
         mark_count=log.mark_count,
-        drop_count=log.drop_count,
+        drop_count=log.audit.dropped,
     )
 
 
@@ -328,292 +328,173 @@ def metrics_csv_lines(report: MetricsReport) -> list[str]:
 
 
 # -- scenario files ------------------------------------------------------------
+#
+# A scenario file mirrors `Scenario`. A numeric key overrides one field of a
+# config dataclass and an absent key keeps that field's default, so each
+# default is defined once, in its dataclass. Range checks stay in the classes'
+# `validate()`/`__post_init__`, so files and code obey the same rules.
+
 
 class ScenarioError(ValueError):
     """Invalid scenario configuration; the message names the field path."""
 
 
-def _take(mapping: dict, path: str, allowed: set[str]) -> None:
-    unknown = set(mapping) - allowed
+# A `_ms` or `_s` file key sets the `_us` field of the same stem, if any.
+_US_PER_UNIT = {"_ms": US_PER_MS, "_s": US_PER_S}
+_SCENARIO_KEYS = ("seed", "duration_s", "feedback_interval_ms", "dejitter_ms")
+_GCC_KEYS = (
+    "window", "threshold_gain", "gamma_init_ms", "gamma_min_ms", "gamma_max_ms", "k_up",
+    "k_down", "overuse_time_ms", "eta_increase", "decrease_factor", "loss_high", "loss_low",
+)  # fmt: skip
+_SCALABLE_KEYS = ("ewma_gain", "additive_step_bps")
+_SOURCE_KEYS = ("fps", "mtu_bytes", "min_bitrate_bps", "max_bitrate_bps", "start_bitrate_bps")
+_CONTROLLER_KEYS = {k.value: _GCC_KEYS + _SCALABLE_KEYS for k in ControllerKind}
+_CAPACITY_KEYS = {
+    "constant": ("mbps",), "square": ("low_mbps", "high_mbps", "half_period_s"), "trace": ("path",)
+}  # fmt: skip
+_DELAY_KEYS = {"fixed": ("delay_ms",), "jitter": ("entries",)}
+_AQM_KEYS = {
+    "dualpi2": ("target_delay_ms", "t_update_ms", "alpha", "beta", "coupling_k",
+                "l4s_step_threshold_ms", "queue_limit_bytes", "time_shift_ms"),
+    "droptail": ("queue_limit_bytes",),
+}  # fmt: skip
+_ECN_MODES = {"ect1": EcnCodepoint.ECT1, "not-ect": EcnCodepoint.NOT_ECT}
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _object(spec, path: str, allowed: Sequence[str]) -> dict:
+    """`spec`, checked to be an object holding only `allowed` keys."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{path or 'scenario'}: expected an object, got {spec!r}")
+    unknown = set(spec) - set(allowed)
     if unknown:
-        name = sorted(unknown)[0]
-        where = f"{path}.{name}" if path else name
-        raise ScenarioError(f"{where}: unknown key")
+        raise ScenarioError(f"{_join(path, min(unknown, key=str))}: unknown key")
+    return spec
 
 
-def _get_number(mapping: dict, path: str, key: str, default=None, required=False):
-    if key not in mapping:
-        if required:
-            raise ScenarioError(f"{path}{key}: missing required key")
-        return default
-    value = mapping[key]
+def _choice(value, path: str, choices: dict):
+    if not isinstance(value, str) or value not in choices:
+        raise ScenarioError(f"{path}: expected one of {'/'.join(choices)}, got {value!r}")
+    return choices[value]
+
+
+def _kind(spec, path: str, keys_by_kind: dict, default: str | None = None) -> str:
+    """The `kind` of object `spec`, which may hold only that kind's keys."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{path}: expected an object, got {spec!r}")
+    kind = spec.get("kind", default)
+    _object(spec, path, ("kind", *_choice(kind, _join(path, "kind"), keys_by_kind)))
+    return kind
+
+
+def _number(value, path: str, integral: bool, scale: int = 1) -> int | float:
+    """`value` times `scale`, which must be a finite number and, for an
+    `integral` field, whole."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}{key}: expected a number, got {value!r}")
-    return value
-
-
-def _capacity_from_dict(spec: dict) -> "Constant | SquareWave | TracePattern":
-    if not isinstance(spec, dict):
-        raise ScenarioError("link.capacity: expected an object")
-    kind = spec.get("kind")
+        raise ScenarioError(f"{path}: expected a number, got {value!r}")
+    if integral and isinstance(value, int):
+        return value * scale
     try:
-        if kind == "constant":
-            _take(spec, "link.capacity", {"kind", "mbps"})
-            return Constant(_get_number(spec, "link.capacity.", "mbps", required=True))
-        if kind == "square":
-            _take(spec, "link.capacity", {"kind", "low_mbps", "high_mbps", "half_period_s"})
-            return SquareWave(
-                _get_number(spec, "link.capacity.", "low_mbps", required=True),
-                _get_number(spec, "link.capacity.", "high_mbps", required=True),
-                us_from_s(_get_number(spec, "link.capacity.", "half_period_s", required=True)),
-            )
-        if kind == "trace":
-            _take(spec, "link.capacity", {"kind", "path"})
-            path = spec.get("path")
-            if not isinstance(path, str):
-                raise ScenarioError("link.capacity.path: expected a file path string")
-            return trace_pattern(load_trace_csv(path))
+        scaled = float(value) * scale
+    except OverflowError:  # an int beyond float range
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
+    if integral and not math.isclose(scaled, round(scaled), rel_tol=1e-12):
+        unit = " of microseconds" if scale > 1 else ""
+        raise ScenarioError(f"{path}: expected a whole number{unit}, got {value!r}")
+    return round(scaled) if integral else scaled
+
+
+def _build(start, spec: dict, path: str, keys: Sequence[str], **given):
+    """`start` with each of `keys` present in `spec` overriding its field,
+    then range-checked by the class. `start` is an instance whose values
+    stand for absent keys, or a class whose keys are all required (an absent
+    key reads as null)."""
+    cls = start if isinstance(start, type) else type(start)
+    hints = get_type_hints(cls)
+    values = dict(given)
+    for key in (k for k in keys if start is cls or k in spec):
+        name, scale = key, 1
+        for suffix, us_per_unit in _US_PER_UNIT.items():
+            if key.endswith(suffix) and key[: -len(suffix)] + "_us" in hints:
+                name, scale = key[: -len(suffix)] + "_us", us_per_unit
+        values[name] = _number(spec.get(key), _join(path, key), hints[name] is int, scale)
+    try:
+        config = cls(**values) if start is cls else replace(start, **values)
+        if hasattr(config, "validate"):
+            config.validate()
     except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"link.capacity: {exc}") from exc
-    raise ScenarioError(
-        f"link.capacity.kind: expected one of constant/square/trace, got {kind!r}"
+        raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from exc
+    return config
+
+
+def _capacity(spec) -> CapacityPattern:
+    path = "link.capacity"
+    kind = _kind(spec, path, _CAPACITY_KEYS)
+    if kind != "trace":
+        return _build(Constant if kind == "constant" else SquareWave, spec, path, _CAPACITY_KEYS[kind])
+    trace = spec.get("path")
+    if not isinstance(trace, str):
+        raise ScenarioError(f"{path}.path: expected a file path string, got {trace!r}")
+    try:
+        return trace_pattern(load_trace_csv(trace))
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{path}.path: {exc}") from exc
+
+
+def _forward_delay(spec) -> dict:
+    """The `Scenario` fields that `link.forward_delay` sets."""
+    path = "link.forward_delay"
+    if _kind(spec, path, _DELAY_KEYS) == "fixed":
+        delay = _number(spec.get("delay_ms"), f"{path}.delay_ms", True, US_PER_MS)
+        return {"forward_delay_us": delay}
+    entries, path = spec.get("entries"), f"{path}.entries"
+    if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
+        raise ScenarioError(f"{path}: expected [delay_ms, probability] pairs")
+    pairs = tuple(
+        (_number(d, f"{path}[{i}]", True, US_PER_MS), _number(p, f"{path}[{i}]", False))
+        for i, (d, p) in enumerate(entries)
     )
-
-
-def _delay_from_dict(spec: dict) -> tuple[int, JitterProfile | None]:
-    if not isinstance(spec, dict):
-        raise ScenarioError("link.forward_delay: expected an object")
-    kind = spec.get("kind")
-    if kind == "fixed":
-        _take(spec, "link.forward_delay", {"kind", "delay_ms"})
-        delay = _get_number(spec, "link.forward_delay.", "delay_ms", required=True)
-        return us_from_ms_checked(delay, "link.forward_delay.delay_ms"), None
-    if kind == "jitter":
-        _take(spec, "link.forward_delay", {"kind", "entries"})
-        entries = spec.get("entries")
-        if not isinstance(entries, list) or not all(
-            isinstance(e, (list, tuple)) and len(e) == 2 for e in entries
-        ):
-            raise ScenarioError(
-                "link.forward_delay.entries: expected [delay_ms, probability] pairs"
-            )
-        try:
-            profile = jitter_profile_ms([(float(d), float(p)) for d, p in entries])
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"link.forward_delay.entries: {exc}") from exc
-        # Jitter replaces the fixed delay; keep a nominal base for validation.
-        return 0, profile
-    raise ScenarioError(
-        f"link.forward_delay.kind: expected one of fixed/jitter, got {kind!r}"
-    )
-
-
-def us_from_ms_checked(ms: float, path: str) -> int:
-    if ms <= 0:
-        raise ScenarioError(f"{path}: must be positive, got {ms}")
-    return int(round(ms * 1_000))
-
-
-_GCC_PARAM_KEYS = {
-    "window": "window",
-    "threshold_gain": "threshold_gain",
-    "gamma_init_ms": "gamma_init_ms",
-    "gamma_min_ms": "gamma_min_ms",
-    "gamma_max_ms": "gamma_max_ms",
-    "k_up": "k_up",
-    "k_down": "k_down",
-    "overuse_time_ms": "overuse_time_ms",
-    "eta_increase": "eta_increase",
-    "decrease_factor": "decrease_factor",
-    "loss_high": "loss_high",
-    "loss_low": "loss_low",
-}
+    return {"jitter": _build(JitterProfile, {}, path, (), entries=pairs)}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a Scenario from a JSON-compatible mapping, rejecting unknown
-    keys and invalid values with a field-path message."""
-    if not isinstance(data, dict):
-        raise ScenarioError("scenario: expected a JSON object")
-    _take(
-        data,
-        "",
-        {
-            "seed",
-            "duration_s",
-            "link",
-            "aqm",
-            "controller",
-            "source",
-            "feedback_interval_ms",
-            "dejitter_ms",
-        },
-    )
-    seed = data.get("seed", 1)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioError(f"seed: expected an integer, got {seed!r}")
-    duration_s = _get_number(data, "", "duration_s", default=120.0)
-    if duration_s <= 0:
-        raise ScenarioError(f"duration_s: must be positive, got {duration_s}")
+    """Build a Scenario from a JSON-compatible mapping. Absent keys keep the
+    config dataclasses' defaults; unknown keys and invalid values are
+    rejected with a field-path message."""
+    _object(data, "", _SCENARIO_KEYS + ("link", "aqm", "controller", "source"))
+    link = _object(data.get("link"), "link", ("capacity", "forward_delay", "reverse_delay_ms"))
+    delay = _forward_delay(link["forward_delay"]) if "forward_delay" in link else {}
+    capacity = _capacity(link.get("capacity"))
+    linked = _build(Scenario(), link, "link", ("reverse_delay_ms",), capacity=capacity, **delay)
+    ctl = data.get("controller")
+    kind = ControllerKind(_kind(ctl, "controller", _CONTROLLER_KEYS))
+    gcc = GccParams.sensitive() if kind is ControllerKind.SENSITIVE_GCC else GccParams()
 
-    link = data.get("link")
-    if not isinstance(link, dict):
-        raise ScenarioError("link: missing required object")
-    _take(link, "link", {"capacity", "forward_delay", "reverse_delay_ms"})
-    if "capacity" not in link:
-        raise ScenarioError("link.capacity: missing required key")
-    capacity = _capacity_from_dict(link["capacity"])
-    if "forward_delay" in link:
-        forward_delay_us, jitter = _delay_from_dict(link["forward_delay"])
-    else:
-        forward_delay_us, jitter = 6_000, None
-    if forward_delay_us == 0:
-        forward_delay_us = 6_000  # nominal; jitter samples replace it
-    reverse_delay_us = us_from_ms_checked(
-        _get_number(link, "link.", "reverse_delay_ms", default=6.0), "link.reverse_delay_ms"
-    )
+    def params(start, keys):  # None, the controller's own default, unless a key is set
+        return _build(start, ctl, "controller", keys) if ctl.keys() & set(keys) else None
 
-    controller_spec = data.get("controller")
-    if not isinstance(controller_spec, dict):
-        raise ScenarioError("controller: missing required object")
-    allowed_controller = {"kind", "ewma_gain", "additive_step_bps"} | set(_GCC_PARAM_KEYS)
-    _take(controller_spec, "controller", allowed_controller)
-    kind_value = controller_spec.get("kind")
-    try:
-        kind = ControllerKind(kind_value)
-    except ValueError:
-        valid = ", ".join(k.value for k in ControllerKind)
-        raise ScenarioError(
-            f"controller.kind: expected one of {valid}, got {kind_value!r}"
-        ) from None
-    gcc_params = None
-    gcc_overrides = {
-        field_name: controller_spec[key]
-        for key, field_name in _GCC_PARAM_KEYS.items()
-        if key in controller_spec
-    }
-    if gcc_overrides:
-        base = GccParams.sensitive() if kind is ControllerKind.SENSITIVE_GCC else GccParams()
-        for name, value in gcc_overrides.items():
-            setattr(base, name, value)
-        gcc_params = base
-    scalable_params = None
-    if "ewma_gain" in controller_spec or "additive_step_bps" in controller_spec:
-        scalable_params = ScalableParams(
-            ewma_gain=controller_spec.get("ewma_gain", 1.0 / 16.0),
-            additive_step_bps=controller_spec.get("additive_step_bps", 50_000),
-        )
-
-    aqm_spec = data.get("aqm", {"kind": "dualpi2"})
-    if not isinstance(aqm_spec, dict):
-        raise ScenarioError("aqm: expected an object")
-    aqm_kind = aqm_spec.get("kind", "dualpi2")
-    if aqm_kind == "dualpi2":
-        _take(
-            aqm_spec,
-            "aqm",
-            {
-                "kind",
-                "target_delay_ms",
-                "t_update_ms",
-                "alpha",
-                "beta",
-                "coupling_k",
-                "l4s_step_threshold_ms",
-                "queue_limit_bytes",
-                "time_shift_ms",
-            },
-        )
-        aqm_config: DualPi2Config | DropTailConfig = DualPi2Config(
-            target_delay_us=us_from_ms_checked(
-                _get_number(aqm_spec, "aqm.", "target_delay_ms", default=15.0),
-                "aqm.target_delay_ms",
-            ),
-            t_update_us=us_from_ms_checked(
-                _get_number(aqm_spec, "aqm.", "t_update_ms", default=16.0), "aqm.t_update_ms"
-            ),
-            alpha=_get_number(aqm_spec, "aqm.", "alpha", default=0.16),
-            beta=_get_number(aqm_spec, "aqm.", "beta", default=3.2),
-            coupling_k=_get_number(aqm_spec, "aqm.", "coupling_k", default=2.0),
-            l4s_step_threshold_us=us_from_ms_checked(
-                _get_number(aqm_spec, "aqm.", "l4s_step_threshold_ms", default=1.0),
-                "aqm.l4s_step_threshold_ms",
-            ),
-            queue_limit_bytes=int(
-                _get_number(aqm_spec, "aqm.", "queue_limit_bytes", default=375_000)
-            ),
-            time_shift_us=us_from_ms_checked(
-                _get_number(aqm_spec, "aqm.", "time_shift_ms", default=50.0), "aqm.time_shift_ms"
-            ),
-        )
-    elif aqm_kind == "droptail":
-        _take(aqm_spec, "aqm", {"kind", "queue_limit_bytes"})
-        aqm_config = DropTailConfig(
-            queue_limit_bytes=int(
-                _get_number(aqm_spec, "aqm.", "queue_limit_bytes", default=375_000)
-            )
-        )
-    else:
-        raise ScenarioError(f"aqm.kind: expected dualpi2 or droptail, got {aqm_kind!r}")
-
-    source_spec = data.get("source", {})
-    if not isinstance(source_spec, dict):
-        raise ScenarioError("source: expected an object")
-    _take(
-        source_spec,
-        "source",
-        {"fps", "mtu_bytes", "min_bitrate_bps", "max_bitrate_bps", "start_bitrate_bps", "ecn_mode"},
-    )
-    ecn_mode = source_spec.get("ecn_mode")
-    if ecn_mode is None:
-        ecn = _source_for(kind).ecn_mode
-    elif ecn_mode == "ect1":
-        ecn = EcnCodepoint.ECT1
-    elif ecn_mode == "not-ect":
-        ecn = EcnCodepoint.NOT_ECT
-    else:
-        raise ScenarioError(f"source.ecn_mode: expected ect1 or not-ect, got {ecn_mode!r}")
-    source = SourceConfig(
-        fps=int(_get_number(source_spec, "source.", "fps", default=30)),
-        mtu_bytes=int(_get_number(source_spec, "source.", "mtu_bytes", default=1_200)),
-        min_bitrate_bps=int(
-            _get_number(source_spec, "source.", "min_bitrate_bps", default=150_000)
-        ),
-        max_bitrate_bps=int(
-            _get_number(source_spec, "source.", "max_bitrate_bps", default=5_000_000)
-        ),
-        start_bitrate_bps=int(
-            _get_number(source_spec, "source.", "start_bitrate_bps", default=1_000_000)
-        ),
-        ecn_mode=ecn,
-    )
-
-    scenario = Scenario(
-        seed=seed,
-        duration_s=duration_s,
-        capacity=capacity,
-        forward_delay_us=forward_delay_us,
-        jitter=jitter,
-        reverse_delay_us=reverse_delay_us,
-        aqm=aqm_config,
+    aqm = data.get("aqm", {})
+    aqm_kind = _kind(aqm, "aqm", _AQM_KEYS, default="dualpi2")
+    aqm_start = DualPi2Config() if aqm_kind == "dualpi2" else DropTailConfig()
+    source = _object(data.get("source", {}), "source", _SOURCE_KEYS + ("ecn_mode",))
+    ecn = source.get("ecn_mode")  # absent: the mode follows the controller kind
+    source_start = (
+        _source_for(kind) if ecn is None
+        else SourceConfig(ecn_mode=_choice(ecn, "source.ecn_mode", _ECN_MODES))
+    )  # fmt: skip
+    return _build(
+        linked, data, "", _SCENARIO_KEYS,
+        aqm=_build(aqm_start, aqm, "aqm", _AQM_KEYS[aqm_kind]),
         controller=kind,
-        gcc_params=gcc_params,
-        scalable_params=scalable_params,
-        source=source,
-        feedback_interval_us=us_from_ms_checked(
-            _get_number(data, "", "feedback_interval_ms", default=100.0), "feedback_interval_ms"
-        ),
-        dejitter_us=us_from_ms_checked(
-            _get_number(data, "", "dejitter_ms", default=15.0), "dejitter_ms"
-        ),
-    )
-    try:
-        scenario.validate()
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    return scenario
+        gcc_params=params(gcc, _GCC_KEYS),
+        scalable_params=params(ScalableParams(), _SCALABLE_KEYS),
+        source=_build(source_start, source, "source", _SOURCE_KEYS),
+    )  # fmt: skip
 
 
 def emit_metrics_csv(report: MetricsReport, path: str) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -56,12 +57,11 @@ class Scenario:
     dejitter_us: SimTime = 15_000
 
     def validate(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.forward_delay_us <= 0 or self.reverse_delay_us <= 0:
-            raise ValueError("path delays must be positive")
-        if self.feedback_interval_us <= 0:
-            raise ValueError("feedback_interval_us must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+        for name in ("forward_delay_us", "reverse_delay_us", "feedback_interval_us"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if self.dejitter_us < 0:
             raise ValueError("dejitter_us must be non-negative")
         self.aqm.validate()
@@ -102,9 +102,6 @@ class TimelineLog:
     rtt_samples_us: list[int]
     stalled_us: SimTime
     played_bytes: int
-    sent: int
-    delivered: int
-    drop_count: int
     mark_count: int
     audit: RunAudit
     rows: list[tuple[SimTime, str, int]] | None = None
@@ -301,9 +298,6 @@ class _Engine:
             rtt_samples_us=self.receiver.rtt_samples_us,
             stalled_us=self.receiver.stalled_total_us,
             played_bytes=self.receiver.played_bytes,
-            sent=self.sent,
-            delivered=self.delivered,
-            drop_count=self.aqm.total_dropped(),
             mark_count=self.aqm.total_marked(),
             audit=audit,
             rows=self.rows,

@@ -143,7 +143,7 @@ class TestTrendlineSlope:
         times = [float(t) / 1000.0 for t, _ in data]
         values = [v for _, v in data]
         expected = float(np.polyfit(times, values, 1)[0])
-        assert trendline_slope(times, values) == pytest.approx(expected, abs=1e-9)
+        assert trendline_slope(times, values) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 class TestOveruseDetector:

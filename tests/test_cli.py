@@ -64,6 +64,41 @@ class TestRun:
         assert run_cli("run", "--scenario", str(path)) == 1
         assert "oops" in capsys.readouterr().err
 
+    def test_overrides_apply_before_file_defaults_are_derived(self, tmp_path):
+        # The source ECN mode derives from the controller kind, so a gcc file
+        # run as l4s-cc must match the same file written for l4s-cc.
+        outputs = []
+        for kind, extra in (("gcc", ["--controller", "l4s-cc"]), ("l4s-cc", [])):
+            scenario = {
+                "seed": 9,
+                "duration_s": 60,
+                "link": {"capacity": {"kind": "constant", "mbps": 0.8}},
+                "controller": {"kind": kind},
+            }
+            path = tmp_path / f"{kind}.json"
+            path.write_text(json.dumps(scenario))
+            out = tmp_path / f"{kind}.csv"
+            assert run_cli(
+                "run", "--scenario", str(path), "--seed", "2", "--duration", "5",
+                "--out", str(out), *extra,
+            ) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_non_finite_duration_names_field(self, tmp_path, capsys, duration, from_file):
+        scenario = "case1"
+        if from_file:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(
+                {"link": {"capacity": {"kind": "constant", "mbps": 3}}, "controller": {"kind": "gcc"}}
+            ))  # fmt: skip
+            scenario = str(path)
+        code = run_cli("run", "--scenario", scenario, "--controller", "gcc", "--duration", duration)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("l4sim: error: duration_s")
+
     def test_missing_file(self, capsys):
         assert run_cli("run", "--scenario", "/nope/missing.json") == 1
         assert "error" in capsys.readouterr().err

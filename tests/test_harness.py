@@ -1,8 +1,15 @@
+import copy
+import math
+from dataclasses import fields, replace
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from l4sim.aqm import DualPi2Config
-from l4sim.cc import ControllerKind
+from l4sim.aqm import DropTailConfig, DualPi2Config
+from l4sim.cc import ControllerKind, GccParams, ScalableParams
+from l4sim.media import SourceConfig
 from l4sim.harness import (
     PRESET_CASES,
     ScenarioError,
@@ -30,9 +37,6 @@ def make_log(rtt_samples, stalled_us=0, played_bytes=0, duration_us=100_000_000)
         rtt_samples_us=rtt_samples,
         stalled_us=stalled_us,
         played_bytes=played_bytes,
-        sent=0,
-        delivered=0,
-        drop_count=0,
         mark_count=0,
         audit=audit,
     )
@@ -281,11 +285,206 @@ class TestScenarioFromDict:
     def test_droptail_aqm(self):
         spec = dict(VALID_SCENARIO, aqm={"kind": "droptail", "queue_limit_bytes": 50000})
         scenario = scenario_from_dict(spec)
-        from l4sim.aqm import DropTailConfig
-
         assert isinstance(scenario.aqm, DropTailConfig)
 
     def test_gcc_param_overrides(self):
         spec = dict(VALID_SCENARIO, controller={"kind": "gcc", "decrease_factor": 0.7})
         scenario = scenario_from_dict(spec)
         assert scenario.gcc_params.decrease_factor == 0.7
+
+    def test_sensitive_gcc_overrides_start_from_sensitive_params(self):
+        spec = dict(VALID_SCENARIO, controller={"kind": "sensitive-gcc", "decrease_factor": 0.7})
+        scenario = scenario_from_dict(spec)
+        assert scenario.gcc_params == replace(GccParams.sensitive(), decrease_factor=0.7)
+
+    def test_absent_keys_keep_dataclass_defaults(self):
+        spec = dict(VALID_SCENARIO, controller={"kind": "l4s-cc", "ewma_gain": 0.125})
+        assert scenario_from_dict(spec).scalable_params == ScalableParams(ewma_gain=0.125)
+
+    def test_zero_dejitter_accepted_as_in_scenario(self):
+        assert scenario_from_dict(dict(VALID_SCENARIO, dejitter_ms=0)).dejitter_us == 0
+
+    def test_integral_float_accepted_for_int_field(self):
+        scenario = scenario_from_dict(dict(VALID_SCENARIO, source={"fps": 25.0}))
+        assert scenario.source.fps == 25 and isinstance(scenario.source.fps, int)
+
+    @pytest.mark.parametrize(
+        "section, value, where",
+        [
+            ("controller", {"kind": "gcc", "window": "x"}, "controller.window"),
+            ("controller", {"kind": "gcc", "loss_high": True}, "controller.loss_high"),
+            ("controller", {"kind": "gcc", "loss_low": 0.5}, "controller: loss_low"),
+            ("source", {"fps": 29.97}, "source.fps"),
+            ("source", {"ecn_mode": "ect0"}, "source.ecn_mode"),
+            ("aqm", {"queue_limit_bytes": 1.5}, "aqm.queue_limit_bytes"),
+            ("aqm", {"target_delay_ms": 0}, "aqm: target_delay_us"),
+            ("duration_s", math.nan, "duration_s"),
+            ("duration_s", math.inf, "duration_s"),
+            ("seed", 1.5, "seed"),
+            ("feedback_interval_ms", True, "feedback_interval_ms"),
+            (
+                "link",
+                {"capacity": {"kind": "constant", "mbps": 3},
+                 "forward_delay": {"kind": "fixed", "delay_ms": 0.0001}},
+                "link.forward_delay.delay_ms",
+            ),
+            (
+                "link",
+                {"capacity": {"kind": "constant", "mbps": 5},
+                 "forward_delay": {"kind": "jitter", "entries": [[10, 0.5], [1e400, 0.5]]}},
+                r"link.forward_delay.entries\[1\]",
+            ),
+            (
+                "link",
+                {"capacity": {"kind": "constant", "mbps": 3},
+                 "forward_delay": {"kind": "fixed", "delay_ms": 0}},
+                "link: forward_delay_us must be positive",
+            ),
+            ("link", {"capacity": {"kind": "constant"}}, "link.capacity.mbps: expected a number"),
+            ("link", {"capacity": {"kind": "trace", "path": "/nope.csv"}}, "link.capacity.path"),
+        ],
+    )  # fmt: skip
+    def test_invalid_value_names_field_path(self, section, value, where):
+        with pytest.raises(ScenarioError, match=where):
+            scenario_from_dict(dict(VALID_SCENARIO, **{section: value}))
+
+
+BUNDLED_TRACE = resources.files("l4sim").joinpath("data/case3_trace.csv")
+_JITTER_ENTRIES = {
+    "case4a": [[10, 0.85], [12, 0.10], [14, 0.04], [16, 0.01]],
+    "case4b": [[10, 0.85], [14, 0.10], [18, 0.04], [22, 0.01]],
+    "case4c": [[10, 0.85], [18, 0.10], [26, 0.04], [34, 0.01]],
+}
+
+
+def minimal_file(case, kind, seed, duration_s):
+    """The smallest scenario file describing a preset."""
+    if case == "case1":
+        link = {"capacity": {"kind": "constant", "mbps": 3}}
+    elif case == "case2":
+        link = {
+            "capacity": {"kind": "square", "low_mbps": 2.5, "high_mbps": 4, "half_period_s": 10}
+        }
+    elif case == "case3":
+        link = {"capacity": {"kind": "trace", "path": str(BUNDLED_TRACE)}}
+    else:
+        link = {
+            "capacity": {"kind": "constant", "mbps": 5},
+            "forward_delay": {"kind": "jitter", "entries": _JITTER_ENTRIES[case]},
+        }
+    return {
+        "seed": seed,
+        "duration_s": duration_s,
+        "link": link,
+        "controller": {"kind": kind.value},
+    }
+
+
+@pytest.mark.parametrize("case", PRESET_CASES)
+@pytest.mark.parametrize("kind", list(ControllerKind))
+def test_minimal_file_equals_preset(case, kind):
+    scenario = scenario_from_dict(minimal_file(case, kind, seed=5, duration_s=30))
+    assert scenario == preset_scenario(case, kind, seed=5, duration_s=30.0)
+
+
+# Every section of a scenario file with the keys it accepts, one entry per
+# kind where the kind selects the keys.
+ACCEPTED_KEYS = [
+    ("", None, {"seed", "duration_s", "link", "aqm", "controller", "source",
+                "feedback_interval_ms", "dejitter_ms"}),
+    ("link", None, {"capacity", "forward_delay", "reverse_delay_ms"}),
+    ("link.capacity", {"kind": "constant", "mbps": 3}, {"kind", "mbps"}),
+    ("link.capacity", {"kind": "square", "low_mbps": 1, "high_mbps": 2, "half_period_s": 1},
+     {"kind", "low_mbps", "high_mbps", "half_period_s"}),
+    ("link.capacity", {"kind": "trace", "path": str(BUNDLED_TRACE)}, {"kind", "path"}),
+    ("link.forward_delay", {"kind": "fixed", "delay_ms": 6}, {"kind", "delay_ms"}),
+    ("link.forward_delay", {"kind": "jitter", "entries": [[10, 1.0]]}, {"kind", "entries"}),
+    ("aqm", {"kind": "dualpi2"}, {"kind", "target_delay_ms", "t_update_ms", "alpha", "beta",
+                                  "coupling_k", "l4s_step_threshold_ms", "queue_limit_bytes",
+                                  "time_shift_ms"}),
+    ("aqm", {"kind": "droptail"}, {"kind", "queue_limit_bytes"}),
+    ("controller", None, {"kind", "ewma_gain", "additive_step_bps", "window", "threshold_gain",
+                          "gamma_init_ms", "gamma_min_ms", "gamma_max_ms", "k_up", "k_down",
+                          "overuse_time_ms", "eta_increase", "decrease_factor", "loss_high",
+                          "loss_low"}),
+    ("source", None, {"fps", "mtu_bytes", "min_bitrate_bps", "max_bitrate_bps",
+                      "start_bitrate_bps", "ecn_mode"}),
+]  # fmt: skip
+
+
+def _candidate_keys():
+    """Every accepted key plus each config field name in its `_us`, `_ms`
+    and `_s` spellings, so a field that leaks into the file schema shows."""
+    keys = set().union(*(accepted for _, _, accepted in ACCEPTED_KEYS))
+    for cls in (Scenario, DualPi2Config, DropTailConfig, GccParams, ScalableParams,
+                SourceConfig, Constant, SquareWave):  # fmt: skip
+        for f in fields(cls):
+            keys.add(f.name)
+            if f.name.endswith("_us"):
+                keys.update({f.name[:-3] + "_ms", f.name[:-3] + "_s"})
+    return sorted(keys)
+
+
+def _section(data, path):
+    for part in filter(None, path.split(".")):
+        data = data[part]
+    return data
+
+
+@pytest.mark.parametrize(
+    "path, spec, accepted",
+    ACCEPTED_KEYS,
+    ids=[f"{p or 'top'}-{(s or {}).get('kind', '')}" for p, s, _ in ACCEPTED_KEYS],
+)
+def test_accepted_key_set_per_section(path, spec, accepted):
+    base = copy.deepcopy(VALID_SCENARIO)
+    if spec is not None:
+        parent, _, name = path.rpartition(".")
+        _section(base, parent)[name] = spec
+    found = set()
+    for key in _candidate_keys():
+        data = copy.deepcopy(base)
+        _section(data, path)[key] = 2
+        try:
+            scenario_from_dict(data)
+        except ScenarioError as exc:
+            if str(exc) == f"{path + '.' if path else ''}{key}: unknown key":
+                continue
+        found.add(key)
+    assert found == accepted
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_PATHS = sorted({path for path, _, _ in ACCEPTED_KEYS})
+_KEYS = sorted(set().union(*(accepted for _, _, accepted in ACCEPTED_KEYS)))
+
+
+def _builds_or_rejects(data):
+    try:
+        assert isinstance(scenario_from_dict(data), Scenario)
+    except ScenarioError:
+        pass
+
+
+@given(_JSON)
+def test_any_json_value_builds_or_raises_scenario_error(data):
+    _builds_or_rejects(data)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_PATHS), st.sampled_from(_KEYS), _JSON), max_size=4))
+@settings(max_examples=300)
+def test_any_edit_of_a_valid_file_builds_or_raises_scenario_error(edits):
+    data = copy.deepcopy(VALID_SCENARIO)
+    data["link"]["forward_delay"] = {"kind": "jitter", "entries": [[10, 0.5], [12, 0.5]]}
+    for path, key, value in edits:
+        try:
+            section = _section(data, path)
+        except (KeyError, TypeError):
+            continue
+        if isinstance(section, dict):
+            section[key] = value
+    _builds_or_rejects(data)
