@@ -6,7 +6,7 @@ playout/stall accounting, and four feedback-driven rate controllers, plus a
 harness that reproduces the standard comparison cases.
 """
 
-from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config, EnqueueOutcome
+from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
 from .cc import (
     ControllerKind,
     GccController,
@@ -16,7 +16,6 @@ from .cc import (
     RateBounds,
     ScalableParams,
     ce_fraction,
-    compute_delay_gradients,
     trendline_slope,
 )
 from .core import (

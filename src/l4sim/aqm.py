@@ -11,18 +11,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional
 
 from .core import FlowClass, Packet, SimTime, apply_ce_mark, classify_flow
 
 # Observer callback: (event, packet, now). Events: "overflow", "drop", "mark".
 AqmObserver = Callable[[str, Packet, SimTime], None]
-
-
-class EnqueueOutcome(Enum):
-    QUEUED = "queued"
-    OVERFLOW = "overflow"
 
 
 @dataclass
@@ -89,7 +83,6 @@ class DualPi2:
         self.c_bytes = 0
         self.p_base = 0.0
         self.prev_c_delay_us: SimTime = 0
-        self.last_update: SimTime = 0
         self.l_counters = QueueCounters()
         self.c_counters = QueueCounters()
 
@@ -115,9 +108,8 @@ class DualPi2:
         p = self.p_base + (cfg.alpha * err_s + cfg.beta * delta_s) * (cfg.t_update_us / 1e6)
         self.p_base = 0.0 if p < 0.0 else (1.0 if p > 1.0 else p)
         self.prev_c_delay_us = c_delay
-        self.last_update = now
 
-    def enqueue(self, packet: Packet, now: SimTime) -> EnqueueOutcome:
+    def enqueue(self, packet: Packet, now: SimTime) -> None:
         limit = self.config.queue_limit_bytes
         if classify_flow(packet.ecn) is FlowClass.L4S:
             self.l_counters.enqueued += 1
@@ -125,7 +117,7 @@ class DualPi2:
                 self.l_counters.dropped += 1
                 if self._observer:
                     self._observer("overflow", packet, now)
-                return EnqueueOutcome.OVERFLOW
+                return
             self.l_queue.append((packet, now))
             self.l_bytes += packet.size_bytes
         else:
@@ -134,10 +126,9 @@ class DualPi2:
                 self.c_counters.dropped += 1
                 if self._observer:
                     self._observer("overflow", packet, now)
-                return EnqueueOutcome.OVERFLOW
+                return
             self.c_queue.append((packet, now))
             self.c_bytes += packet.size_bytes
-        return EnqueueOutcome.QUEUED
 
     def _pick_l(self, now: SimTime) -> bool:
         """Time-shifted FIFO: the low-latency head wins when its enqueue time
@@ -230,16 +221,15 @@ class DropTail:
         self.bytes = 0
         self.counters = QueueCounters()
 
-    def enqueue(self, packet: Packet, now: SimTime) -> EnqueueOutcome:
+    def enqueue(self, packet: Packet, now: SimTime) -> None:
         self.counters.enqueued += 1
         if self.bytes + packet.size_bytes > self.config.queue_limit_bytes:
             self.counters.dropped += 1
             if self._observer:
                 self._observer("overflow", packet, now)
-            return EnqueueOutcome.OVERFLOW
+            return
         self.queue.append((packet, now))
         self.bytes += packet.size_bytes
-        return EnqueueOutcome.QUEUED
 
     def dequeue(self, now: SimTime) -> Optional[Packet]:
         if not self.queue:

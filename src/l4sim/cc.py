@@ -39,10 +39,18 @@ class Signal(Enum):
     UNDERUSE = "underuse"
 
 
-class RateState(Enum):
-    INCREASE = "increase"
-    HOLD = "hold"
-    DECREASE = "decrease"
+# Send-time span that groups packets into one burst for the delay gradient.
+GROUP_SPAN_US = 5_000
+# Retention weight of the accumulated-delay EWMA (reference estimator).
+SMOOTHING = 0.9
+# The detector compares the slope scaled by min(sample count, this cap) and
+# threshold_gain against gamma, as in the reference estimator.
+SLOPE_COUNT_CAP = 60
+# Receive-rate measurement: a wide window while the estimate warms up, then a
+# short window so decreases track the current delivery rate instead of the
+# sawtooth average.
+RECEIVE_WINDOW_INITIAL_US = 500_000
+RECEIVE_WINDOW_US = 150_000
 
 
 @dataclass
@@ -59,17 +67,6 @@ class GccParams:
     decrease_factor: float = 0.85
     loss_high: float = 0.10
     loss_low: float = 0.02
-    group_span_us: int = 5_000
-    # Retention weight of the accumulated-delay EWMA (reference estimator).
-    smoothing: float = 0.9
-    # The detector compares the slope scaled by min(sample count, this cap)
-    # and threshold_gain against gamma, as in the reference estimator.
-    slope_count_cap: int = 60
-    # Receive-rate measurement: a wide window while the estimate warms up,
-    # then a short window so decreases track the current delivery rate
-    # instead of the sawtooth average.
-    receive_window_initial_us: int = 500_000
-    receive_window_us: int = 150_000
     # Freeze threshold adaptation while the slope is far above gamma, so a
     # spike cannot drag the threshold up after itself. Off by default: the
     # stock controller lets the threshold chase every observation.
@@ -140,14 +137,14 @@ def ce_fraction(report: FeedbackReport) -> float:
 
 
 def _group_samples(
-    samples: Sequence[tuple[int, SimTime, SimTime]], span_us: int
+    samples: Sequence[tuple[int, SimTime, SimTime]]
 ) -> list[tuple[SimTime, SimTime]]:
     """Collapse (seq, sent, arrival) samples into send-time bursts; each
     group is represented by its last packet's (sent, arrival)."""
     groups: list[tuple[SimTime, SimTime]] = []
     group_first_send: SimTime | None = None
     for _seq, sent, arrival in samples:
-        if group_first_send is None or sent - group_first_send > span_us:
+        if group_first_send is None or sent - group_first_send > GROUP_SPAN_US:
             groups.append((sent, arrival))
             group_first_send = sent
         else:
@@ -155,24 +152,16 @@ def _group_samples(
     return groups
 
 
-def group_delay_gradients(
-    report: FeedbackReport, span_us: int = 5_000
-) -> list[tuple[SimTime, float]]:
+def group_delay_gradients(report: FeedbackReport) -> list[tuple[SimTime, float]]:
     """Per consecutive group pair: (group arrival time, inter-group delay
     delta in us). Queue growth shows up as positive deltas."""
-    groups = _group_samples(report.arrival_samples, span_us)
+    groups = _group_samples(report.arrival_samples)
     out: list[tuple[SimTime, float]] = []
     for i in range(1, len(groups)):
         sent_prev, arr_prev = groups[i - 1]
         sent_cur, arr_cur = groups[i]
         out.append((arr_cur, float((arr_cur - arr_prev) - (sent_cur - sent_prev))))
     return out
-
-
-def compute_delay_gradients(report: FeedbackReport, span_us: int = 5_000) -> list[float]:
-    """The inter-group delay delta sequence for a report (us). Fewer than two
-    groups yield an empty list."""
-    return [d for _, d in group_delay_gradients(report, span_us)]
 
 
 def trendline_slope(times_ms: Sequence[float], values_ms: Sequence[float]) -> float:
@@ -317,14 +306,13 @@ class GccController:
         self.bounds = bounds
         self.target_bps = bounds.clamp(bounds.start_bps)
         self.detector = OveruseDetector(params)
-        self.rate_state = RateState.INCREASE
         self._acc_delay_ms = 0.0
         self._smoothed_ms = 0.0
         self._points: list[tuple[float, float]] = []  # (arrival ms, smoothed ms)
         self._num_deltas = 0
         self._last_rate_update_us: SimTime = 0
         self.receive_tracker = ReceiveRateTracker(
-            params.receive_window_us, params.receive_window_initial_us, size_lookup
+            RECEIVE_WINDOW_US, RECEIVE_WINDOW_INITIAL_US, size_lookup
         )
 
     def update(self, report: FeedbackReport, now: SimTime) -> int:
@@ -341,10 +329,10 @@ class GccController:
         p = self.params
         signal = self.detector.state
         saw_overuse = False
-        for arrival_us, delta_us in group_delay_gradients(report, p.group_span_us):
+        for arrival_us, delta_us in group_delay_gradients(report):
             self._acc_delay_ms += delta_us / 1_000.0
             self._smoothed_ms = (
-                p.smoothing * self._smoothed_ms + (1.0 - p.smoothing) * self._acc_delay_ms
+                SMOOTHING * self._smoothed_ms + (1.0 - SMOOTHING) * self._acc_delay_ms
             )
             self._points.append((arrival_us / 1_000.0, self._smoothed_ms))
             if len(self._points) > p.window:
@@ -353,16 +341,16 @@ class GccController:
             slope = trendline_slope(
                 [t for t, _ in self._points], [v for _, v in self._points]
             )
-            scaled = slope * min(self._num_deltas, p.slope_count_cap) * p.threshold_gain
+            scaled = slope * min(self._num_deltas, SLOPE_COUNT_CAP) * p.threshold_gain
             signal = self.detector.update(scaled, arrival_us / 1_000.0)
             if signal is Signal.OVERUSE:
                 saw_overuse = True
         return Signal.OVERUSE if saw_overuse else signal
 
     def apply_rate_update(self, signal: Signal, report: FeedbackReport, now: SimTime) -> int:
-        """Advance the increase/hold/decrease machine and return the new
-        target. Heavy loss caps the target in any state; the near-lossless
-        bonus only accelerates the increase path, hold means hold."""
+        """Decrease on overuse, hold on underuse, increase otherwise, and
+        return the new target. Heavy loss caps the target after any of them;
+        the near-lossless bonus only accelerates the increase."""
         p = self.params
         dt_s = max(0.0, (now - self._last_rate_update_us) / 1e6)
         self._last_rate_update_us = now
@@ -373,13 +361,9 @@ class GccController:
         target = float(self.target_bps)
 
         if signal is Signal.OVERUSE:
-            self.rate_state = RateState.DECREASE
             if receive_bps > 0.0:
                 target = p.decrease_factor * receive_bps
-        elif signal is Signal.UNDERUSE:
-            self.rate_state = RateState.HOLD
-        else:
-            self.rate_state = RateState.INCREASE
+        elif signal is Signal.NORMAL:
             target *= p.eta_increase**dt_s
             if loss_rate < p.loss_low:
                 target *= 1.05
@@ -449,23 +433,28 @@ class L4sGccController:
         g = self.scalable.ewma_gain
         f = ce_fraction(report)
         self.ce_ewma = (1.0 - g) * self.ce_ewma + g * f
+        # The estimator runs on every report, so it is warm when marks stop.
+        self.gcc.receive_tracker.extend(report)
+        signal = self.gcc.process_delay_signal(report)
         if f > 0.0:
             self.marks_seen = True
-            self.gcc.receive_tracker.extend(report)
-            self.gcc.process_delay_signal(report)  # keep the estimator warm
             before = self.gcc.target_bps
             delay_decrease = self.gcc.apply_rate_update(Signal.OVERUSE, report, now)
             scalable_decrease = before * (1.0 - self.ce_ewma / 2.0)
             self.gcc.target_bps = self.bounds.clamp(min(delay_decrease, scalable_decrease))
             return self.gcc.target_bps
-        self.gcc.receive_tracker.extend(report)
-        signal = self.gcc.process_delay_signal(report)
         if self.marks_seen and signal is Signal.OVERUSE:
             signal = Signal.UNDERUSE  # hold: marks own the decrease decision
         return self.gcc.apply_rate_update(signal, report, now)
 
 
 Controller = GccController | L4sCcController | L4sGccController
+
+
+def default_gcc_params(kind: ControllerKind) -> GccParams:
+    """The GCC parameters a controller kind runs with when none are given:
+    the sensitive preset for `sensitive-gcc`, the stock ones otherwise."""
+    return GccParams.sensitive() if kind is ControllerKind.SENSITIVE_GCC else GccParams()
 
 
 def make_controller(
@@ -475,15 +464,13 @@ def make_controller(
     gcc_params: Optional[GccParams] = None,
     scalable_params: Optional[ScalableParams] = None,
 ) -> Controller:
-    if kind is ControllerKind.GCC:
-        return GccController(gcc_params or GccParams(), bounds, size_lookup)
-    if kind is ControllerKind.SENSITIVE_GCC:
-        return GccController(gcc_params or GccParams.sensitive(), bounds, size_lookup)
+    if kind in (ControllerKind.GCC, ControllerKind.SENSITIVE_GCC):
+        return GccController(gcc_params or default_gcc_params(kind), bounds, size_lookup)
     if kind is ControllerKind.L4S_CC:
         return L4sCcController(scalable_params or ScalableParams(), bounds)
     if kind is ControllerKind.L4S_GCC:
         return L4sGccController(
-            gcc_params or GccParams(),
+            gcc_params or default_gcc_params(kind),
             scalable_params or ScalableParams(),
             bounds,
             size_lookup,

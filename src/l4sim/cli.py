@@ -23,9 +23,10 @@ from .harness import (
     preset_scenario,
     run_comparison,
     scenario_from_dict,
+    table_csv_lines,
 )
 from .netem import load_trace_csv, normalize_trace, write_trace_csv
-from .sim import run_scenario
+from .sim import Scenario, run_scenario
 
 
 def _controller(value: str) -> ControllerKind:
@@ -57,9 +58,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="controller kind (required for presets, overrides scenario files)",
     )
     run_p.add_argument(
-        "--seed", type=int, default=None, help="defaults to 1 for presets"
+        "--seed", type=int, default=None, help=f"defaults to {Scenario.seed} for presets"
     )
-    run_p.add_argument("--duration", type=float, default=None, help="session seconds")
+    run_p.add_argument(
+        "--duration",
+        type=float,
+        default=None,
+        help=f"session seconds, defaults to {Scenario.duration_s} for presets",
+    )
     run_p.add_argument("--timeline", default=None, help="write per-event timeline CSV here")
     run_p.add_argument("--out", default=None, help="write the metrics CSV here")
 
@@ -67,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--cases", required=True, help="comma-separated preset names")
     cmp_p.add_argument("--controllers", required=True, help="comma-separated controller kinds")
     cmp_p.add_argument("--seeds", type=int, default=5, help="number of seeds (1..n)")
-    cmp_p.add_argument("--duration", type=float, default=120.0)
+    cmp_p.add_argument("--duration", type=float, default=Scenario.duration_s)
     cmp_p.add_argument("--workers", type=int, default=1, help="parallel runs")
     cmp_p.add_argument("--format", choices=("csv", "table"), default="csv")
     cmp_p.add_argument("--out", default=None, help="write the table here")
@@ -80,15 +86,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    overrides = {"seed": args.seed, "duration_s": args.duration}
+    overrides = {key: value for key, value in overrides.items() if value is not None}
     if args.scenario in PRESET_CASES:
         if args.controller is None:
             raise ScenarioError("preset scenarios need --controller")
-        scenario = preset_scenario(
-            args.scenario,
-            args.controller,
-            seed=args.seed if args.seed is not None else 1,
-            duration_s=args.duration if args.duration is not None else 120.0,
-        )
+        scenario = preset_scenario(args.scenario, args.controller, **overrides)
     else:
         with open(args.scenario, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -97,10 +100,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if isinstance(data, dict):
             if args.controller is not None and isinstance(data.get("controller"), dict):
                 data["controller"] = dict(data["controller"], kind=args.controller.value)
-            if args.seed is not None:
-                data["seed"] = args.seed
-            if args.duration is not None:
-                data["duration_s"] = args.duration
+            data.update(overrides)
         scenario = scenario_from_dict(data)
     metrics, log = run_scenario(scenario, timeline=args.timeline is not None)
     if args.timeline is not None:
@@ -133,8 +133,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if args.out is not None:
             emit_table_csv(table, args.out)
         else:
-            from .harness import table_csv_lines
-
             for line in table_csv_lines(table):
                 print(line)
     return 0

@@ -35,17 +35,6 @@ class EcnCodepoint(IntEnum):
     CE = 0b11
 
 
-def ecn_from_bits(bits: int) -> EcnCodepoint:
-    """Decode a two-bit ECN field value."""
-    if bits not in (0b00, 0b01, 0b10, 0b11):
-        raise ValueError(f"ECN field is two bits, got {bits!r}")
-    return EcnCodepoint(bits)
-
-
-def ecn_to_bits(ecn: EcnCodepoint) -> int:
-    return int(ecn)
-
-
 class FlowClass(Enum):
     L4S = "l4s"
     CLASSIC = "classic"
@@ -74,7 +63,6 @@ class Packet:
     """
 
     seq: int
-    flow_id: int
     size_bytes: int
     ecn: EcnCodepoint
     sent_at: SimTime

@@ -11,7 +11,7 @@ from importlib import resources
 from typing import Iterable, Sequence, get_type_hints
 
 from .aqm import DropTailConfig, DualPi2Config
-from .cc import ControllerKind, GccParams, ScalableParams
+from .cc import ControllerKind, ScalableParams, default_gcc_params
 from .core import US_PER_MS, US_PER_S, EcnCodepoint, SimTime
 from .media import SourceConfig
 from .netem import (
@@ -97,8 +97,8 @@ def _source_for(kind: ControllerKind) -> SourceConfig:
 def preset_scenario(
     case: str,
     controller: ControllerKind,
-    seed: int = 1,
-    duration_s: float = 120.0,
+    seed: int = Scenario.seed,
+    duration_s: float = Scenario.duration_s,
 ) -> Scenario:
     """Build one of the named comparison scenarios.
 
@@ -180,8 +180,13 @@ def _aggregate(case: str, controller: str, runs: Sequence[MetricsReport]) -> Com
 
 def _run_one(args: tuple[str, str, int, float]) -> MetricsReport:
     case, controller_value, seed, duration_s = args
-    scenario = preset_scenario(case, ControllerKind(controller_value), seed, duration_s)
-    metrics, _log = run_scenario(scenario)
+    try:
+        scenario = preset_scenario(case, ControllerKind(controller_value), seed, duration_s)
+        metrics, _log = run_scenario(scenario)
+    except Exception as exc:  # identify the offending triple, in workers too
+        raise RuntimeError(
+            f"run failed for case={case} controller={controller_value} seed={seed}: {exc}"
+        ) from exc
     return metrics
 
 
@@ -189,7 +194,7 @@ def run_comparison(
     cases: Sequence[str],
     controllers: Sequence[ControllerKind],
     seeds: Sequence[int],
-    duration_s: float = 120.0,
+    duration_s: float = Scenario.duration_s,
     workers: int = 1,
 ) -> ComparisonTable:
     """Run every (case, controller, seed) triple and aggregate mean/stdev.
@@ -207,20 +212,9 @@ def run_comparison(
     ]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            try:
-                results = list(pool.map(_run_one, jobs))
-            except Exception as exc:  # identify the offending triple
-                raise RuntimeError(f"comparison run failed: {exc}") from exc
+            results = list(pool.map(_run_one, jobs))
     else:
-        results = []
-        for job in jobs:
-            try:
-                results.append(_run_one(job))
-            except Exception as exc:
-                case, controller_value, seed, _ = job
-                raise RuntimeError(
-                    f"run failed for case={case} controller={controller_value} seed={seed}: {exc}"
-                ) from exc
+        results = list(map(_run_one, jobs))
     rows = []
     per_cell = len(seeds)
     idx = 0
@@ -348,7 +342,13 @@ _GCC_KEYS = (
 )  # fmt: skip
 _SCALABLE_KEYS = ("ewma_gain", "additive_step_bps")
 _SOURCE_KEYS = ("fps", "mtu_bytes", "min_bitrate_bps", "max_bitrate_bps", "start_bitrate_bps")
-_CONTROLLER_KEYS = {k.value: _GCC_KEYS + _SCALABLE_KEYS for k in ControllerKind}
+# The keys each controller kind reads; any other key is rejected.
+_CONTROLLER_KEYS = {
+    ControllerKind.GCC.value: _GCC_KEYS,
+    ControllerKind.SENSITIVE_GCC.value: _GCC_KEYS,
+    ControllerKind.L4S_CC.value: _SCALABLE_KEYS,
+    ControllerKind.L4S_GCC.value: _GCC_KEYS + _SCALABLE_KEYS,
+}
 _CAPACITY_KEYS = {
     "constant": ("mbps",), "square": ("low_mbps", "high_mbps", "half_period_s"), "trace": ("path",)
 }  # fmt: skip
@@ -473,7 +473,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     linked = _build(Scenario(), link, "link", ("reverse_delay_ms",), capacity=capacity, **delay)
     ctl = data.get("controller")
     kind = ControllerKind(_kind(ctl, "controller", _CONTROLLER_KEYS))
-    gcc = GccParams.sensitive() if kind is ControllerKind.SENSITIVE_GCC else GccParams()
 
     def params(start, keys):  # None, the controller's own default, unless a key is set
         return _build(start, ctl, "controller", keys) if ctl.keys() & set(keys) else None
@@ -491,7 +490,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         linked, data, "", _SCENARIO_KEYS,
         aqm=_build(aqm_start, aqm, "aqm", _AQM_KEYS[aqm_kind]),
         controller=kind,
-        gcc_params=params(gcc, _GCC_KEYS),
+        gcc_params=params(default_gcc_params(kind), _GCC_KEYS),
         scalable_params=params(ScalableParams(), _SCALABLE_KEYS),
         source=_build(source_start, source, "source", _SOURCE_KEYS),
     )  # fmt: skip

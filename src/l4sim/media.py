@@ -41,10 +41,9 @@ class SourceConfig:
 class MediaSource:
     """Frame source with even intra-frame pacing and one-shot loss repair."""
 
-    def __init__(self, config: SourceConfig, flow_id: int = 0) -> None:
+    def __init__(self, config: SourceConfig) -> None:
         config.validate()
         self.config = config
-        self.flow_id = flow_id
         self.next_seq = 0
         self.next_frame = 0
         # seq -> (size, frame_id, frame_packet_count), kept for repair and
@@ -75,7 +74,6 @@ class MediaSource:
             remaining -= size
             packet = Packet(
                 seq=self.next_seq,
-                flow_id=self.flow_id,
                 size_bytes=size,
                 ecn=cfg.ecn_mode,
                 sent_at=now + (i * interval) // n_packets,
@@ -99,7 +97,6 @@ class MediaSource:
         size, frame_id, count = meta
         return Packet(
             seq=seq,
-            flow_id=self.flow_id,
             size_bytes=size,
             ecn=self.config.ecn_mode,
             sent_at=now,
@@ -128,19 +125,18 @@ class Receiver:
     # after a stall shifts the clock, healthy playback accelerates gently
     # back toward the live edge, like an adaptive jitter buffer.
     CATCHUP_FRACTION = 10  # interval // 10 == 10% time compression
+    REPAIR_TIMEOUT_US = 300_000
 
     def __init__(
         self,
         fps: int,
         reverse_delay_us: SimTime,
-        dejitter_us: SimTime = 15_000,
+        dejitter_us: SimTime,
         observer: PlayoutObserver | None = None,
-        repair_timeout_us: SimTime = 300_000,
     ) -> None:
         self.fps = fps
         self.reverse_delay_us = reverse_delay_us
         self.dejitter_us = dejitter_us
-        self.repair_timeout_us = repair_timeout_us
         self._observer = observer
 
         self._seen: set[int] = set()
@@ -265,7 +261,7 @@ class Receiver:
         repair after the repair timeout is reported again."""
         lost = list(self._pending_lost)
         for seq, reported_at in self._outstanding_lost.items():
-            if now - reported_at >= self.repair_timeout_us:
+            if now - reported_at >= self.REPAIR_TIMEOUT_US:
                 lost.append(seq)
         lost.sort()
         for seq in lost:

@@ -148,8 +148,9 @@ def sample_jitter(profile: JitterProfile, rng: random.Random) -> SimTime:
 class ForwardLink:
     """Serialization plus propagation for the media direction.
 
-    Per-flow delivery times are clamped monotone so the receiver never sees
-    reordering, even under jitter.
+    Delivery times are clamped monotone so the receiver never sees
+    reordering, even under jitter: its loss detection reads any sequence gap
+    as a loss.
     """
 
     def __init__(
@@ -165,7 +166,7 @@ class ForwardLink:
         self.base_delay_us = base_delay_us
         self.jitter = jitter
         self._rng = rng
-        self._last_delivery: dict[int, SimTime] = {}
+        self._last_delivery: SimTime = 0
 
     def serialization_us(self, size_bytes: int, now: SimTime) -> SimTime:
         rate = capacity_at(self.capacity, now)
@@ -179,9 +180,9 @@ class ForwardLink:
     def deliver(self, packet: Packet, now: SimTime) -> SimTime:
         """Delivery time of a packet leaving the queue at `now`."""
         raw = now + self.serialization_us(packet.size_bytes, now) + self.one_way_delay_us(now)
-        prev = self._last_delivery.get(packet.flow_id, 0)
+        prev = self._last_delivery
         when = raw if raw > prev else prev
-        self._last_delivery[packet.flow_id] = when
+        self._last_delivery = when
         return when
 
 

@@ -231,7 +231,7 @@ class TestCriterion6DualQueueOracle:
         config = DualPi2Config()
         aqm = DualPi2(config, random.Random(0))
         probe = Packet(
-            seq=0, flow_id=0, size_bytes=1200, ecn=EcnCodepoint.NOT_ECT, sent_at=0
+            seq=0, size_bytes=1200, ecn=EcnCodepoint.NOT_ECT, sent_at=0
         )
         aqm.c_queue.append((probe, 0))
         aqm.c_bytes += probe.size_bytes

@@ -3,12 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from l4sim.aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config, EnqueueOutcome
+from l4sim.aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
 from l4sim.core import EcnCodepoint, Packet
 
 
 def packet(seq, ecn=EcnCodepoint.ECT1, size=1200):
-    return Packet(seq=seq, flow_id=0, size_bytes=size, ecn=ecn, sent_at=0)
+    return Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=0)
 
 
 def make_aqm(**overrides):
@@ -80,7 +80,7 @@ class TestPi2Update:
 class TestEnqueue:
     def test_ect1_routes_to_l_queue(self):
         aqm = make_aqm()
-        assert aqm.enqueue(packet(0), 5) is EnqueueOutcome.QUEUED
+        aqm.enqueue(packet(0), 5)
         assert len(aqm.l_queue) == 1 and len(aqm.c_queue) == 0
         assert aqm.l_queue[0][1] == 5  # enqueue time recorded
 
@@ -96,9 +96,11 @@ class TestEnqueue:
 
     def test_overflow_drops_and_counts(self):
         aqm = make_aqm(queue_limit_bytes=2500)
-        assert aqm.enqueue(packet(0), 0) is EnqueueOutcome.QUEUED
-        assert aqm.enqueue(packet(1), 0) is EnqueueOutcome.QUEUED
-        assert aqm.enqueue(packet(2), 0) is EnqueueOutcome.OVERFLOW
+        aqm.enqueue(packet(0), 0)
+        aqm.enqueue(packet(1), 0)
+        assert len(aqm.l_queue) == 2 and aqm.l_bytes == 2400
+        aqm.enqueue(packet(2), 0)
+        assert len(aqm.l_queue) == 2 and aqm.l_bytes == 2400
         assert aqm.l_counters.dropped == 1
         assert aqm.l_counters.enqueued == 3
         assert not aqm.conservation_errors()
@@ -263,9 +265,11 @@ class TestScheduling:
 class TestDropTail:
     def test_fifo_and_overflow(self):
         dt = DropTail(DropTailConfig(queue_limit_bytes=2500), random.Random(0))
-        assert dt.enqueue(packet(0), 0) is EnqueueOutcome.QUEUED
-        assert dt.enqueue(packet(1), 0) is EnqueueOutcome.QUEUED
-        assert dt.enqueue(packet(2), 0) is EnqueueOutcome.OVERFLOW
+        dt.enqueue(packet(0), 0)
+        dt.enqueue(packet(1), 0)
+        assert dt.queued_packets() == 2 and dt.counters.dropped == 0
+        dt.enqueue(packet(2), 0)
+        assert dt.queued_packets() == 2 and dt.counters.dropped == 1
         assert dt.dequeue(100).seq == 0
         assert dt.dequeue(100).seq == 1
         assert dt.dequeue(100) is None

@@ -16,7 +16,6 @@ from l4sim.cc import (
     ScalableParams,
     Signal,
     ce_fraction,
-    compute_delay_gradients,
     group_delay_gradients,
     make_controller,
     trendline_slope,
@@ -80,7 +79,7 @@ class TestCeFraction:
 class TestDelayGradients:
     def test_constant_delay_gives_zeros(self):
         r = report(samples=samples_with_constant_rate(20))
-        gradients = compute_delay_gradients(r)
+        gradients = [d for _, d in group_delay_gradients(r)]
         assert gradients
         assert all(g == 0 for g in gradients)
 
@@ -89,12 +88,12 @@ class TestDelayGradients:
         samples = [
             (i, i * 10_000, i * 10_000 + 10_000 + i * 1_000) for i in range(10)
         ]
-        gradients = compute_delay_gradients(report(samples=samples))
+        gradients = [d for _, d in group_delay_gradients(report(samples=samples))]
         assert all(g == pytest.approx(1_000) for g in gradients)
 
     def test_single_sample_is_empty(self):
         r = report(samples=[(0, 0, 10_000)])
-        assert compute_delay_gradients(r) == []
+        assert group_delay_gradients(r) == []
 
     def test_burst_grouping_uses_last_packet(self):
         # two bursts of packets within 5 ms of each other

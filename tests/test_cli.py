@@ -85,6 +85,15 @@ class TestRun:
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
 
+    def test_override_kind_rejects_keys_it_never_reads(self, tmp_path, capsys):
+        path = tmp_path / "gcc.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": {"kind": "constant", "mbps": 3}},
+            "controller": {"kind": "gcc", "window": 30},
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path), "--controller", "l4s-cc") == 1
+        assert capsys.readouterr().err == "l4sim: error: controller.window: unknown key\n"
+
     @pytest.mark.parametrize("duration", ["inf", "nan"])
     @pytest.mark.parametrize("from_file", [False, True])
     def test_non_finite_duration_names_field(self, tmp_path, capsys, duration, from_file):

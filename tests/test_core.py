@@ -10,13 +10,11 @@ from l4sim.core import (
     Packet,
     apply_ce_mark,
     classify_flow,
-    ecn_from_bits,
-    ecn_to_bits,
 )
 
 
 def make_packet(ecn=EcnCodepoint.ECT1, seq=0, size=1200):
-    return Packet(seq=seq, flow_id=0, size_bytes=size, ecn=ecn, sent_at=0)
+    return Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=0)
 
 
 class TestClassifyFlow:
@@ -38,22 +36,6 @@ class TestClassifyFlow:
         first = classify_flow(ecn)
         assert first in (FlowClass.L4S, FlowClass.CLASSIC)
         assert classify_flow(ecn) is first
-
-
-class TestEcnBits:
-    @given(st.sampled_from([0b00, 0b01, 0b10, 0b11]))
-    def test_bits_round_trip(self, bits):
-        assert ecn_to_bits(ecn_from_bits(bits)) == bits
-
-    def test_encodings(self):
-        assert ecn_from_bits(0b01) is EcnCodepoint.ECT1
-        assert ecn_from_bits(0b10) is EcnCodepoint.ECT0
-        assert ecn_from_bits(0b00) is EcnCodepoint.NOT_ECT
-        assert ecn_from_bits(0b11) is EcnCodepoint.CE
-
-    def test_invalid_bits_rejected(self):
-        with pytest.raises(ValueError):
-            ecn_from_bits(4)
 
 
 class TestApplyCeMark:
@@ -84,7 +66,6 @@ class TestApplyCeMark:
     def test_changes_only_ecn(self, seq, size, sent_at, frame_id, retransmit):
         packet = Packet(
             seq=seq,
-            flow_id=3,
             size_bytes=size,
             ecn=EcnCodepoint.ECT1,
             sent_at=sent_at,

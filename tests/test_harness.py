@@ -159,8 +159,9 @@ class TestRunComparison:
         assert row.stdevs["rtt_avg_ms"] == pytest.approx(np.std(values), abs=1e-12)
 
     def test_failed_run_identifies_triple(self):
-        with pytest.raises(RuntimeError, match="case9"):
-            run_comparison(["case9"], [ControllerKind.GCC], seeds=[1])
+        for workers in (1, 2):  # serial and worker-pool paths
+            with pytest.raises(RuntimeError, match="case=case9 controller=gcc seed=1: unknown"):
+                run_comparison(["case9"], [ControllerKind.GCC], seeds=[1], workers=workers)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -387,6 +388,11 @@ def test_minimal_file_equals_preset(case, kind):
     assert scenario == preset_scenario(case, kind, seed=5, duration_s=30.0)
 
 
+_GCC_FILE_KEYS = {"window", "threshold_gain", "gamma_init_ms", "gamma_min_ms", "gamma_max_ms",
+                  "k_up", "k_down", "overuse_time_ms", "eta_increase", "decrease_factor",
+                  "loss_high", "loss_low"}  # fmt: skip
+_SCALABLE_FILE_KEYS = {"ewma_gain", "additive_step_bps"}
+
 # Every section of a scenario file with the keys it accepts, one entry per
 # kind where the kind selects the keys.
 ACCEPTED_KEYS = [
@@ -403,10 +409,11 @@ ACCEPTED_KEYS = [
                                   "coupling_k", "l4s_step_threshold_ms", "queue_limit_bytes",
                                   "time_shift_ms"}),
     ("aqm", {"kind": "droptail"}, {"kind", "queue_limit_bytes"}),
-    ("controller", None, {"kind", "ewma_gain", "additive_step_bps", "window", "threshold_gain",
-                          "gamma_init_ms", "gamma_min_ms", "gamma_max_ms", "k_up", "k_down",
-                          "overuse_time_ms", "eta_increase", "decrease_factor", "loss_high",
-                          "loss_low"}),
+    # VALID_SCENARIO's controller is l4s-gcc, which reads both key sets.
+    ("controller", None, {"kind", *_GCC_FILE_KEYS, *_SCALABLE_FILE_KEYS}),
+    ("controller", {"kind": "gcc"}, {"kind", *_GCC_FILE_KEYS}),
+    ("controller", {"kind": "sensitive-gcc"}, {"kind", *_GCC_FILE_KEYS}),
+    ("controller", {"kind": "l4s-cc"}, {"kind", *_SCALABLE_FILE_KEYS}),
     ("source", None, {"fps", "mtu_bytes", "min_bitrate_bps", "max_bitrate_bps",
                       "start_bitrate_bps", "ecn_mode"}),
 ]  # fmt: skip

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from l4sim.core import EcnCodepoint, Packet
 from l4sim.media import MediaSource, Receiver, SourceConfig
+from l4sim.sim import Scenario
 
 US = 1_000_000
 FRAME_US = US // 30
@@ -15,6 +16,7 @@ def make_source(**overrides):
 def make_receiver(**kwargs):
     kwargs.setdefault("fps", 30)
     kwargs.setdefault("reverse_delay_us", 6_000)
+    kwargs.setdefault("dejitter_us", Scenario.dejitter_us)
     return Receiver(**kwargs)
 
 
@@ -102,10 +104,10 @@ class TestReceiverCounting:
     def test_ce_and_ect1_accumulators(self):
         receiver = make_receiver()
         receiver.on_packet(
-            Packet(seq=0, flow_id=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0), 10
+            Packet(seq=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0), 10
         )
         receiver.on_packet(
-            Packet(seq=1, flow_id=0, size_bytes=100, ecn=EcnCodepoint.CE, sent_at=0), 20
+            Packet(seq=1, size_bytes=100, ecn=EcnCodepoint.CE, sent_at=0), 20
         )
         report = receiver.build_feedback(100_000)
         assert report.received_count == 2
@@ -117,7 +119,7 @@ class TestReceiverCounting:
         receiver = make_receiver()
         for seq, when in ((10, 100), (12, 300)):
             receiver.on_packet(
-                Packet(seq=seq, flow_id=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0),
+                Packet(seq=seq, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0),
                 when,
             )
         first = receiver.build_feedback(100_000)
@@ -129,10 +131,10 @@ class TestReceiverCounting:
     def test_unrepaired_loss_reported_again_after_timeout(self):
         receiver = make_receiver()
         receiver.on_packet(
-            Packet(seq=0, flow_id=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0), 10
+            Packet(seq=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0), 10
         )
         receiver.on_packet(
-            Packet(seq=2, flow_id=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0), 20
+            Packet(seq=2, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0), 20
         )
         assert receiver.build_feedback(100_000).lost_seqs == [1]
         assert receiver.build_feedback(200_000).lost_seqs == []
@@ -143,13 +145,13 @@ class TestReceiverCounting:
         receiver = make_receiver()
         for seq, when in ((0, 10), (2, 20)):
             receiver.on_packet(
-                Packet(seq=seq, flow_id=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0),
+                Packet(seq=seq, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0),
                 when,
             )
         assert receiver.build_feedback(100_000).lost_seqs == [1]
         receiver.on_packet(
             Packet(
-                seq=1, flow_id=0, size_bytes=100, ecn=EcnCodepoint.ECT1,
+                seq=1, size_bytes=100, ecn=EcnCodepoint.ECT1,
                 sent_at=150_000, is_retransmit=True,
             ),
             160_000,
@@ -158,7 +160,7 @@ class TestReceiverCounting:
 
     def test_duplicate_ignored(self):
         receiver = make_receiver()
-        p = Packet(seq=5, flow_id=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0)
+        p = Packet(seq=5, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0)
         receiver.on_packet(p, 10)
         receiver.on_packet(p, 20)
         report = receiver.build_feedback(100_000)
@@ -168,7 +170,7 @@ class TestReceiverCounting:
     def test_retransmits_counted_but_not_sampled(self):
         receiver = make_receiver()
         rtx = Packet(
-            seq=0, flow_id=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0,
+            seq=0, size_bytes=100, ecn=EcnCodepoint.ECT1, sent_at=0,
             is_retransmit=True,
         )
         receiver.on_packet(rtx, 10)
@@ -194,7 +196,7 @@ class TestReceiverCounting:
         for seq in range(57):
             ecn = EcnCodepoint.CE if seq % 9 == 0 else EcnCodepoint.ECT1
             receiver.on_packet(
-                Packet(seq=seq, flow_id=0, size_bytes=100, ecn=ecn, sent_at=seq * 1000),
+                Packet(seq=seq, size_bytes=100, ecn=ecn, sent_at=seq * 1000),
                 seq * 1000 + 10_000,
             )
             delivered += 1

@@ -24,7 +24,7 @@ CASE4A = jitter_profile_ms([(10, 0.85), (12, 0.10), (14, 0.04), (16, 0.01)])
 
 
 def packet(seq=0, size=1500):
-    return Packet(seq=seq, flow_id=0, size_bytes=size, ecn=EcnCodepoint.ECT1, sent_at=0)
+    return Packet(seq=seq, size_bytes=size, ecn=EcnCodepoint.ECT1, sent_at=0)
 
 
 class TestCapacityAt:
