@@ -7,18 +7,29 @@ SHA-256 of the metrics CSV and the timeline CSV it writes (the files of
 `golden_digests.json`. That file changes only with a deliberate change of
 simulated behaviour or output format; regenerate it by running this module
 as a script (`PYTHONPATH=src python tests/test_golden.py`).
+
+The preset runs never fill a 375 kB queue and use one ECN mode each, so two
+further groups lock the branches they miss: case3 runs behind a 6 kB queue
+(overflow drops, DropTail in the engine), and a seeded call sequence on each
+queue discipline with mixed traffic (coupled marks, classic random drops,
+the time-shifted scheduler with both queues occupied).
 """
 
+import dataclasses
 import hashlib
 import json
+import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from l4sim.aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
 from l4sim.cc import ControllerKind
+from l4sim.core import EcnCodepoint, Packet
 from l4sim.harness import PRESET_CASES, emit_metrics_csv, preset_scenario
-from l4sim.sim import run_scenario
+from l4sim.sim import Scenario, run_scenario
 
 DIGEST_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 DURATION_S = 10.0
@@ -33,8 +44,11 @@ def run_key(case: str, kind: ControllerKind, seed: int) -> str:
 
 
 def run_digests(case: str, kind: ControllerKind, seed: int) -> dict[str, str]:
+    return scenario_digests(preset_scenario(case, kind, seed=seed, duration_s=DURATION_S))
+
+
+def scenario_digests(scenario: Scenario) -> dict[str, str]:
     """SHA-256 of the metrics and timeline CSV files the run writes."""
-    scenario = preset_scenario(case, kind, seed=seed, duration_s=DURATION_S)
     metrics, log = run_scenario(scenario, timeline=True)
     with tempfile.TemporaryDirectory() as tmp:
         metrics_path, timeline_path = Path(tmp, "metrics.csv"), Path(tmp, "timeline.csv")
@@ -64,10 +78,154 @@ def test_outputs_match_golden_digests(case, kind, seed):
     assert run_digests(case, kind, seed) == load_digests()["runs"][run_key(case, kind, seed)]
 
 
+# -- small-queue runs: overflow drops and DropTail in the engine --------------
+
+SMALL_QUEUE_BYTES = 6_000
+SMALL_QUEUE_AQMS = {
+    "droptail": DropTailConfig(queue_limit_bytes=SMALL_QUEUE_BYTES),
+    "dualpi2": DualPi2Config(queue_limit_bytes=SMALL_QUEUE_BYTES),
+}
+SMALL_QUEUE_MATRIX = [
+    (kind, aqm) for kind in (ControllerKind.GCC, ControllerKind.L4S_GCC) for aqm in SMALL_QUEUE_AQMS
+]
+
+
+def small_queue_key(kind: ControllerKind, aqm: str) -> str:
+    return f"case3/{kind.value}/1/{aqm}-{SMALL_QUEUE_BYTES}"
+
+
+def small_queue_digests(kind: ControllerKind, aqm: str) -> dict[str, str]:
+    scenario = preset_scenario("case3", kind, seed=1, duration_s=DURATION_S)
+    return scenario_digests(dataclasses.replace(scenario, aqm=SMALL_QUEUE_AQMS[aqm]))
+
+
+@pytest.mark.parametrize(
+    "kind, aqm", SMALL_QUEUE_MATRIX, ids=[small_queue_key(*pair) for pair in SMALL_QUEUE_MATRIX]
+)
+def test_small_queue_outputs_match_golden_digests(kind, aqm):
+    stored = load_digests()["small_queue_runs"]
+    assert small_queue_digests(kind, aqm) == stored[small_queue_key(kind, aqm)]
+
+
+# -- AQM call sequences: every enqueue, dequeue and PI branch -----------------
+
+AQM_KINDS = ("dualpi2", "droptail")
+AQM_STEPS = 20_000
+# Cycles of 2 s overload (arrivals outpace service, the classic delay drives
+# p_base up) and 1 s light load (short sojourns, so marks are coupled ones).
+AQM_CYCLE_US = 3_000_000
+AQM_OVERLOAD_US = 2_000_000
+# Times on a 100 us grid, so that the scheduler meets exact ties.
+AQM_TICK_US = 100
+AQM_ECNS = (
+    EcnCodepoint.ECT1, EcnCodepoint.ECT1, EcnCodepoint.CE, EcnCodepoint.NOT_ECT, EcnCodepoint.NOT_ECT
+)
+
+
+def aqm_sequence(kind: str) -> tuple[str, Counter]:
+    """Drive one queue discipline through a seeded call sequence.
+
+    Returns the SHA-256 of its transcript (every call, returned seq and ECN,
+    observer event, `p_base` and the audit totals) and the count of each
+    branch reached. Packets carry their enqueue time as `sent_at`, so a
+    mark's sojourn tells a step mark from a coupled one. A `ValueError` from
+    `dequeue` (a CE packet reaching the marking point) is part of the
+    transcript.
+    """
+    ops = random.Random(1)
+    transcript: list[str] = []
+    counts: Counter = Counter()
+    step_threshold = DualPi2Config().l4s_step_threshold_us
+    is_l: dict[int, bool] = {}
+    queued = {True: 0, False: 0}  # occupancy by "is low-latency"
+
+    def observer(event: str, packet: Packet, now: int) -> None:
+        transcript.append(f"{event} {packet.seq} {packet.ecn.name} {now}")
+        counts[event] += 1
+        if event == "mark":
+            sojourn = now - packet.sent_at
+            counts["step mark" if sojourn > step_threshold else "coupled mark"] += 1
+        elif event == "drop":
+            queued[False] -= 1
+
+    if kind == "dualpi2":
+        config = DualPi2Config(queue_limit_bytes=SMALL_QUEUE_BYTES)
+        aqm = DualPi2(config, random.Random(1), observer)
+        next_update = config.t_update_us
+    else:
+        aqm = DropTail(DropTailConfig(queue_limit_bytes=SMALL_QUEUE_BYTES), random.Random(1), observer)
+        next_update = None
+
+    def totals() -> str:
+        return (
+            f"{aqm.queued_packets()} {aqm.total_dropped()} {aqm.total_marked()} "
+            f"{aqm.conservation_errors()}"
+        )
+
+    now = 0
+    for seq in range(AQM_STEPS):
+        overload = now % AQM_CYCLE_US < AQM_OVERLOAD_US
+        now += ops.randrange(0, 2_000 if overload else 600, AQM_TICK_US)
+        if next_update is not None and now >= next_update:
+            aqm.pi2_update(now)
+            transcript.append(f"update {now} {aqm.p_base!r} {totals()}")
+            next_update = now + config.t_update_us
+        r = ops.random()
+        if r < (0.6 if overload else 0.5):
+            ecn = ops.choice(AQM_ECNS)
+            size = ops.randrange(100, 1501)
+            is_l[seq] = ecn in (EcnCodepoint.ECT1, EcnCodepoint.CE)
+            transcript.append(f"enqueue {seq} {ecn.name} {size} {now}")
+            overflows = counts["overflow"]
+            aqm.enqueue(Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=now), now)
+            if counts["overflow"] == overflows:
+                queued[is_l[seq]] += 1
+        elif r < (0.7 if overload else 1.0):
+            both = queued[True] > 0 and queued[False] > 0
+            try:
+                packet = aqm.dequeue(now)
+            except ValueError as exc:
+                transcript.append(f"error {now} {exc}")
+                counts["error"] += 1
+                queued[True] -= 1
+                continue
+            if packet is None:
+                transcript.append(f"dequeue {now} None")
+                continue
+            transcript.append(f"dequeue {now} {packet.seq} {packet.ecn.name}")
+            queued[is_l[packet.seq]] -= 1
+            if both:
+                counts["l over c" if is_l[packet.seq] else "c over l"] += 1
+    transcript.append(f"end {now} {totals()}")
+    return hashlib.sha256("\n".join(transcript).encode("utf-8")).hexdigest(), counts
+
+
+@pytest.mark.parametrize("kind", AQM_KINDS)
+def test_aqm_sequence_matches_golden_digest(kind):
+    digest, _ = aqm_sequence(kind)
+    assert digest == load_digests()["aqm_sequences"][kind]
+
+
+def test_aqm_sequences_reach_every_branch():
+    _, counts = aqm_sequence("dualpi2")
+    for branch in ("overflow", "drop", "step mark", "coupled mark", "l over c", "c over l"):
+        assert counts[branch] > 0, branch
+    _, counts = aqm_sequence("droptail")
+    for branch in ("overflow", "l over c", "c over l"):
+        assert counts[branch] > 0, branch
+
+
 def write_digests() -> None:
-    runs = {run_key(*triple): run_digests(*triple) for triple in MATRIX}
+    data = {
+        "duration_s": DURATION_S,
+        "runs": {run_key(*triple): run_digests(*triple) for triple in MATRIX},
+        "small_queue_runs": {
+            small_queue_key(*pair): small_queue_digests(*pair) for pair in SMALL_QUEUE_MATRIX
+        },
+        "aqm_sequences": {kind: aqm_sequence(kind)[0] for kind in AQM_KINDS},
+    }
     with open(DIGEST_PATH, "w", encoding="utf-8") as fh:
-        json.dump({"duration_s": DURATION_S, "runs": runs}, fh, indent=1, sort_keys=True)
+        json.dump(data, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
