@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import Packet, SimTime, US_PER_S
+from .core import SimTime, US_PER_S
 
 # Traces normalized onto [0, max] may contain zero-rate samples; a literal
 # zero would freeze queued bytes forever, so link construction floors them.
@@ -172,14 +172,13 @@ class ForwardLink:
         rate = capacity_at(self.capacity, now)
         return int(round(size_bytes * 8 * US_PER_S / rate))
 
-    def one_way_delay_us(self, now: SimTime) -> SimTime:
+    def deliver(self, wire_exit: SimTime) -> SimTime:
+        """Delivery time of a packet whose last bit leaves the link at
+        `wire_exit`: one propagation delay (or jitter draw) later."""
         if self.jitter is not None:
-            return sample_jitter(self.jitter, self._rng)
-        return self.base_delay_us
-
-    def deliver(self, packet: Packet, now: SimTime) -> SimTime:
-        """Delivery time of a packet leaving the queue at `now`."""
-        raw = now + self.serialization_us(packet.size_bytes, now) + self.one_way_delay_us(now)
+            raw = wire_exit + sample_jitter(self.jitter, self._rng)
+        else:
+            raw = wire_exit + self.base_delay_us
         prev = self._last_delivery
         when = raw if raw > prev else prev
         self._last_delivery = when

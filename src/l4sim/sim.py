@@ -197,11 +197,10 @@ class _Engine:
         if packet is None:
             return
         self.link_busy = True
-        ser = self.link.serialization_us(packet.size_bytes, now)
-        self._push(now + ser, _SERVICE_END)
-        when = self.link.deliver(packet, now)
+        wire_exit = now + self.link.serialization_us(packet.size_bytes, now)
+        self._push(wire_exit, _SERVICE_END)
         self.in_transit += 1
-        self._push(when, _DELIVER, packet)
+        self._push(self.link.deliver(wire_exit), _DELIVER, packet)
 
     def _send(self, now: SimTime, packet: Packet) -> None:
         self.sent += 1

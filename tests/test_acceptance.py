@@ -233,8 +233,7 @@ class TestCriterion6DualQueueOracle:
         probe = Packet(
             seq=0, size_bytes=1200, ecn=EcnCodepoint.NOT_ECT, sent_at=0
         )
-        aqm.c_queue.append((probe, 0))
-        aqm.c_bytes += probe.size_bytes
+        aqm.enqueue(probe, 0)
 
         # scripted inputs: overload ramp, relief, oscillation
         rng = random.Random(99)
@@ -253,7 +252,7 @@ class TestCriterion6DualQueueOracle:
         worst = 0.0
         for delay in delays:
             now += config.t_update_us
-            aqm.c_queue[0] = (probe, now - delay)
+            aqm.c_queue.entries[0] = (probe, now - delay)
             aqm.pi2_update(now)
             # independently scripted recurrence
             err = (delay - config.target_delay_us) / 1e6

@@ -28,8 +28,7 @@ class TestPi2Update:
     def test_zero_error_zero_delta_keeps_p(self):
         aqm = make_aqm()
         # classic head sitting exactly at the target, previous delay equal
-        aqm.c_queue.append((packet(0, ecn=EcnCodepoint.NOT_ECT), 0))
-        aqm.c_bytes += 1200
+        aqm.enqueue(packet(0, ecn=EcnCodepoint.NOT_ECT), 0)
         aqm.prev_c_delay_us = aqm.config.target_delay_us
         aqm.p_base = 0.25
         aqm.pi2_update(aqm.config.target_delay_us)  # head delay == target
@@ -52,15 +51,14 @@ class TestPi2Update:
         aqm = make_aqm()
         config = aqm.config
         probe = packet(0, ecn=EcnCodepoint.NOT_ECT)
-        aqm.c_queue.append((probe, 0))
-        aqm.c_bytes += probe.size_bytes
+        aqm.enqueue(probe, 0)
         delay = config.target_delay_us + 10_000
         expected_p = 0.0
         prev_delay = 0
         now = 0
         for step in range(10_000):
             now += config.t_update_us
-            aqm.c_queue[0] = (probe, now - delay)  # pin head sojourn
+            aqm.c_queue.entries[0] = (probe, now - delay)  # pin head sojourn
             aqm.pi2_update(now)
             expected_p = pi_step_oracle(expected_p, delay, prev_delay, config)
             prev_delay = delay
@@ -70,9 +68,7 @@ class TestPi2Update:
 
     def test_p_base_clamped_to_unit_interval(self):
         aqm = make_aqm(alpha=1e9)
-        probe = packet(0, ecn=EcnCodepoint.NOT_ECT)
-        aqm.c_queue.append((probe, 0))
-        aqm.c_bytes += probe.size_bytes
+        aqm.enqueue(packet(0, ecn=EcnCodepoint.NOT_ECT), 0)
         aqm.pi2_update(1_000_000)
         assert aqm.p_base == 1.0
 
@@ -81,28 +77,28 @@ class TestEnqueue:
     def test_ect1_routes_to_l_queue(self):
         aqm = make_aqm()
         aqm.enqueue(packet(0), 5)
-        assert len(aqm.l_queue) == 1 and len(aqm.c_queue) == 0
-        assert aqm.l_queue[0][1] == 5  # enqueue time recorded
+        assert len(aqm.l_queue.entries) == 1 and len(aqm.c_queue.entries) == 0
+        assert aqm.l_queue.entries[0][1] == 5  # enqueue time recorded
 
     def test_not_ect_routes_to_c_queue(self):
         aqm = make_aqm()
         aqm.enqueue(packet(0, ecn=EcnCodepoint.NOT_ECT), 0)
-        assert len(aqm.c_queue) == 1 and len(aqm.l_queue) == 0
+        assert len(aqm.c_queue.entries) == 1 and len(aqm.l_queue.entries) == 0
 
     def test_ce_routes_to_l_queue(self):
         aqm = make_aqm()
         aqm.enqueue(packet(0, ecn=EcnCodepoint.CE), 0)
-        assert len(aqm.l_queue) == 1
+        assert len(aqm.l_queue.entries) == 1
 
     def test_overflow_drops_and_counts(self):
         aqm = make_aqm(queue_limit_bytes=2500)
         aqm.enqueue(packet(0), 0)
         aqm.enqueue(packet(1), 0)
-        assert len(aqm.l_queue) == 2 and aqm.l_bytes == 2400
+        assert len(aqm.l_queue.entries) == 2 and aqm.l_queue.bytes == 2400
         aqm.enqueue(packet(2), 0)
-        assert len(aqm.l_queue) == 2 and aqm.l_bytes == 2400
-        assert aqm.l_counters.dropped == 1
-        assert aqm.l_counters.enqueued == 3
+        assert len(aqm.l_queue.entries) == 2 and aqm.l_queue.bytes == 2400
+        assert aqm.l_queue.dropped == 1
+        assert aqm.l_queue.enqueued == 3
         assert not aqm.conservation_errors()
 
 
@@ -115,14 +111,14 @@ class TestDequeue:
         aqm.enqueue(packet(0), 0)
         out = aqm.dequeue(500)  # 0.5 ms sojourn, threshold 1 ms, p_base 0
         assert out.ecn is EcnCodepoint.ECT1
-        assert aqm.l_counters.marked == 0
+        assert aqm.l_queue.marked == 0
 
     def test_sojourn_over_threshold_marks_ce(self):
         aqm = make_aqm()
         aqm.enqueue(packet(0), 0)
         out = aqm.dequeue(5_000)  # 5 ms > 1 ms threshold
         assert out.ecn is EcnCodepoint.CE
-        assert aqm.l_counters.marked == 1
+        assert aqm.l_queue.marked == 1
 
     def test_coupled_marking_uses_probability(self):
         aqm = make_aqm()
@@ -147,7 +143,7 @@ class TestDequeue:
         for seq in range(4):
             aqm.enqueue(packet(seq, ecn=EcnCodepoint.NOT_ECT), 0)
         assert aqm.dequeue(0) is None
-        assert aqm.c_counters.dropped == 4
+        assert aqm.c_queue.dropped == 4
         assert not aqm.conservation_errors()
 
     def test_classic_drop_skips_to_next_head(self):
@@ -159,7 +155,7 @@ class TestDequeue:
         aqm.enqueue(packet(1, ecn=EcnCodepoint.NOT_ECT), 1)
         out = aqm.dequeue(2)
         assert out is None
-        assert aqm.c_counters.dropped == 2
+        assert aqm.c_queue.dropped == 2
 
 
 def merge_oracle(l_entries, c_entries, time_shift):
@@ -254,11 +250,10 @@ class TestScheduling:
                 if aqm.dequeue(now) is not None:
                     emitted += 1
         assert not aqm.conservation_errors()
-        counters = (aqm.l_counters, aqm.c_counters)
-        assert sum(c.dequeued for c in counters) == emitted
+        assert aqm.l_queue.dequeued + aqm.c_queue.dequeued == emitted
         # the low-latency queue never drops after admission
-        assert aqm.l_counters.enqueued == (
-            aqm.l_counters.dequeued + aqm.l_counters.dropped + len(aqm.l_queue)
+        assert aqm.l_queue.enqueued == (
+            aqm.l_queue.dequeued + aqm.l_queue.dropped + len(aqm.l_queue.entries)
         )
 
 
@@ -267,9 +262,9 @@ class TestDropTail:
         dt = DropTail(DropTailConfig(queue_limit_bytes=2500), random.Random(0))
         dt.enqueue(packet(0), 0)
         dt.enqueue(packet(1), 0)
-        assert dt.queued_packets() == 2 and dt.counters.dropped == 0
+        assert dt.queued_packets() == 2 and dt.queue.dropped == 0
         dt.enqueue(packet(2), 0)
-        assert dt.queued_packets() == 2 and dt.counters.dropped == 1
+        assert dt.queued_packets() == 2 and dt.queue.dropped == 1
         assert dt.dequeue(100).seq == 0
         assert dt.dequeue(100).seq == 1
         assert dt.dequeue(100) is None

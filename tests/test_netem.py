@@ -3,7 +3,6 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from l4sim.core import EcnCodepoint, Packet
 from l4sim.netem import (
     Constant,
     ForwardLink,
@@ -21,10 +20,6 @@ from l4sim.netem import (
 )
 
 CASE4A = jitter_profile_ms([(10, 0.85), (12, 0.10), (14, 0.04), (16, 0.01)])
-
-
-def packet(seq=0, size=1500):
-    return Packet(seq=seq, size_bytes=size, ecn=EcnCodepoint.ECT1, sent_at=0)
 
 
 class TestCapacityAt:
@@ -130,13 +125,15 @@ class TestDeliver:
     def test_serialization_plus_base_delay(self):
         link = ForwardLink(Constant(3.0), 6_000, None)
         # 1500 bytes at 3 Mbps = 4 ms serialization, plus 6 ms propagation
-        assert link.deliver(packet(), 0) == 4_000 + 6_000
+        wire_exit = link.serialization_us(1500, 0)
+        assert wire_exit == 4_000
+        assert link.deliver(wire_exit) == 4_000 + 6_000
 
     def test_monotone_clamp(self):
         link = ForwardLink(Constant(3.0), 6_000, None)
-        first = link.deliver(packet(seq=0, size=1500), 0)
+        first = link.deliver(0 + link.serialization_us(1500, 0))
         # a tiny packet sent right after would arrive earlier; it is clamped
-        second = link.deliver(packet(seq=1, size=10), 1)
+        second = link.deliver(1 + link.serialization_us(10, 1))
         assert second == first
 
     def test_jitter_histogram_matches_profile(self):
@@ -149,8 +146,8 @@ class TestDeliver:
         counts = {}
         for i in range(n):
             now = i * spacing
-            ser = link.serialization_us(1200, now)
-            delay = link.deliver(packet(seq=i, size=1200), now) - now - ser
+            wire_exit = now + link.serialization_us(1200, now)
+            delay = link.deliver(wire_exit) - wire_exit
             counts[delay] = counts.get(delay, 0) + 1
         for delay, prob in CASE4A.entries:
             assert abs(counts.get(delay, 0) / n - prob) < 0.005
@@ -160,7 +157,7 @@ class TestDeliver:
         link = ForwardLink(Constant(1.0), 6_000, CASE4A, rng)
         last = 0
         for i in range(5000):
-            when = link.deliver(packet(seq=i, size=300), i * 100)
+            when = link.deliver(i * 100 + link.serialization_us(300, i * 100))
             assert when >= last
             last = when
 
