@@ -97,9 +97,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             data = json.load(fh)
         # Overrides go into the file's own keys, so that what derives from
         # them (source ECN mode, GCC parameter base) follows the override.
+        # --controller alone supplies the object a file leaves out.
         if isinstance(data, dict):
-            if args.controller is not None and isinstance(data.get("controller"), dict):
-                data["controller"] = dict(data["controller"], kind=args.controller.value)
+            controller = data.get("controller", {})
+            if args.controller is not None and isinstance(controller, dict):
+                data["controller"] = dict(controller, kind=args.controller.value)
             data.update(overrides)
         scenario = scenario_from_dict(data)
     metrics, log = run_scenario(scenario, timeline=args.timeline is not None)

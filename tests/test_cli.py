@@ -85,6 +85,20 @@ class TestRun:
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
 
+    def test_controller_flag_supplies_missing_controller_object(self, tmp_path, capsys):
+        link = {"capacity": {"kind": "constant", "mbps": 3}}
+        bare, full = tmp_path / "bare.json", tmp_path / "full.json"
+        bare.write_text(json.dumps({"link": link, "duration_s": 3}))
+        full.write_text(json.dumps({"link": link, "duration_s": 3, "controller": {"kind": "gcc"}}))
+        assert run_cli("run", "--scenario", str(bare)) == 1
+        assert capsys.readouterr().err.startswith("l4sim: error: controller: expected an object")
+        outputs = []
+        for path, extra in ((bare, ["--controller", "gcc"]), (full, [])):
+            out = tmp_path / f"{path.stem}.csv"
+            assert run_cli("run", "--scenario", str(path), "--out", str(out), *extra) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+
     def test_override_kind_rejects_keys_it_never_reads(self, tmp_path, capsys):
         path = tmp_path / "gcc.json"
         path.write_text(json.dumps({
