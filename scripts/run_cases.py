@@ -22,6 +22,7 @@ from l4sim.harness import (  # noqa: E402
     format_table_text,
     run_comparison,
 )
+from l4sim.sim import Scenario  # noqa: E402
 
 STABLE_CASES = ["case1", "case2", "case3"]
 JITTER_CASES = ["case4a", "case4b", "case4c"]
@@ -32,7 +33,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results", help="output directory")
     parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--duration", type=float, default=120.0)
+    parser.add_argument("--duration", type=float, default=Scenario.duration_s)
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
 

@@ -18,10 +18,6 @@ US_PER_MS = 1_000
 US_PER_S = 1_000_000
 
 
-def us_from_ms(ms: float) -> SimTime:
-    return int(round(ms * US_PER_MS))
-
-
 def us_from_s(s: float) -> SimTime:
     return int(round(s * US_PER_S))
 
@@ -105,4 +101,3 @@ class FeedbackReport:
     ect1_count: int = 0
     ce_count: int = 0
     arrival_samples: list[tuple[int, SimTime, SimTime]] = field(default_factory=list)
-    rtt_sample_us: int | None = None

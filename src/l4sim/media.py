@@ -153,7 +153,6 @@ class Receiver:
         # Sequences reported lost but not yet repaired, by last report time;
         # re-reported when the repair itself goes missing too long.
         self._outstanding_lost: dict[int, SimTime] = {}
-        self._last_rtt_us: int | None = None
 
         # Playout state.
         self.playout_anchor: SimTime | None = None
@@ -195,9 +194,7 @@ class Receiver:
             self._ce += 1
         if not packet.is_retransmit:
             self._samples.append((seq, packet.sent_at, now))
-        rtt = (now - packet.sent_at) + self.reverse_delay_us
-        self._last_rtt_us = rtt
-        self.rtt_samples_us.append(rtt)
+        self.rtt_samples_us.append((now - packet.sent_at) + self.reverse_delay_us)
 
         if seq > self._highest_seq:
             # In-order links: any gap below the new highest is a loss.
@@ -274,7 +271,6 @@ class Receiver:
             ect1_count=self._ect1,
             ce_count=self._ce,
             arrival_samples=self._samples,
-            rtt_sample_us=self._last_rtt_us,
         )
         self._interval_start = now
         self._received = 0
