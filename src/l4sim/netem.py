@@ -8,6 +8,7 @@ ingestion/normalization of bandwidth trace files.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -78,10 +79,10 @@ def capacity_at(pattern: CapacityPattern, t_us: SimTime) -> float:
     if isinstance(pattern, SquareWave):
         phase = (t_us // pattern.half_period_us) % 2
         return (pattern.high_mbps if phase else pattern.low_mbps) * 1e6
-    # TracePattern: step-hold
-    times = [s[0] for s in pattern.samples]
-    i = bisect_right(times, t_us) - 1
-    return pattern.samples[i][1] * 1e6
+    # TracePattern: step-hold. Times are strictly increasing, so the
+    # (t, inf) sentinel sorts just after the last sample at or before t.
+    samples = pattern.samples
+    return samples[bisect_right(samples, (t_us, math.inf)) - 1][1] * 1e6
 
 
 def average_capacity_bps(pattern: CapacityPattern, duration_us: SimTime) -> float:

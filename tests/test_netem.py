@@ -21,6 +21,32 @@ from l4sim.netem import (
 
 CASE4A = jitter_profile_ms([(10, 0.85), (12, 0.10), (14, 0.04), (16, 0.01)])
 
+STEPS = TracePattern(((0, 1.0), (5_000, 2.5), (9_000, 0.5)))
+
+
+@st.composite
+def trace_queries(draw):
+    """A valid trace and a query time at, one microsecond either side of,
+    or past one of its sample times."""
+    gaps = draw(st.lists(st.integers(1, 10**7), max_size=30))
+    times = [0]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    rates = draw(st.lists(st.floats(1e-3, 1e3), min_size=len(times), max_size=len(times)))
+    anchor = draw(st.sampled_from(times))
+    t = max(0, anchor + draw(st.sampled_from((-1, 0, 1))))
+    t = draw(st.one_of(st.just(t), st.integers(times[-1] + 1, times[-1] + 10**9)))
+    return TracePattern(tuple(zip(times, rates))), t
+
+
+def step_hold_reference(pattern, t_us):
+    """Linear scan: the rate of the last sample at or before t."""
+    rate = pattern.samples[0][1]
+    for t, mbps in pattern.samples:
+        if t <= t_us:
+            rate = mbps
+    return rate * 1e6
+
 
 class TestCapacityAt:
     def test_constant(self):
@@ -40,6 +66,14 @@ class TestCapacityAt:
         assert capacity_at(pattern, 4_900_000) == 1e6
         assert capacity_at(pattern, 5_000_000) == 2e6
         assert capacity_at(pattern, 99_000_000) == 2e6  # holds last value
+
+    @given(query=trace_queries())
+    @example(query=(STEPS, 0))
+    @example(query=(STEPS, 5_000))
+    @example(query=(STEPS, 9_000))
+    def test_trace_matches_linear_scan(self, query):
+        pattern, t = query
+        assert capacity_at(pattern, t) == step_hold_reference(pattern, t)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
