@@ -19,6 +19,7 @@ target bitrate.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional, Sequence
@@ -308,7 +309,9 @@ class GccController:
         self.detector = OveruseDetector(params)
         self._acc_delay_ms = 0.0
         self._smoothed_ms = 0.0
-        self._points: list[tuple[float, float]] = []  # (arrival ms, smoothed ms)
+        # trendline window: arrival ms and smoothed accumulated delay ms
+        self._times_ms: deque[float] = deque(maxlen=params.window)
+        self._smoothed_window_ms: deque[float] = deque(maxlen=params.window)
         self._num_deltas = 0
         self._last_rate_update_us: SimTime = 0
         self.receive_tracker = ReceiveRateTracker(
@@ -334,13 +337,10 @@ class GccController:
             self._smoothed_ms = (
                 SMOOTHING * self._smoothed_ms + (1.0 - SMOOTHING) * self._acc_delay_ms
             )
-            self._points.append((arrival_us / 1_000.0, self._smoothed_ms))
-            if len(self._points) > p.window:
-                del self._points[0]
+            self._times_ms.append(arrival_us / 1_000.0)
+            self._smoothed_window_ms.append(self._smoothed_ms)
             self._num_deltas += 1
-            slope = trendline_slope(
-                [t for t, _ in self._points], [v for _, v in self._points]
-            )
+            slope = trendline_slope(self._times_ms, self._smoothed_window_ms)
             scaled = slope * min(self._num_deltas, SLOPE_COUNT_CAP) * p.threshold_gain
             signal = self.detector.update(scaled, arrival_us / 1_000.0)
             if signal is Signal.OVERUSE:
