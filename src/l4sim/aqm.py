@@ -207,12 +207,7 @@ class DualPi2(_FifoDiscipline):
 class DropTail(_FifoDiscipline):
     """Single FIFO with a byte cap; drops only on overflow."""
 
-    def __init__(
-        self,
-        config: DropTailConfig,
-        rng: random.Random,
-        observer: AqmObserver | None = None,
-    ) -> None:
+    def __init__(self, config: DropTailConfig, observer: AqmObserver | None = None) -> None:
         config.validate()
         self.config = config
         self.queue = ByteFifo("queue", config.queue_limit_bytes, observer)

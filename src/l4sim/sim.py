@@ -133,19 +133,20 @@ class _Engine:
         self.end_us = us_from_s(scenario.duration_s)
         self.rows: list[tuple[SimTime, str, int]] | None = [] if timeline else None
 
-        aqm_rng = random.Random(stream_seed(scenario.seed, "aqm"))
-        jitter_rng = random.Random(stream_seed(scenario.seed, "jitter"))
-
         aqm_observer = self._aqm_event if timeline else None
         if isinstance(scenario.aqm, DualPi2Config):
+            aqm_rng = random.Random(stream_seed(scenario.seed, "aqm"))
             self.aqm: DualPi2 | DropTail = DualPi2(scenario.aqm, aqm_rng, aqm_observer)
             self._pi2_period = scenario.aqm.t_update_us
         else:
-            self.aqm = DropTail(scenario.aqm, aqm_rng, aqm_observer)
+            self.aqm = DropTail(scenario.aqm, aqm_observer)
             self._pi2_period = 0
 
         self.link = ForwardLink(
-            scenario.capacity, scenario.forward_delay_us, scenario.jitter, jitter_rng
+            scenario.capacity,
+            scenario.forward_delay_us,
+            scenario.jitter,
+            random.Random(stream_seed(scenario.seed, "jitter")),
         )
         self.source = MediaSource(scenario.source)
         playout_observer = self._playout_event if timeline else None

@@ -259,7 +259,7 @@ class TestScheduling:
 
 class TestDropTail:
     def test_fifo_and_overflow(self):
-        dt = DropTail(DropTailConfig(queue_limit_bytes=2500), random.Random(0))
+        dt = DropTail(DropTailConfig(queue_limit_bytes=2500))
         dt.enqueue(packet(0), 0)
         dt.enqueue(packet(1), 0)
         assert dt.queued_packets() == 2 and dt.queue.dropped == 0
@@ -271,7 +271,7 @@ class TestDropTail:
         assert not dt.conservation_errors()
 
     def test_never_marks(self):
-        dt = DropTail(DropTailConfig(), random.Random(0))
+        dt = DropTail(DropTailConfig())
         dt.enqueue(packet(0), 0)
         assert dt.dequeue(10**9).ecn is EcnCodepoint.ECT1
         assert dt.total_marked() == 0

@@ -153,7 +153,7 @@ def aqm_sequence(kind: str) -> tuple[str, Counter]:
         aqm = DualPi2(config, random.Random(1), observer)
         next_update = config.t_update_us
     else:
-        aqm = DropTail(DropTailConfig(queue_limit_bytes=SMALL_QUEUE_BYTES), random.Random(1), observer)
+        aqm = DropTail(DropTailConfig(queue_limit_bytes=SMALL_QUEUE_BYTES), observer)
         next_update = None
 
     def totals() -> str:
