@@ -217,8 +217,8 @@ TRACE_HEADER = ("t_s", "mbps")
 def load_trace_csv(path: str) -> list[tuple[SimTime, float]]:
     """Read a `t_s,mbps` CSV into (t_us, mbps) samples.
 
-    Rejects bad headers, non-monotone or negative times, and non-numeric
-    rows with a line-numbered message.
+    Rejects bad headers, non-finite values, non-monotone or negative times,
+    negative rates and non-numeric rows with a line-numbered message.
     """
     samples: list[tuple[SimTime, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -240,6 +240,10 @@ def load_trace_csv(path: str) -> list[tuple[SimTime, float]]:
                 mbps = float(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry {row!r}") from None
+            if not math.isfinite(t_s):
+                raise ValueError(f"{path}:{lineno}: non-finite time {t_s}")
+            if not math.isfinite(mbps):
+                raise ValueError(f"{path}:{lineno}: non-finite rate {mbps}")
             if t_s < 0:
                 raise ValueError(f"{path}:{lineno}: negative time {t_s}")
             if mbps < 0:

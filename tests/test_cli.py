@@ -122,6 +122,23 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("l4sim: error: duration_s")
 
+    @pytest.mark.parametrize(
+        "row", ["inf,2", "1,nan", "1,inf"], ids=["time-inf", "rate-nan", "rate-inf"]
+    )
+    def test_non_finite_trace_value_names_field_and_line(self, tmp_path, capsys, row):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"t_s,mbps\n0,1\n{row}\n")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": {"kind": "trace", "path": str(trace)}},
+            "controller": {"kind": "gcc"},
+            "duration_s": 1,
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"l4sim: error: link.capacity.path: {trace}:3: non-finite "
+        )
+
     def test_missing_file(self, capsys):
         assert run_cli("run", "--scenario", "/nope/missing.json") == 1
         assert "error" in capsys.readouterr().err
@@ -192,6 +209,14 @@ class TestNormalizeTrace:
             "normalize-trace", "--in", str(raw), "--out", str(out), "--max-mbps", "5"
         ) == 0
         assert [r for _, r in load_trace_csv(str(out))] == [0.0, 2.5, 5.0]
+
+    def test_non_finite_rate_fails(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text("t_s,mbps\n0,1\n1,inf\n")
+        out = tmp_path / "norm.csv"
+        assert run_cli("normalize-trace", "--in", str(raw), "--out", str(out)) == 1
+        assert f"{raw}:3: non-finite rate inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_trace_fails(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

@@ -274,6 +274,17 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=r"bad\.csv:2"):
             load_trace_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "row, what",
+        [("inf,1", "time"), ("-inf,1", "time"), ("nan,1", "time"),
+         ("1,inf", "rate"), ("1,nan", "rate")],
+    )  # fmt: skip
+    def test_non_finite_rejected(self, tmp_path, row, what):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t_s,mbps\n0,1\n{row}\n")
+        with pytest.raises(ValueError, match=rf"bad\.csv:3: non-finite {what}"):
+            load_trace_csv(str(path))
+
     def test_must_start_at_zero(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_s,mbps\n1,1\n2,2\n")
