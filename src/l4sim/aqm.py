@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import FlowClass, Packet, SimTime, apply_ce_mark, classify_flow
+from .core import EcnCodepoint, FlowClass, Packet, SimTime, apply_ce_mark, classify_flow
 
 # Observer callback: (event, packet, now). Events: "overflow", "drop", "mark".
 AqmObserver = Callable[[str, Packet, SimTime], None]
@@ -178,7 +178,8 @@ class DualPi2(_FifoDiscipline):
         minus the shift is no later than the classic head's enqueue time.
         Classic packets hit by the squared drop probability are removed and
         the scheduling decision is re-evaluated; each loop iteration removes
-        a packet, so the call is O(drops + 1).
+        a packet, so the call is O(drops + 1). A packet that arrived CE
+        leaves CE at the marking point, uncounted (RFC 9332).
         """
         cfg = self.config
         l_queue, c_queue = self.l_queue, self.c_queue
@@ -188,9 +189,10 @@ class DualPi2(_FifoDiscipline):
                 l_entries and l_entries[0][1] - cfg.time_shift_us <= c_entries[0][1]
             ):
                 packet, enqueued_at = l_queue.pop()
-                if now - enqueued_at > cfg.l4s_step_threshold_us or (
-                    (p := self.p_l4s_coupled) > 0.0 and self._rng.random() < p
-                ):
+                if (
+                    now - enqueued_at > cfg.l4s_step_threshold_us
+                    or ((p := self.p_l4s_coupled) > 0.0 and self._rng.random() < p)
+                ) and packet.ecn is not EcnCodepoint.CE:
                     packet = apply_ce_mark(packet)
                     l_queue.marked += 1
                     if self._observer:

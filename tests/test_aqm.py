@@ -120,6 +120,17 @@ class TestDequeue:
         assert out.ecn is EcnCodepoint.CE
         assert aqm.l_queue.marked == 1
 
+    @pytest.mark.parametrize("p_base, now", [(0.0, 5_000), (0.5, 0)], ids=["step", "coupled"])
+    def test_ce_packet_passes_marking_point_unchanged(self, p_base, now):
+        events = []
+        aqm = DualPi2(DualPi2Config(), random.Random(1), lambda e, *_: events.append(e))
+        aqm.p_base = p_base
+        ce = packet(0, ecn=EcnCodepoint.CE)
+        aqm.enqueue(ce, 0)
+        assert aqm.dequeue(now) is ce
+        assert aqm.l_queue.marked == 0 and events == []
+        assert aqm.l_queue.dequeued == 1 and not aqm.conservation_errors()
+
     def test_coupled_marking_uses_probability(self):
         aqm = make_aqm()
         aqm.p_base = 0.5  # coupled probability = min(1, 2*0.5) = 1

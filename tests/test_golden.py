@@ -128,15 +128,15 @@ def aqm_sequence(kind: str) -> tuple[str, Counter]:
     Returns the SHA-256 of its transcript (every call, returned seq and ECN,
     observer event, `p_base` and the audit totals) and the count of each
     branch reached. Packets carry their enqueue time as `sent_at`, so a
-    mark's sojourn tells a step mark from a coupled one. A `ValueError` from
-    `dequeue` (a CE packet reaching the marking point) is part of the
-    transcript.
+    mark's sojourn tells a step mark from a coupled one, and a packet that
+    arrived CE and leaves past the step threshold is a CE pass-through.
     """
     ops = random.Random(1)
     transcript: list[str] = []
     counts: Counter = Counter()
     step_threshold = DualPi2Config().l4s_step_threshold_us
     is_l: dict[int, bool] = {}
+    arrived_ce: set[int] = set()
     queued = {True: 0, False: 0}  # occupancy by "is low-latency"
 
     def observer(event: str, packet: Packet, now: int) -> None:
@@ -175,6 +175,8 @@ def aqm_sequence(kind: str) -> tuple[str, Counter]:
             ecn = ops.choice(AQM_ECNS)
             size = ops.randrange(100, 1501)
             is_l[seq] = ecn in (EcnCodepoint.ECT1, EcnCodepoint.CE)
+            if ecn is EcnCodepoint.CE:
+                arrived_ce.add(seq)
             transcript.append(f"enqueue {seq} {ecn.name} {size} {now}")
             overflows = counts["overflow"]
             aqm.enqueue(Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=now), now)
@@ -182,18 +184,14 @@ def aqm_sequence(kind: str) -> tuple[str, Counter]:
                 queued[is_l[seq]] += 1
         elif r < (0.7 if overload else 1.0):
             both = queued[True] > 0 and queued[False] > 0
-            try:
-                packet = aqm.dequeue(now)
-            except ValueError as exc:
-                transcript.append(f"error {now} {exc}")
-                counts["error"] += 1
-                queued[True] -= 1
-                continue
+            packet = aqm.dequeue(now)
             if packet is None:
                 transcript.append(f"dequeue {now} None")
                 continue
             transcript.append(f"dequeue {now} {packet.seq} {packet.ecn.name}")
             queued[is_l[packet.seq]] -= 1
+            if packet.seq in arrived_ce and now - packet.sent_at > step_threshold:
+                counts["ce pass-through"] += 1
             if both:
                 counts["l over c" if is_l[packet.seq] else "c over l"] += 1
     transcript.append(f"end {now} {totals()}")
@@ -208,7 +206,9 @@ def test_aqm_sequence_matches_golden_digest(kind):
 
 def test_aqm_sequences_reach_every_branch():
     _, counts = aqm_sequence("dualpi2")
-    for branch in ("overflow", "drop", "step mark", "coupled mark", "l over c", "c over l"):
+    for branch in (
+        "overflow", "drop", "step mark", "coupled mark", "ce pass-through", "l over c", "c over l"
+    ):
         assert counts[branch] > 0, branch
     _, counts = aqm_sequence("droptail")
     for branch in ("overflow", "l over c", "c over l"):
