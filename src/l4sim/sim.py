@@ -133,6 +133,8 @@ class _Engine:
         self.end_us = us_from_s(scenario.duration_s)
         self.rows: list[tuple[SimTime, str, int]] | None = [] if timeline else None
 
+        jitter_rng = random.Random(stream_seed(scenario.seed, "jitter"))
+
         aqm_observer = self._aqm_event if timeline else None
         if isinstance(scenario.aqm, DualPi2Config):
             aqm_rng = random.Random(stream_seed(scenario.seed, "aqm"))
@@ -143,10 +145,7 @@ class _Engine:
             self._pi2_period = 0
 
         self.link = ForwardLink(
-            scenario.capacity,
-            scenario.forward_delay_us,
-            scenario.jitter,
-            random.Random(stream_seed(scenario.seed, "jitter")),
+            scenario.capacity, scenario.forward_delay_us, scenario.jitter, jitter_rng
         )
         self.source = MediaSource(scenario.source)
         playout_observer = self._playout_event if timeline else None
