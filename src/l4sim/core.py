@@ -92,6 +92,11 @@ class FeedbackReport:
     arrival_samples holds (seq, sender_timestamp, receiver_arrival_time)
     tuples in sequence order; repair retransmissions are counted but not
     sampled so the delay estimator sees a clean in-order stream.
+
+    received_below is the receiver's cumulative acknowledgement when the
+    report was built: every seq below it had arrived. Later reports can
+    neither sample nor list such a seq, so the sender may forget it once
+    this report is processed.
     """
 
     interval_start: SimTime
@@ -101,3 +106,4 @@ class FeedbackReport:
     ect1_count: int = 0
     ce_count: int = 0
     arrival_samples: list[tuple[int, SimTime, SimTime]] = field(default_factory=list)
+    received_below: int = 0

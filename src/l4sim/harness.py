@@ -56,11 +56,14 @@ def compute_metrics(log: TimelineLog, scenario: Scenario) -> MetricsReport:
     """Reduce a run log to the report metrics.
 
     RTT statistics cover every per-packet sample (send-to-arrival plus the
-    feedback echo delay). Quality counts bytes of frames actually played;
-    utilization divides by the time-average forward capacity.
+    feedback echo delay), read from the run's exact count per microsecond
+    value, so the integer sum and the average are those of the sample list.
+    Quality counts bytes of frames actually played; utilization divides by
+    the time-average forward capacity.
     """
     samples = log.rtt_samples_us
-    if not samples:
+    count = samples.total()
+    if not count:
         raise ValueError("empty run: no RTT samples to aggregate")
     duration_s = log.duration_us / 1e6
     quality_bps = log.played_bytes * 8 / duration_s
@@ -68,7 +71,7 @@ def compute_metrics(log: TimelineLog, scenario: Scenario) -> MetricsReport:
     return MetricsReport(
         rtt_max_ms=max(samples) / 1_000.0,
         rtt_min_ms=min(samples) / 1_000.0,
-        rtt_avg_ms=sum(samples) / len(samples) / 1_000.0,
+        rtt_avg_ms=sum(rtt * n for rtt, n in samples.items()) / count / 1_000.0,
         stalling_rate=log.stalled_us / log.duration_us,
         quality_mbps=quality_bps / 1e6,
         bandwidth_utilization=quality_bps / avg_capacity,

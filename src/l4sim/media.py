@@ -5,10 +5,16 @@ replays reported losses once. ``Receiver`` tracks arrivals for feedback
 (counts, loss gaps, arrival samples) and runs the playout clock: playback
 starts a dejitter offset after the first frame completes, a frame missing at
 its deadline stalls playback, and the stall shifts every later deadline.
+
+Both ends keep only what is in flight: the receiver remembers arrivals as a
+contiguous-prefix watermark plus the seqs above it and drops frames once
+played, and the source forgets the seqs below the watermark a feedback report
+carries. Memory follows the packets in flight, not the session length.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -39,16 +45,22 @@ class SourceConfig:
 
 
 class MediaSource:
-    """Frame source with even intra-frame pacing and one-shot loss repair."""
+    """Frame source with even intra-frame pacing and one-shot loss repair.
+
+    It keeps each seq's size and frame for repair and receive-rate lookups
+    until a feedback report shows every seq below it arrived
+    (``forget_below``), so the record holds only unacknowledged packets.
+    """
 
     def __init__(self, config: SourceConfig) -> None:
         config.validate()
         self.config = config
         self.next_seq = 0
         self.next_frame = 0
-        # seq -> (size, frame_id, frame_packet_count), kept for repair and
-        # receive-rate accounting.
+        # seq -> (size, frame_id, frame_packet_count) for seqs from _oldest
+        # on, kept for repair and receive-rate accounting.
         self._sent: dict[int, tuple[int, int, int]] = {}
+        self._oldest = 0
 
     def frame_interval_us(self) -> SimTime:
         return US_PER_S // self.config.fps
@@ -88,13 +100,11 @@ class MediaSource:
     def size_of(self, seq: int) -> int:
         return self._sent[seq][0]
 
-    def make_retransmit(self, seq: int, now: SimTime) -> Optional[Packet]:
+    def make_retransmit(self, seq: int, now: SimTime) -> Packet:
         """Clone a reported-lost packet for immediate resend: one repair per
-        loss report listing it."""
-        meta = self._sent.get(seq)
-        if meta is None:
-            return None
-        size, frame_id, count = meta
+        loss report listing it. Raises KeyError, as ``size_of`` does, for a
+        seq never sent or already forgotten."""
+        size, frame_id, count = self._sent[seq]
         return Packet(
             seq=seq,
             size_bytes=size,
@@ -104,6 +114,15 @@ class MediaSource:
             frame_packet_count=count,
             is_retransmit=True,
         )
+
+    def forget_below(self, seq: int) -> None:
+        """Drop the records of every seq below `seq`. The engine passes the
+        watermark of a report it has fully processed: the receiver then held
+        every seq below it, so no later report can sample or list one."""
+        sent = self._sent
+        for old in range(self._oldest, seq):
+            del sent[old]
+        self._oldest = max(self._oldest, seq)
 
 
 @dataclass(slots=True)
@@ -119,6 +138,11 @@ class Receiver:
 
     The engine calls ``on_packet`` per delivery and ``playout_tick`` at frame
     deadlines; both return the next playout event time to schedule, if any.
+
+    State is bounded by what is in flight: arrivals are a watermark (every
+    seq below it arrived) plus the set of seqs that arrived above it, a frame
+    is dropped once played, and the run's RTTs are an exact count per integer
+    microsecond value (``rtt_samples_us``), not a list of every sample.
     """
 
     # Fraction of a frame interval clawed back per smoothly played frame:
@@ -139,7 +163,8 @@ class Receiver:
         self.dejitter_us = dejitter_us
         self._observer = observer
 
-        self._seen: set[int] = set()
+        self._watermark = 0
+        self._above_watermark: set[int] = set()
         self._highest_seq = -1
         self._frames: dict[int, _FrameState] = {}
 
@@ -161,40 +186,46 @@ class Receiver:
         self.stalled_since: SimTime | None = None
         self.stalled_total_us: SimTime = 0
         self.played_bytes = 0
-        self.played_frames = 0
 
-        # Whole-run tallies for metrics.
-        self.total_received = 0
-        self.rtt_samples_us: list[int] = []
+        # Whole-run RTT tally for metrics: sample value (us) -> count.
+        self.rtt_samples_us: Counter[int] = Counter()
 
     def deadline(self, frame_id: int) -> SimTime:
         if self.playout_anchor is None:
             raise RuntimeError("playout has not started")
         return self.playout_anchor + (frame_id * US_PER_S) // self.fps + self.deadline_shift_us
 
-    def _play(self, frame: _FrameState) -> None:
-        self.played_bytes += frame.bytes
-        self.played_frames += 1
+    def _play(self) -> None:
+        # Playout never skips, and a played frame is complete: no later
+        # arrival can refer to it.
+        self.played_bytes += self._frames.pop(self.next_frame).bytes
         self.next_frame += 1
 
     def on_packet(self, packet: Packet, now: SimTime) -> Optional[SimTime]:
         """Account one delivery. Returns a playout event time to schedule
         when this arrival starts or resumes the playout clock."""
         seq = packet.seq
-        if seq in self._seen:
+        above = self._above_watermark
+        if seq == self._watermark:
+            seq_next = seq + 1
+            while seq_next in above:
+                above.remove(seq_next)
+                seq_next += 1
+            self._watermark = seq_next
+        elif seq < self._watermark or seq in above:
             return None  # duplicate: counted once, ignored afterwards
-        self._seen.add(seq)
+        else:
+            above.add(seq)
         self._outstanding_lost.pop(seq, None)
 
         self._received += 1
-        self.total_received += 1
         if packet.ecn is EcnCodepoint.ECT1:
             self._ect1 += 1
         elif packet.ecn is EcnCodepoint.CE:
             self._ce += 1
         if not packet.is_retransmit:
             self._samples.append((seq, packet.sent_at, now))
-        self.rtt_samples_us.append((now - packet.sent_at) + self.reverse_delay_us)
+        self.rtt_samples_us[(now - packet.sent_at) + self.reverse_delay_us] += 1
 
         if seq > self._highest_seq:
             # In-order links: any gap below the new highest is a loss.
@@ -226,7 +257,7 @@ class Receiver:
             self.stalled_since = None
             if self._observer:
                 self._observer("stall_end", stall, now)
-            self._play(frame)
+            self._play()
             return self.deadline(self.next_frame)
         return None
 
@@ -244,7 +275,7 @@ class Receiver:
                 self.deadline_shift_us -= min(
                     self.deadline_shift_us, interval // self.CATCHUP_FRACTION
                 )
-            self._play(frame)
+            self._play()
             return self.deadline(self.next_frame)
         self.stalled_since = now
         if self._observer:
@@ -271,6 +302,7 @@ class Receiver:
             ect1_count=self._ect1,
             ce_count=self._ce,
             arrival_samples=self._samples,
+            received_below=self._watermark,
         )
         self._interval_start = now
         self._received = 0

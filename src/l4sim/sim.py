@@ -13,7 +13,11 @@ import hashlib
 import heapq
 import math
 import random
+import struct
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import starmap
+from typing import Iterator
 
 from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
 from .cc import ControllerKind, GccParams, RateBounds, ScalableParams, make_controller
@@ -24,6 +28,7 @@ from .netem import CapacityPattern, Constant, ForwardLink, JitterProfile
 __all__ = [
     "Scenario",
     "TimelineLog",
+    "TimelineRows",
     "RunAudit",
     "run_scenario",
     "stream_seed",
@@ -93,26 +98,87 @@ class RunAudit:
         return errs
 
 
+# Every event name a timeline row can carry; a row stores its name's index.
+TIMELINE_EVENTS = (
+    "send", "deliver", "rate", "mark", "drop", "overflow", "stall_begin", "stall_end",
+)
+_EVENT_CODE = {name: code for code, name in enumerate(TIMELINE_EVENTS)}
+_ROW_SEND, _ROW_DELIVER, _ROW_RATE = (_EVENT_CODE[e] for e in ("send", "deliver", "rate"))
+# One packed row: time (int64), event code (byte), value (int64).
+_ROW = struct.Struct("<qBq")
+
+
+class TimelineRows:
+    """Timeline rows ``(t_us, event, value)``, packed 17 bytes a row where a
+    tuple in a list takes about 100. It counts, iterates and compares as the
+    list of triples it stands for.
+
+    ``record`` takes a ``(t_us, event code, value)`` tuple, the code indexing
+    ``TIMELINE_EVENTS``. It is a plain list append, so recording costs what a
+    list of tuples costs; ``pack`` moves the recorded tuples into the packed
+    buffer in one call. The engine packs at every feedback build, so only one
+    interval's tuples exist at a time.
+    """
+
+    __slots__ = ("_packed", "_pending", "record")
+
+    def __init__(self) -> None:
+        self._packed = bytearray()
+        self._pending: list[tuple[SimTime, int, int]] = []
+        self.record = self._pending.append
+
+    def pack(self) -> None:
+        if self._pending:
+            self._packed += b"".join(starmap(_ROW.pack, self._pending))
+            self._pending.clear()
+
+    def coded(self) -> Iterator[tuple[SimTime, int, int]]:
+        """The rows as ``(t_us, event code, value)``."""
+        self.pack()
+        return _ROW.iter_unpack(self._packed)
+
+    def __len__(self) -> int:
+        self.pack()
+        return len(self._packed) // _ROW.size
+
+    def __iter__(self) -> Iterator[tuple[SimTime, str, int]]:
+        names = TIMELINE_EVENTS
+        for t, code, value in self.coded():
+            yield t, names[code], value
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimelineRows):
+            return NotImplemented
+        self.pack()
+        other.pack()
+        return self._packed == other._packed
+
+    __hash__ = None  # mutable
+
+
 @dataclass
 class TimelineLog:
     """Per-run record: optional event rows for plotting plus the aggregate
-    samples and counters the metrics layer consumes."""
+    RTT count and counters the metrics layer consumes. Rows are the only
+    part that grows with session length, and only when recording is on."""
 
     duration_us: SimTime
-    rtt_samples_us: list[int]
+    rtt_samples_us: Counter[int]  # RTT sample value (us) -> count
     stalled_us: SimTime
     played_bytes: int
     mark_count: int
     audit: RunAudit
-    rows: list[tuple[SimTime, str, int]] | None = None
+    rows: TimelineRows | None = None
 
     def to_csv(self, path: str) -> None:
         if self.rows is None:
             raise ValueError("run was executed without timeline recording")
+        names = TIMELINE_EVENTS
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("t_us,event,value\n")
-            for t, event, value in self.rows:
-                fh.write(f"{t},{event},{value}\n")
+            write = fh.write
+            write("t_us,event,value\n")
+            for t, code, value in self.rows.coded():
+                write(f"{t},{names[code]},{value}\n")
 
 
 # Event kinds, dispatched by integer for speed.
@@ -131,7 +197,7 @@ class _Engine:
         scenario.validate()
         self.sc = scenario
         self.end_us = us_from_s(scenario.duration_s)
-        self.rows: list[tuple[SimTime, str, int]] | None = [] if timeline else None
+        self.rows = TimelineRows() if timeline else None
 
         jitter_rng = random.Random(stream_seed(scenario.seed, "jitter"))
 
@@ -179,10 +245,10 @@ class _Engine:
     # -- timeline hooks -----------------------------------------------------
 
     def _aqm_event(self, event: str, packet: Packet, now: SimTime) -> None:
-        self.rows.append((now, event, packet.seq))
+        self.rows.record((now, _EVENT_CODE[event], packet.seq))
 
     def _playout_event(self, event: str, value: int, now: SimTime) -> None:
-        self.rows.append((now, event, value))
+        self.rows.record((now, _EVENT_CODE[event], value))
 
     # -- event plumbing -----------------------------------------------------
 
@@ -191,8 +257,7 @@ class _Engine:
         heapq.heappush(self.heap, (due, self._tie, kind, payload))
 
     def _try_service(self, now: SimTime) -> None:
-        if self.link_busy:
-            return
+        """Start serving the head packet, if any; the link must be idle."""
         packet = self.aqm.dequeue(now)
         if packet is None:
             return
@@ -205,9 +270,10 @@ class _Engine:
     def _send(self, now: SimTime, packet: Packet) -> None:
         self.sent += 1
         if self.rows is not None:
-            self.rows.append((now, "send", packet.seq))
+            self.rows.record((now, _ROW_SEND, packet.seq))
         self.aqm.enqueue(packet, now)
-        self._try_service(now)
+        if not self.link_busy:
+            self._try_service(now)
 
     # -- event handlers -----------------------------------------------------
 
@@ -223,7 +289,7 @@ class _Engine:
         self.in_transit -= 1
         self.delivered += 1
         if self.rows is not None:
-            self.rows.append((now, "deliver", packet.seq))
+            self.rows.record((now, _ROW_DELIVER, packet.seq))
         playout_at = self.receiver.on_packet(packet, now)
         if playout_at is not None:
             self._push(playout_at, _PLAYOUT)
@@ -232,17 +298,18 @@ class _Engine:
         report = self.receiver.build_feedback(now)
         self._push(now + self.sc.reverse_delay_us, _FB_ARRIVE, report)
         self._push(now + self.sc.feedback_interval_us, _FB_BUILD)
+        if self.rows is not None:
+            self.rows.pack()
 
     def _on_fb_arrive(self, now: SimTime, report) -> None:
         new_target = self.controller.update(report, now)
         if new_target != self.target_bps:
             self.target_bps = new_target
             if self.rows is not None:
-                self.rows.append((now, "rate", new_target))
+                self.rows.record((now, _ROW_RATE, new_target))
         for seq in report.lost_seqs:
-            rtx = self.source.make_retransmit(seq, now)
-            if rtx is not None:
-                self._send(now, rtx)
+            self._send(now, self.source.make_retransmit(seq, now))
+        self.source.forget_below(report.received_below)
 
     def _on_playout(self, now: SimTime) -> None:
         next_at = self.receiver.playout_tick(now)

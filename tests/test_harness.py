@@ -1,5 +1,6 @@
 import copy
 import math
+from collections import Counter
 from dataclasses import fields, replace
 from importlib import resources
 
@@ -34,7 +35,7 @@ def make_log(rtt_samples, stalled_us=0, played_bytes=0, duration_us=100_000_000)
     )
     return TimelineLog(
         duration_us=duration_us,
-        rtt_samples_us=rtt_samples,
+        rtt_samples_us=Counter(rtt_samples),
         stalled_us=stalled_us,
         played_bytes=played_bytes,
         mark_count=0,

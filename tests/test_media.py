@@ -97,7 +97,8 @@ class TestEncodeTick:
         assert rtx.frame_id == originals[3].frame_id
         assert rtx.is_retransmit
         assert rtx.sent_at == 99_000
-        assert source.make_retransmit(10**9, 0) is None  # unknown seq
+        with pytest.raises(KeyError):
+            source.make_retransmit(10**9, 0)  # unknown seq
 
 
 class TestReceiverCounting:
@@ -205,7 +206,7 @@ class TestReceiverCounting:
         reports.append(receiver.build_feedback(10_000_000))
         assert sum(r.received_count for r in reports) == delivered
         assert all(r.ect1_count + r.ce_count == r.received_count for r in reports)
-        assert receiver.total_received == delivered
+        assert reports[-1].received_below == delivered  # seqs 0..56 all arrived
 
 
 class TestPlayout:
@@ -213,15 +214,18 @@ class TestPlayout:
         receiver = make_receiver()
         source = make_source()
         tick = None
+        sent_bytes = 0
         for f in range(12):
-            _, schedule = deliver_frame(receiver, source, 1_000_000, f * FRAME_US)
+            packets, schedule = deliver_frame(receiver, source, 1_000_000, f * FRAME_US)
+            sent_bytes += sum(p.size_bytes for p in packets)
             if schedule is not None:
                 tick = schedule
         # run the playout clock over everything that is due
         while tick is not None and receiver.next_frame < 12:
             tick = receiver.playout_tick(tick)
         assert receiver.stalled_total_us == 0
-        assert receiver.played_frames == 12
+        assert receiver.next_frame == 12
+        assert receiver.played_bytes == sent_bytes
 
     def test_late_frame_stalls_and_shifts_deadlines(self):
         receiver = make_receiver()
@@ -274,3 +278,127 @@ class TestPlayout:
         packets, _ = deliver_frame(receiver, source, 1_000_000, 0)
         receiver.playout_tick(receiver.playout_anchor)
         assert receiver.played_bytes == sum(p.size_bytes for p in packets)
+
+
+class PlainSetFeedback:
+    """Reference for the receiver's arrival and feedback accounting that
+    remembers every seq it has seen in one plain set."""
+
+    def __init__(self, dejitter_us):
+        self.dejitter_us = dejitter_us
+        self.seen = set()
+        self.highest = -1
+        self.received = 0
+        self.samples = []
+        self.pending = []
+        self.outstanding = {}
+        self.frame_arrivals = {}
+        self.anchored = False
+
+    def on_packet(self, packet, now):
+        if packet.seq in self.seen:
+            return None
+        self.seen.add(packet.seq)
+        self.outstanding.pop(packet.seq, None)
+        self.received += 1
+        if not packet.is_retransmit:
+            self.samples.append((packet.seq, packet.sent_at, now))
+        if packet.seq > self.highest:
+            self.pending.extend(range(self.highest + 1, packet.seq))
+            self.highest = packet.seq
+        arrived = self.frame_arrivals.get(packet.frame_id, 0) + 1
+        self.frame_arrivals[packet.frame_id] = arrived
+        if packet.frame_id == 0 and arrived == packet.frame_packet_count:
+            self.anchored = True
+            return now + self.dejitter_us
+        return None
+
+    def build_feedback(self, now):
+        lost = self.pending + [
+            seq
+            for seq, reported_at in self.outstanding.items()
+            if now - reported_at >= Receiver.REPAIR_TIMEOUT_US
+        ]
+        lost.sort()
+        for seq in lost:
+            self.outstanding[seq] = now
+        watermark = 0
+        while watermark in self.seen:
+            watermark += 1
+        report = (self.received, lost, self.samples, watermark)
+        self.received, self.samples, self.pending = 0, [], []
+        return report
+
+
+class TestReceiverWatermark:
+    FRAME_PACKETS = 4
+
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.none(),  # build a feedback report
+                st.tuples(st.integers(0, 40), st.booleans()),  # (seq, retransmit)
+            ),
+            max_size=120,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_plain_set_reference(self, steps):
+        # Arbitrary arrival orders with duplicates and repairs: the watermark
+        # plus the set above it must decide first arrivals exactly as a set
+        # of every seq seen, in returns and in every report field.
+        receiver = make_receiver()
+        reference = PlainSetFeedback(receiver.dejitter_us)
+        now = 0
+        for step in steps + [None]:
+            now += 37_000
+            if step is None:
+                report = receiver.build_feedback(now)
+                got = (
+                    report.received_count,
+                    report.lost_seqs,
+                    report.arrival_samples,
+                    report.received_below,
+                )
+                assert got == reference.build_feedback(now)
+                continue
+            seq, retransmit = step
+            packet = Packet(
+                seq=seq,
+                size_bytes=100,
+                ecn=EcnCodepoint.ECT1,
+                sent_at=now - 20_000,
+                frame_id=seq // self.FRAME_PACKETS,
+                frame_packet_count=self.FRAME_PACKETS,
+                is_retransmit=retransmit,
+            )
+            assert receiver.on_packet(packet, now) == reference.on_packet(packet, now)
+            watermark = receiver._watermark
+            assert watermark not in reference.seen
+            assert set(range(watermark)) <= reference.seen
+            assert receiver._above_watermark == {s for s in reference.seen if s > watermark}
+
+    def test_source_forgets_below_the_watermark(self):
+        source = make_source()
+        packets = source.encode_tick(3_000_000, 0)  # seqs 0..10
+        source.forget_below(4)
+        for seq in (0, 3):
+            with pytest.raises(KeyError):
+                source.size_of(seq)
+            with pytest.raises(KeyError):
+                source.make_retransmit(seq, 0)
+        assert source.size_of(4) == packets[4].size_bytes
+        assert source.make_retransmit(10, 0).size_bytes == packets[10].size_bytes
+        source.forget_below(2)  # an older watermark forgets nothing more
+        assert source.size_of(4) == packets[4].size_bytes
+
+    def test_played_frames_are_dropped(self):
+        receiver = make_receiver()
+        source = make_source()
+        deliver_frame(receiver, source, 1_000_000, 0)
+        deliver_frame(receiver, source, 1_000_000, FRAME_US)
+        tick = receiver.playout_tick(receiver.playout_anchor)  # frame 0 plays
+        assert receiver.next_frame == 1
+        assert list(receiver._frames) == [1]
+        receiver.playout_tick(tick)  # frame 1 plays
+        assert receiver._frames == {}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from l4sim.cc import ControllerKind
@@ -5,7 +7,14 @@ from l4sim.core import EcnCodepoint
 from l4sim.harness import preset_scenario
 from l4sim.media import SourceConfig
 from l4sim.netem import Constant
-from l4sim.sim import Scenario, run_scenario, stream_seed
+from l4sim.sim import (
+    TIMELINE_EVENTS,
+    Scenario,
+    TimelineRows,
+    _Engine,
+    run_scenario,
+    stream_seed,
+)
 
 
 def short(case, kind, seed=1, duration=15.0):
@@ -131,3 +140,47 @@ class TestTimelineLog:
         assert log.rows is None
         with pytest.raises(ValueError):
             log.to_csv("/tmp/nope.csv")
+
+
+class TestTimelineRows:
+    def test_behaves_as_the_list_of_triples(self):
+        triples = [(0, "send", 0), (7, "mark", 0), (9, "rate", 5_000_000), (12, "stall_end", 3)]
+        rows, same, other = TimelineRows(), TimelineRows(), TimelineRows()
+        for t, event, value in triples:
+            for log in (rows, same, other):
+                log.record((t, TIMELINE_EVENTS.index(event), value))
+            rows.pack()  # packed and pending rows read alike
+        other.record((13, TIMELINE_EVENTS.index("deliver"), 1))
+        assert list(rows) == list(same) == triples
+        assert len(rows) == len(same) == len(triples)
+        assert rows == same
+        assert rows != other
+
+
+class TestBoundedState:
+    """Run state follows the packets in flight, not the session length."""
+
+    @pytest.mark.parametrize(
+        "case, kind",
+        [("case3", ControllerKind.GCC), ("case4c", ControllerKind.L4S_GCC)],
+    )
+    def test_only_in_flight_entries_kept(self, case, kind):
+        # case3 gcc drops and repairs packets; case4c has the most in flight
+        engine = _Engine(preset_scenario(case, kind, duration_s=120.0), timeline=False)
+        log = engine.run()
+        source, receiver = engine.source, engine.receiver
+        assert log.audit.sent > 20_000
+        assert len(source._sent) <= 300
+        assert len(receiver._frames) <= 300
+        assert len(receiver._above_watermark) <= 300
+        assert source._oldest <= receiver._watermark <= source.next_seq
+
+    def test_traced_peak_below_one_megabyte(self):
+        scenario = preset_scenario("case4c", ControllerKind.GCC, duration_s=60.0)
+        tracemalloc.start()
+        try:
+            run_scenario(scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, f"traced peak {peak / 1e6:.2f} MB"
