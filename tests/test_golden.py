@@ -12,7 +12,8 @@ The preset runs never fill a 375 kB queue and use one ECN mode each, so two
 further groups lock the branches they miss: case3 runs behind a 6 kB queue
 (overflow drops, DropTail in the engine), and a seeded call sequence on each
 queue discipline with mixed traffic (coupled marks, classic random drops,
-the time-shifted scheduler with both queues occupied).
+the time-shifted scheduler with both queues occupied). A last group locks the
+two output formats of `l4sim compare`.
 """
 
 import dataclasses
@@ -27,6 +28,7 @@ import pytest
 
 from l4sim.aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
 from l4sim.cc import ControllerKind
+from l4sim.cli import main as cli_main
 from l4sim.core import EcnCodepoint, Packet
 from l4sim.harness import PRESET_CASES, emit_metrics_csv, preset_scenario
 from l4sim.sim import Scenario, run_scenario
@@ -215,6 +217,32 @@ def test_aqm_sequences_reach_every_branch():
         assert counts[branch] > 0, branch
 
 
+# -- comparison table: `l4sim compare` CSV and text -----------------------------
+
+COMPARISON_CASES = "case1,case3,case4c"
+COMPARISON_SEEDS = 2
+COMPARISON_FORMATS = ("csv", "table")
+
+
+def comparison_digest(fmt: str) -> str:
+    """SHA-256 of the file `l4sim compare --format fmt --out` writes."""
+    controllers = ",".join(kind.value for kind in ControllerKind)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, f"compare.{fmt}")
+        code = cli_main([
+            "compare", "--cases", COMPARISON_CASES, "--controllers", controllers,
+            "--seeds", str(COMPARISON_SEEDS), "--duration", str(DURATION_S),
+            "--format", fmt, "--out", str(out),
+        ])  # fmt: skip
+        assert code == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("fmt", COMPARISON_FORMATS)
+def test_comparison_matches_golden_digest(fmt):
+    assert comparison_digest(fmt) == load_digests()["comparison"][fmt]
+
+
 def write_digests() -> None:
     data = {
         "duration_s": DURATION_S,
@@ -223,6 +251,7 @@ def write_digests() -> None:
             small_queue_key(*pair): small_queue_digests(*pair) for pair in SMALL_QUEUE_MATRIX
         },
         "aqm_sequences": {kind: aqm_sequence(kind)[0] for kind in AQM_KINDS},
+        "comparison": {fmt: comparison_digest(fmt) for fmt in COMPARISON_FORMATS},
     }
     with open(DIGEST_PATH, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
