@@ -43,13 +43,13 @@ def main() -> int:
 
     for name, cases in (("stable_cases", STABLE_CASES), ("jitter_cases", JITTER_CASES)):
         started = time.monotonic()
-        table = run_comparison(
+        rows = run_comparison(
             cases, CONTROLLERS, seeds, duration_s=args.duration, workers=args.workers
         )
         elapsed = time.monotonic() - started
         csv_path = out_dir / f"{name}.csv"
-        emit_table_csv(table, str(csv_path))
-        text = format_table_text(table)
+        emit_table_csv(rows, str(csv_path))
+        text = format_table_text(rows)
         (out_dir / f"{name}.txt").write_text(text)
         print(f"== {name} ({len(cases) * len(CONTROLLERS) * len(seeds)} runs, {elapsed:.0f}s)")
         print(text)

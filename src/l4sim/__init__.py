@@ -28,7 +28,6 @@ from .core import (
     classify_flow,
 )
 from .harness import (
-    ComparisonTable,
     MetricsReport,
     compute_metrics,
     preset_scenario,

@@ -121,11 +121,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
     seeds = list(range(1, args.seeds + 1))
-    table = run_comparison(
-        cases, controllers, seeds, duration_s=args.duration, workers=args.workers
-    )
+    rows = run_comparison(cases, controllers, seeds, duration_s=args.duration, workers=args.workers)
     if args.format == "table":
-        text = format_table_text(table)
+        text = format_table_text(rows)
         if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -133,9 +131,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             print(text, end="")
     else:
         if args.out is not None:
-            emit_table_csv(table, args.out)
+            emit_table_csv(rows, args.out)
         else:
-            for line in table_csv_lines(table):
+            for line in table_csv_lines(rows):
                 print(line)
     return 0
 

@@ -6,13 +6,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
+from functools import cache
 from importlib import resources
 from typing import Iterable, Sequence, get_type_hints
 
 from .aqm import DropTailConfig, DualPi2Config
 from .cc import ControllerKind, ScalableParams, default_gcc_params
-from .core import US_PER_MS, US_PER_S, EcnCodepoint, SimTime
+from .core import US_PER_MS, US_PER_S, EcnCodepoint
 from .media import SourceConfig
 from .netem import (
     CapacityPattern,
@@ -20,19 +21,37 @@ from .netem import (
     JitterProfile,
     SquareWave,
     average_capacity_bps,
-    jitter_profile_ms,
     load_trace_csv,
     trace_pattern,
 )
 from .sim import Scenario, TimelineLog, run_scenario
 
-PRESET_CASES = ("case1", "case2", "case3", "case4a", "case4b", "case4c")
 
-_JITTER_PROFILES_MS = {
-    "case4a": ((10, 0.85), (12, 0.10), (14, 0.04), (16, 0.01)),
-    "case4b": ((10, 0.85), (14, 0.10), (18, 0.04), (22, 0.01)),
-    "case4c": ((10, 0.85), (18, 0.10), (26, 0.04), (34, 0.01)),
+def _jitter_case(*delays_ms: int) -> dict:
+    """5 Mbps with a forward delay of `delays_ms` at 85/10/4/1% weights."""
+    entries = [[delay, weight] for delay, weight in zip(delays_ms, (0.85, 0.10, 0.04, 0.01))]
+    return {
+        "capacity": {"kind": "constant", "mbps": 5.0},
+        "forward_delay": {"kind": "jitter", "entries": entries},
+    }
+
+
+_CASE3_TRACE = str(resources.files("l4sim").joinpath("data/case3_trace.csv"))
+# The `link` section of each named comparison scenario, in the scenario-file
+# schema. case1: constant 3 Mbps, no jitter. case2: 2.5/4 Mbps square wave.
+# case3: the bundled synthetic cellular-style trace, already normalized onto
+# 0..5 Mbps. case4a/b/c: jitter profiles of growing spread.
+PRESETS = {
+    "case1": {"capacity": {"kind": "constant", "mbps": 3.0}},
+    "case2": {
+        "capacity": {"kind": "square", "low_mbps": 2.5, "high_mbps": 4.0, "half_period_s": 10}
+    },
+    "case3": {"capacity": {"kind": "trace", "path": _CASE3_TRACE}},
+    "case4a": _jitter_case(10, 12, 14, 16),
+    "case4b": _jitter_case(10, 14, 18, 22),
+    "case4c": _jitter_case(10, 18, 26, 34),
 }
+PRESET_CASES = tuple(PRESETS)
 
 
 @dataclass(frozen=True)
@@ -80,14 +99,6 @@ def compute_metrics(log: TimelineLog, scenario: Scenario) -> MetricsReport:
     )
 
 
-def bundled_case3_samples() -> list[tuple[SimTime, float]]:
-    """The synthetic cellular-style trace shipped with the package,
-    already normalized onto 0..5 Mbps."""
-    ref = resources.files("l4sim").joinpath("data/case3_trace.csv")
-    with resources.as_file(ref) as path:
-        return load_trace_csv(str(path))
-
-
 def _source_for(kind: ControllerKind) -> SourceConfig:
     ecn = (
         EcnCodepoint.ECT1
@@ -103,32 +114,16 @@ def preset_scenario(
     seed: int = Scenario.seed,
     duration_s: float = Scenario.duration_s,
 ) -> Scenario:
-    """Build one of the named comparison scenarios.
-
-    case1: constant 3 Mbps, no jitter. case2: 2.5/4 Mbps square wave.
-    case3: bundled normalized trace. case4a/b/c: 5 Mbps with delay jitter
-    profiles of growing spread (85/10/4/1% weights).
-    """
-    if case not in PRESET_CASES:
+    """Build one of the named comparison scenarios: the scenario file whose
+    link section is `PRESETS[case]`."""
+    if case not in PRESETS:
         raise ValueError(f"unknown preset {case!r}; choose one of {', '.join(PRESET_CASES)}")
-    jitter: JitterProfile | None = None
-    if case == "case1":
-        capacity = Constant(3.0)
-    elif case == "case2":
-        capacity = SquareWave(2.5, 4.0, 10_000_000)
-    elif case == "case3":
-        capacity = trace_pattern(bundled_case3_samples())
-    else:
-        capacity = Constant(5.0)
-        jitter = jitter_profile_ms(_JITTER_PROFILES_MS[case])
-    return Scenario(
-        seed=seed,
-        duration_s=duration_s,
-        capacity=capacity,
-        jitter=jitter,
-        controller=controller,
-        source=_source_for(controller),
-    )
+    return scenario_from_dict({
+        "seed": seed,
+        "duration_s": duration_s,
+        "link": PRESETS[case],
+        "controller": {"kind": controller.value},
+    })  # fmt: skip
 
 
 @dataclass(frozen=True)
@@ -140,18 +135,6 @@ class ComparisonRow:
     seed_count: int
     means: dict[str, float]
     stdevs: dict[str, float]
-    runs: tuple[MetricsReport, ...] = field(default=(), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    rows: tuple[ComparisonRow, ...]
-
-    def row(self, case: str, controller: str) -> ComparisonRow:
-        for r in self.rows:
-            if r.case == case and r.controller == controller:
-                return r
-        raise KeyError(f"no row for ({case}, {controller})")
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -165,19 +148,13 @@ def _pstdev(values: Sequence[float]) -> float:
 
 
 def _aggregate(case: str, controller: str, runs: Sequence[MetricsReport]) -> ComparisonRow:
-    means = {}
-    stdevs = {}
-    for name in METRIC_FIELDS:
-        values = [float(getattr(r, name)) for r in runs]
-        means[name] = _mean(values)
-        stdevs[name] = _pstdev(values)
+    values = {name: [float(getattr(r, name)) for r in runs] for name in METRIC_FIELDS}
     return ComparisonRow(
         case=case,
         controller=controller,
         seed_count=len(runs),
-        means=means,
-        stdevs=stdevs,
-        runs=tuple(runs),
+        means={name: _mean(v) for name, v in values.items()},
+        stdevs={name: _pstdev(v) for name, v in values.items()},
     )
 
 
@@ -199,107 +176,58 @@ def run_comparison(
     seeds: Sequence[int],
     duration_s: float = Scenario.duration_s,
     workers: int = 1,
-) -> ComparisonTable:
-    """Run every (case, controller, seed) triple and aggregate mean/stdev.
+) -> tuple[ComparisonRow, ...]:
+    """Run every (case, controller, seed) triple and aggregate mean/stdev
+    into one row per (case, controller) pair.
 
     Runs are independent, so they may execute in parallel; results are
     collected in input order either way, keeping the table deterministic.
     """
     if not cases or not controllers or not seeds:
         raise ValueError("cases, controllers, and seeds must be non-empty")
-    jobs = [
-        (case, controller.value, seed, duration_s)
-        for case in cases
-        for controller in controllers
-        for seed in seeds
-    ]
+    cells = [(case, controller.value) for case in cases for controller in controllers]
+    jobs = [(case, controller, seed, duration_s) for case, controller in cells for seed in seeds]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:
         results = list(map(_run_one, jobs))
-    rows = []
-    per_cell = len(seeds)
-    idx = 0
-    for case in cases:
-        for controller in controllers:
-            cell_runs = results[idx : idx + per_cell]
-            idx += per_cell
-            rows.append(_aggregate(case, controller.value, cell_runs))
-    return ComparisonTable(rows=tuple(rows))
+    n = len(seeds)
+    return tuple(
+        _aggregate(case, controller, results[i * n : (i + 1) * n])
+        for i, (case, controller) in enumerate(cells)
+    )
 
 
 # -- emission ----------------------------------------------------------------
 
-TABLE_COLUMNS = (
-    "case",
-    "controller",
-    "seed_count",
-    "rtt_max_ms",
-    "rtt_min_ms",
-    "rtt_avg_ms",
-    "stall_rate",
-    "quality_mbps",
-    "utilization",
-    "marks",
-    "drops",
-)
-
-_COLUMN_TO_METRIC = {
-    "rtt_max_ms": "rtt_max_ms",
-    "rtt_min_ms": "rtt_min_ms",
-    "rtt_avg_ms": "rtt_avg_ms",
-    "stall_rate": "stalling_rate",
-    "quality_mbps": "quality_mbps",
-    "utilization": "bandwidth_utilization",
-    "marks": "mark_count",
-    "drops": "drop_count",
+# Comparison CSV column names that differ from the metric's field name.
+_COLUMN_NAMES = {
+    "stalling_rate": "stall_rate",
+    "bandwidth_utilization": "utilization",
+    "mark_count": "marks",
+    "drop_count": "drops",
 }
 
 
-def table_csv_lines(table: ComparisonTable) -> list[str]:
-    lines = [",".join(TABLE_COLUMNS)]
-    for row in table.rows:
-        cells = [row.case, row.controller, str(row.seed_count)]
-        for column in TABLE_COLUMNS[3:]:
-            cells.append(repr(row.means[_COLUMN_TO_METRIC[column]]))
-        lines.append(",".join(cells))
+def table_csv_lines(rows: Sequence[ComparisonRow]) -> list[str]:
+    columns = [_COLUMN_NAMES.get(name, name) for name in METRIC_FIELDS]
+    lines = [",".join(["case", "controller", "seed_count", *columns])]
+    for row in rows:
+        means = [repr(row.means[name]) for name in METRIC_FIELDS]
+        lines.append(",".join([row.case, row.controller, str(row.seed_count), *means]))
     return lines
 
 
-def emit_table_csv(table: ComparisonTable, path: str) -> None:
-    _write_lines(path, table_csv_lines(table))
+def emit_table_csv(rows: Sequence[ComparisonRow], path: str) -> None:
+    _write_lines(path, table_csv_lines(rows))
 
 
-def parse_table_csv(path: str) -> ComparisonTable:
-    """Read back an emitted comparison CSV (means only)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != ",".join(TABLE_COLUMNS):
-        raise ValueError(f"{path}: not a comparison table CSV")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        means = {
-            _COLUMN_TO_METRIC[col]: float(cell) for col, cell in zip(TABLE_COLUMNS[3:], cells[3:])
-        }
-        rows.append(
-            ComparisonRow(
-                case=cells[0],
-                controller=cells[1],
-                seed_count=int(cells[2]),
-                means=means,
-                stdevs={name: 0.0 for name in means},
-            )
-        )
-    return ComparisonTable(rows=tuple(rows))
-
-
-def format_table_text(table: ComparisonTable) -> str:
+def format_table_text(rows: Sequence[ComparisonRow]) -> str:
     """Aligned text table, mean +/- stdev per metric."""
     headers = ["case", "controller", "rtt max/min/avg (ms)", "stall", "quality (Mbps)", "util"]
     body = []
-    for row in table.rows:
+    for row in rows:
         m, s = row.means, row.stdevs
         body.append(
             [
@@ -412,13 +340,17 @@ def _number(value, path: str, integral: bool, scale: int = 1) -> int | float:
     return round(scaled) if integral else scaled
 
 
+# `get_type_hints` evaluates every annotation of the class on each call.
+_type_hints = cache(get_type_hints)
+
+
 def _build(start, spec: dict, path: str, keys: Sequence[str], **given):
     """`start` with each of `keys` present in `spec` overriding its field,
     then range-checked by the class. `start` is an instance whose values
     stand for absent keys, or a class whose keys are all required (an absent
     key reads as null)."""
     cls = start if isinstance(start, type) else type(start)
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     values = dict(given)
     for key in (k for k in keys if start is cls or k in spec):
         name, scale = key, 1

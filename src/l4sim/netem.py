@@ -130,11 +130,6 @@ class JitterProfile:
             raise ValueError(f"jitter probabilities must sum to 1, got {total}")
 
 
-def jitter_profile_ms(pairs: Sequence[tuple[float, float]]) -> JitterProfile:
-    """Convenience constructor from (delay_ms, probability) pairs."""
-    return JitterProfile(tuple((int(round(d * 1000)), p) for d, p in pairs))
-
-
 def sample_jitter(profile: JitterProfile, rng: random.Random) -> SimTime:
     """Draw one delay via inverse CDF on a single uniform variate."""
     u = rng.random()

@@ -14,18 +14,15 @@ from l4sim.media import SourceConfig
 from l4sim.harness import (
     PRESET_CASES,
     ScenarioError,
-    bundled_case3_samples,
     compute_metrics,
     emit_metrics_csv,
     emit_table_csv,
     format_table_text,
-    parse_table_csv,
     preset_scenario,
     run_comparison,
     scenario_from_dict,
-    table_csv_lines,
 )
-from l4sim.netem import Constant, SquareWave, TracePattern, JitterProfile
+from l4sim.netem import Constant, SquareWave, TracePattern, JitterProfile, load_trace_csv
 from l4sim.sim import RunAudit, Scenario, TimelineLog, run_scenario
 
 
@@ -127,7 +124,7 @@ class TestPresets:
         )
 
     def test_bundled_trace_is_normalized(self):
-        samples = bundled_case3_samples()
+        samples = load_trace_csv(str(BUNDLED_TRACE))
         rates = [r for _, r in samples]
         assert min(rates) == pytest.approx(0.0, abs=1e-9)
         assert max(rates) == pytest.approx(5.0)
@@ -136,14 +133,14 @@ class TestPresets:
 
 class TestRunComparison:
     def test_cardinality_and_aggregation_identity(self):
-        table = run_comparison(
+        rows = run_comparison(
             ["case1"],
             [ControllerKind.L4S_CC, ControllerKind.GCC],
             seeds=[1],
             duration_s=3.0,
         )
-        assert len(table.rows) == 2
-        row = table.row("case1", "l4s-cc")
+        assert [(r.case, r.controller) for r in rows] == [("case1", "l4s-cc"), ("case1", "gcc")]
+        row = rows[0]
         assert row.seed_count == 1
         # single seed: the cell equals that run's report, stdev zero
         metrics, _ = run_scenario(preset_scenario("case1", ControllerKind.L4S_CC, 1, 3.0))
@@ -151,11 +148,13 @@ class TestRunComparison:
         assert all(s == 0.0 for s in row.stdevs.values())
 
     def test_mean_stdev_match_independent_recomputation(self):
-        table = run_comparison(
+        (row,) = run_comparison(
             ["case4a"], [ControllerKind.L4S_GCC], seeds=[1, 2, 3], duration_s=5.0
         )
-        row = table.rows[0]
-        values = [m.rtt_avg_ms for m in row.runs]
+        values = [
+            run_scenario(preset_scenario("case4a", ControllerKind.L4S_GCC, seed, 5.0))[0].rtt_avg_ms
+            for seed in (1, 2, 3)
+        ]
         assert row.means["rtt_avg_ms"] == pytest.approx(np.mean(values), abs=1e-12)
         assert row.stdevs["rtt_avg_ms"] == pytest.approx(np.std(values), abs=1e-12)
 
@@ -170,7 +169,7 @@ class TestRunComparison:
 
 
 class TestEmission:
-    def make_table(self):
+    def make_rows(self):
         return run_comparison(
             ["case1"],
             [ControllerKind.GCC, ControllerKind.L4S_CC],
@@ -179,9 +178,9 @@ class TestEmission:
         )
 
     def test_csv_layout(self, tmp_path):
-        table = self.make_table()
+        rows = self.make_rows()
         path = tmp_path / "out.csv"
-        emit_table_csv(table, str(path))
+        emit_table_csv(rows, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "case,controller,seed_count,rtt_max_ms,rtt_min_ms,rtt_avg_ms,"
@@ -191,18 +190,11 @@ class TestEmission:
         assert lines[1].startswith("case1,gcc,1,")
 
     def test_emissions_byte_identical(self, tmp_path):
-        table = self.make_table()
+        rows = self.make_rows()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_table_csv(table, str(a))
-        emit_table_csv(table, str(b))
+        emit_table_csv(rows, str(a))
+        emit_table_csv(rows, str(b))
         assert a.read_bytes() == b.read_bytes()
-
-    def test_csv_round_trip(self, tmp_path):
-        table = self.make_table()
-        path = tmp_path / "out.csv"
-        emit_table_csv(table, str(path))
-        parsed = parse_table_csv(str(path))
-        assert table_csv_lines(parsed) == table_csv_lines(table)
 
     def test_metrics_csv(self, tmp_path):
         metrics, _ = run_scenario(preset_scenario("case1", ControllerKind.L4S_CC, 1, 2.0))
@@ -213,12 +205,12 @@ class TestEmission:
         assert float(values.split(",")[0]) == metrics.rtt_max_ms
 
     def test_unwritable_path_raises_with_path(self):
-        table = self.make_table()
+        rows = self.make_rows()
         with pytest.raises(OSError, match="/definitely/not/here"):
-            emit_table_csv(table, "/definitely/not/here/out.csv")
+            emit_table_csv(rows, "/definitely/not/here/out.csv")
 
     def test_text_table_mentions_rows(self):
-        text = format_table_text(self.make_table())
+        text = format_table_text(self.make_rows())
         assert "case1" in text and "l4s-cc" in text and "gcc" in text
 
 

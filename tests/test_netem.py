@@ -11,7 +11,6 @@ from l4sim.netem import (
     TracePattern,
     average_capacity_bps,
     capacity_at,
-    jitter_profile_ms,
     load_trace_csv,
     normalize_trace,
     sample_jitter,
@@ -19,7 +18,7 @@ from l4sim.netem import (
     write_trace_csv,
 )
 
-CASE4A = jitter_profile_ms([(10, 0.85), (12, 0.10), (14, 0.04), (16, 0.01)])
+CASE4A = JitterProfile(((10_000, 0.85), (12_000, 0.10), (14_000, 0.04), (16_000, 0.01)))
 
 STEPS = TracePattern(((0, 1.0), (5_000, 2.5), (9_000, 0.5)))
 
