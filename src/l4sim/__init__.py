@@ -18,15 +18,7 @@ from .cc import (
     ce_fraction,
     trendline_slope,
 )
-from .core import (
-    EcnCodepoint,
-    FeedbackReport,
-    FlowClass,
-    Packet,
-    SimTime,
-    apply_ce_mark,
-    classify_flow,
-)
+from .core import EcnCodepoint, FeedbackReport, Packet, SimTime, apply_ce_mark
 from .harness import (
     MetricsReport,
     compute_metrics,

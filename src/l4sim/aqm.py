@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import EcnCodepoint, FlowClass, Packet, SimTime, apply_ce_mark, classify_flow
+from .core import EcnCodepoint, Packet, SimTime, apply_ce_mark
 
 # Observer callback: (event, packet, now). Events: "overflow", "drop", "mark".
 AqmObserver = Callable[[str, Packet, SimTime], None]
@@ -168,8 +168,12 @@ class DualPi2(_FifoDiscipline):
         self.prev_c_delay_us = c_delay
 
     def enqueue(self, packet: Packet, now: SimTime) -> None:
-        is_l4s = classify_flow(packet.ecn) is FlowClass.L4S
-        (self.l_queue if is_l4s else self.c_queue).offer(packet, now)
+        # ECT(1) is L4S traffic; ECT(0) and Not-ECT are classic. A CE packet
+        # may have been ECT(0) upstream, but RFC 9331 has a node classify CE
+        # as L4S by default: the safe choice, as it keeps an L4S packet that
+        # was marked earlier on its path in order with the rest of its flow.
+        low_latency = packet.ecn in (EcnCodepoint.ECT1, EcnCodepoint.CE)
+        (self.l_queue if low_latency else self.c_queue).offer(packet, now)
 
     def dequeue(self, now: SimTime) -> Optional[Packet]:
         """Pop the next packet to put on the wire, applying mark/drop logic.

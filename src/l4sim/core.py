@@ -1,5 +1,5 @@
-"""Shared domain types: simulation time, ECN codepoints, packets, flow
-classification, and the receiver feedback report.
+"""Shared domain types: simulation time, ECN codepoints, packets, and the
+receiver feedback report.
 
 Everything here is a plain value type. Simulation state lives elsewhere.
 """
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 
 # Simulation time is integer microseconds since run start. Integer arithmetic
 # keeps event ordering exact across platforms.
@@ -29,23 +29,6 @@ class EcnCodepoint(IntEnum):
     ECT1 = 0b01
     ECT0 = 0b10
     CE = 0b11
-
-
-class FlowClass(Enum):
-    L4S = "l4s"
-    CLASSIC = "classic"
-
-
-def classify_flow(ecn: EcnCodepoint) -> FlowClass:
-    """Map a packet's ECN codepoint to the queue family it belongs to.
-
-    ECT(1) identifies low-latency traffic. CE also classifies as low-latency:
-    only the low-latency queue ever applies CE marks here, so CE is
-    unambiguous. ECT(0) and Not-ECT are classic traffic.
-    """
-    if ecn is EcnCodepoint.ECT1 or ecn is EcnCodepoint.CE:
-        return FlowClass.L4S
-    return FlowClass.CLASSIC
 
 
 @dataclass(slots=True)

@@ -90,6 +90,17 @@ class TestEnqueue:
         aqm.enqueue(packet(0, ecn=EcnCodepoint.CE), 0)
         assert len(aqm.l_queue.entries) == 1
 
+    def test_each_codepoint_routes_to_its_fifo(self):
+        # ECT(1) and CE are low-latency; ECT(0), which no preset sends, and
+        # Not-ECT are classic.
+        aqm = make_aqm()
+        for seq, ecn in enumerate(EcnCodepoint):
+            aqm.enqueue(packet(seq, ecn=ecn), 0)
+        l_ecns = [p.ecn for p, _ in aqm.l_queue.entries]
+        c_ecns = [p.ecn for p, _ in aqm.c_queue.entries]
+        assert l_ecns == [EcnCodepoint.ECT1, EcnCodepoint.CE]
+        assert c_ecns == [EcnCodepoint.NOT_ECT, EcnCodepoint.ECT0]
+
     def test_overflow_drops_and_counts(self):
         aqm = make_aqm(queue_limit_bytes=2500)
         aqm.enqueue(packet(0), 0)

@@ -3,39 +3,11 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from l4sim.core import (
-    EcnCodepoint,
-    FeedbackReport,
-    FlowClass,
-    Packet,
-    apply_ce_mark,
-    classify_flow,
-)
+from l4sim.core import EcnCodepoint, FeedbackReport, Packet, apply_ce_mark
 
 
 def make_packet(ecn=EcnCodepoint.ECT1, seq=0, size=1200):
     return Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=0)
-
-
-class TestClassifyFlow:
-    def test_ect1_is_low_latency(self):
-        assert classify_flow(EcnCodepoint.ECT1) is FlowClass.L4S
-
-    def test_ect0_is_classic(self):
-        assert classify_flow(EcnCodepoint.ECT0) is FlowClass.CLASSIC
-
-    def test_not_ect_is_classic(self):
-        assert classify_flow(EcnCodepoint.NOT_ECT) is FlowClass.CLASSIC
-
-    def test_ce_is_low_latency(self):
-        # only the low-latency queue produces CE here, so CE is unambiguous
-        assert classify_flow(EcnCodepoint.CE) is FlowClass.L4S
-
-    @given(st.sampled_from(list(EcnCodepoint)))
-    def test_total_and_pure(self, ecn):
-        first = classify_flow(ecn)
-        assert first in (FlowClass.L4S, FlowClass.CLASSIC)
-        assert classify_flow(ecn) is first
 
 
 class TestApplyCeMark:
