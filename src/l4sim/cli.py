@@ -37,6 +37,10 @@ def _controller(value: str) -> ControllerKind:
         raise argparse.ArgumentTypeError(f"expected one of {valid}, got {value!r}") from None
 
 
+def _controllers(value: str) -> list[ControllerKind]:
+    return [_controller(c.strip()) for c in value.split(",") if c.strip()]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="l4sim",
@@ -71,7 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmp_p = sub.add_parser("compare", help="multi-seed comparison across presets")
     cmp_p.add_argument("--cases", required=True, help="comma-separated preset names")
-    cmp_p.add_argument("--controllers", required=True, help="comma-separated controller kinds")
+    cmp_p.add_argument(
+        "--controllers", type=_controllers, required=True, help="comma-separated controller kinds"
+    )
     cmp_p.add_argument("--seeds", type=int, default=5, help="number of seeds (1..n)")
     cmp_p.add_argument("--duration", type=float, default=Scenario.duration_s)
     cmp_p.add_argument("--workers", type=int, default=1, help="parallel runs")
@@ -117,11 +123,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cases = [c.strip() for c in args.cases.split(",") if c.strip()]
-    controllers = [_controller(c.strip()) for c in args.controllers.split(",") if c.strip()]
     if args.seeds < 1:
         raise ValueError("--seeds must be at least 1")
     seeds = list(range(1, args.seeds + 1))
-    rows = run_comparison(cases, controllers, seeds, duration_s=args.duration, workers=args.workers)
+    rows = run_comparison(
+        cases, args.controllers, seeds, duration_s=args.duration, workers=args.workers
+    )
     if args.format == "table":
         text = format_table_text(rows)
         if args.out is not None:

@@ -195,6 +195,12 @@ class TestCompare:
         ) == 1
         assert "case99" in capsys.readouterr().err
 
+    def test_unknown_controller_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("compare", "--cases", "case1", "--controllers", "gcc,bbr")
+        assert exc.value.code == 2
+        assert "--controllers: expected one of" in capsys.readouterr().err
+
     def test_bad_seed_count(self, capsys):
         assert run_cli(
             "compare", "--cases", "case1", "--controllers", "gcc", "--seeds", "0"
