@@ -189,6 +189,8 @@ def normalize_trace(
     Flooring for link use happens at pattern construction, not here, so the
     written trace preserves the exact scaled values.
     """
+    if not (math.isfinite(max_mbps) and max_mbps > 0):
+        raise ValueError(f"max_mbps must be a finite positive rate, got {max_mbps}")
     if len(samples) < 2:
         raise ValueError("normalization needs at least two samples")
     rates = [r for _, r in samples]

@@ -225,6 +225,18 @@ class TestNormalizeTrace:
         assert f"{raw}:3: non-finite rate inf" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_mbps", ["nan", "inf", "-1", "0"])
+    def test_bad_max_mbps_fails(self, tmp_path, capsys, max_mbps):
+        raw = tmp_path / "raw.csv"
+        write_trace_csv(str(raw), [(0, 10.0), (1_000_000, 30.0)])
+        out = tmp_path / "norm.csv"
+        code = run_cli(
+            "normalize-trace", "--in", str(raw), "--out", str(out), "--max-mbps", max_mbps
+        )
+        assert code == 1
+        assert "max_mbps must be a finite positive rate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_degenerate_trace_fails(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         write_trace_csv(str(raw), [(0, 2.0), (1_000_000, 2.0)])
