@@ -1,13 +1,45 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from l4sim.aqm import DualPi2, DualPi2Config
 from l4sim.core import EcnCodepoint, FeedbackReport, Packet, apply_ce_mark
 
 
 def make_packet(ecn=EcnCodepoint.ECT1, seq=0, size=1200):
     return Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=0)
+
+
+def classify(ecn):
+    """The FIFO a fresh DualPi2 puts a packet of this codepoint in: 'L' or 'C'."""
+    aqm = DualPi2(DualPi2Config(), random.Random(1))
+    aqm.enqueue(make_packet(ecn=ecn), 0)
+    queues = [name for name, q in (("L", aqm.l_queue), ("C", aqm.c_queue)) if q.entries]
+    assert len(queues) == 1
+    return queues[0]
+
+
+class TestClassifyFlow:
+    def test_ect1_is_low_latency(self):
+        assert classify(EcnCodepoint.ECT1) == "L"
+
+    def test_ect0_is_classic(self):
+        assert classify(EcnCodepoint.ECT0) == "C"
+
+    def test_not_ect_is_classic(self):
+        assert classify(EcnCodepoint.NOT_ECT) == "C"
+
+    def test_ce_is_low_latency(self):
+        # RFC 9331: a node classifies CE as L4S by default
+        assert classify(EcnCodepoint.CE) == "L"
+
+    @given(st.sampled_from(list(EcnCodepoint)))
+    def test_total_and_pure(self, ecn):
+        first = classify(ecn)
+        assert first in ("L", "C")
+        assert classify(ecn) == first
 
 
 class TestApplyCeMark:
