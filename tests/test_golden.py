@@ -12,8 +12,11 @@ The preset runs never fill a 375 kB queue and use one ECN mode each, so two
 further groups lock the branches they miss: case3 runs behind a 6 kB queue
 (overflow drops, DropTail in the engine), and a seeded call sequence on each
 queue discipline with mixed traffic (coupled marks, classic random drops,
-the time-shifted scheduler with both queues occupied). A last group locks the
-two output formats of `l4sim compare`.
+the time-shifted scheduler with both queues occupied). A group of longer runs
+reaches what no 10 s run does: case2 across the square wave's capacity steps
+at 10 s and 20 s, and case3 `gcc` long enough for classic random drops and
+their repairs, at two seeds that differ there. A last group locks the two
+output formats of `l4sim compare`.
 """
 
 import dataclasses
@@ -107,6 +110,40 @@ def small_queue_digests(kind: ControllerKind, aqm: str) -> dict[str, str]:
 def test_small_queue_outputs_match_golden_digests(kind, aqm):
     stored = load_digests()["small_queue_runs"]
     assert small_queue_digests(kind, aqm) == stored[small_queue_key(kind, aqm)]
+
+
+# -- long runs: capacity steps, classic random drops and repairs --------------
+
+LONG_RUNS = (
+    ("case2", ControllerKind.GCC, 1, 30.0),
+    ("case2", ControllerKind.L4S_GCC, 1, 30.0),
+    ("case3", ControllerKind.GCC, 1, 120.0),
+    ("case3", ControllerKind.GCC, 2, 120.0),
+)
+
+
+def long_run_key(case: str, kind: ControllerKind, seed: int, duration_s: float) -> str:
+    return f"{case}/{kind.value}/{seed}/{duration_s:g}s"
+
+
+def long_run_digests(case: str, kind: ControllerKind, seed: int, duration_s: float) -> dict:
+    return scenario_digests(preset_scenario(case, kind, seed=seed, duration_s=duration_s))
+
+
+@pytest.mark.parametrize(
+    "case, kind, seed, duration_s", LONG_RUNS, ids=[long_run_key(*run) for run in LONG_RUNS]
+)
+def test_long_run_outputs_match_golden_digests(case, kind, seed, duration_s):
+    stored = load_digests()["long_runs"]
+    assert long_run_digests(case, kind, seed, duration_s) == stored[
+        long_run_key(case, kind, seed, duration_s)
+    ]
+
+
+def test_long_case3_seeds_differ():
+    """The two case3 seeds lock different runs, not one run twice."""
+    stored = load_digests()["long_runs"]
+    assert stored[long_run_key(*LONG_RUNS[2])] != stored[long_run_key(*LONG_RUNS[3])]
 
 
 # -- AQM call sequences: every enqueue, dequeue and PI branch -----------------
@@ -250,6 +287,7 @@ def write_digests() -> None:
         "small_queue_runs": {
             small_queue_key(*pair): small_queue_digests(*pair) for pair in SMALL_QUEUE_MATRIX
         },
+        "long_runs": {long_run_key(*run): long_run_digests(*run) for run in LONG_RUNS},
         "aqm_sequences": {kind: aqm_sequence(kind)[0] for kind in AQM_KINDS},
         "comparison": {fmt: comparison_digest(fmt) for fmt in COMPARISON_FORMATS},
     }
