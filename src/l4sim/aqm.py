@@ -22,6 +22,14 @@ AqmObserver = Callable[[str, Packet, SimTime], None]
 
 DEFAULT_QUEUE_LIMIT_BYTES = 375_000
 
+# ECT(1) is L4S traffic; ECT(0) and Not-ECT are classic. A CE packet may have
+# been ECT(0) upstream, but RFC 9331 has a node classify CE as L4S by
+# default: the safe choice, as it keeps an L4S packet that was marked
+# earlier on its path in order with the rest of its flow.
+L4S_CODEPOINTS = frozenset((EcnCodepoint.ECT1, EcnCodepoint.CE))
+# A plain name: an attribute lookup on the enum class is slow.
+_CE = EcnCodepoint.CE
+
 
 @dataclass
 class DualPi2Config:
@@ -168,12 +176,7 @@ class DualPi2(_FifoDiscipline):
         self.prev_c_delay_us = c_delay
 
     def enqueue(self, packet: Packet, now: SimTime) -> None:
-        # ECT(1) is L4S traffic; ECT(0) and Not-ECT are classic. A CE packet
-        # may have been ECT(0) upstream, but RFC 9331 has a node classify CE
-        # as L4S by default: the safe choice, as it keeps an L4S packet that
-        # was marked earlier on its path in order with the rest of its flow.
-        low_latency = packet.ecn in (EcnCodepoint.ECT1, EcnCodepoint.CE)
-        (self.l_queue if low_latency else self.c_queue).offer(packet, now)
+        (self.l_queue if packet.ecn in L4S_CODEPOINTS else self.c_queue).offer(packet, now)
 
     def dequeue(self, now: SimTime) -> Optional[Packet]:
         """Pop the next packet to put on the wire, applying mark/drop logic.
@@ -184,6 +187,9 @@ class DualPi2(_FifoDiscipline):
         the scheduling decision is re-evaluated; each loop iteration removes
         a packet, so the call is O(drops + 1). A packet that arrived CE
         leaves CE at the marking point, uncounted (RFC 9332).
+
+        The coupled probability is drawn on only when ``p_base > 0``, which
+        is when ``min(1, k * p_base) > 0``, as ``k >= 1``.
         """
         cfg = self.config
         l_queue, c_queue = self.l_queue, self.c_queue
@@ -192,21 +198,29 @@ class DualPi2(_FifoDiscipline):
             if not c_entries or (
                 l_entries and l_entries[0][1] - cfg.time_shift_us <= c_entries[0][1]
             ):
-                packet, enqueued_at = l_queue.pop()
+                packet, enqueued_at = l_entries.popleft()
+                l_queue.bytes -= packet.size_bytes
+                l_queue.dequeued += 1
                 if (
                     now - enqueued_at > cfg.l4s_step_threshold_us
-                    or ((p := self.p_l4s_coupled) > 0.0 and self._rng.random() < p)
-                ) and packet.ecn is not EcnCodepoint.CE:
+                    or (
+                        self.p_base > 0.0
+                        and self._rng.random() < min(1.0, cfg.coupling_k * self.p_base)
+                    )
+                ) and packet.ecn is not _CE:
                     packet = apply_ce_mark(packet)
                     l_queue.marked += 1
                     if self._observer:
                         self._observer("mark", packet, now)
                 return packet
-            p = self.p_classic
+            p = self.p_base * self.p_base
             if p > 0.0 and self._rng.random() < p:
                 c_queue.drop_head(now)
                 continue
-            return c_queue.pop()[0]
+            packet = c_entries.popleft()[0]
+            c_queue.bytes -= packet.size_bytes
+            c_queue.dequeued += 1
+            return packet
         return None
 
 

@@ -185,6 +185,8 @@ def run_comparison(
     """
     if not cases or not controllers or not seeds:
         raise ValueError("cases, controllers, and seeds must be non-empty")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = [(case, controller.value) for case in cases for controller in controllers]
     jobs = [(case, controller, seed, duration_s) for case, controller in cells for seed in seeds]
     if workers > 1:

@@ -23,6 +23,10 @@ from .core import EcnCodepoint, FeedbackReport, Packet, SimTime, US_PER_S
 # Observer callback: (event, value_us, now). Events: "stall_begin", "stall_end".
 PlayoutObserver = Callable[[str, int, SimTime], None]
 
+# Enum members as plain names: an attribute lookup on the enum class costs
+# more than the rest of a codepoint test on the per-packet path.
+_ECT1, _CE = EcnCodepoint.ECT1, EcnCodepoint.CE
+
 
 @dataclass
 class SourceConfig:
@@ -75,26 +79,24 @@ class MediaSource:
             )
         frame_bytes = int(round(target_bps / cfg.fps / 8))
         frame_bytes = max(1, frame_bytes)
-        n_packets = -(-frame_bytes // cfg.mtu_bytes)  # ceil div
+        mtu = cfg.mtu_bytes
+        n_packets = -(-frame_bytes // mtu)  # ceil div
+        last_size = frame_bytes - (n_packets - 1) * mtu
         frame_id = self.next_frame
         self.next_frame += 1
         interval = self.frame_interval_us()
+        ecn = cfg.ecn_mode
+        sent = self._sent
+        seq = self.next_seq
+        self.next_seq += n_packets
         packets: list[Packet] = []
-        remaining = frame_bytes
         for i in range(n_packets):
-            size = min(cfg.mtu_bytes, remaining)
-            remaining -= size
-            packet = Packet(
-                seq=self.next_seq,
-                size_bytes=size,
-                ecn=cfg.ecn_mode,
-                sent_at=now + (i * interval) // n_packets,
-                frame_id=frame_id,
-                frame_packet_count=n_packets,
+            size = mtu if i < n_packets - 1 else last_size
+            packets.append(
+                Packet(seq, size, ecn, now + (i * interval) // n_packets, frame_id, n_packets)
             )
-            self._sent[packet.seq] = (size, frame_id, n_packets)
-            self.next_seq += 1
-            packets.append(packet)
+            sent[seq] = (size, frame_id, n_packets)
+            seq += 1
         return packets
 
     def size_of(self, seq: int) -> int:
@@ -208,20 +210,23 @@ class Receiver:
         above = self._above_watermark
         if seq == self._watermark:
             seq_next = seq + 1
-            while seq_next in above:
-                above.remove(seq_next)
-                seq_next += 1
+            if above:
+                while seq_next in above:
+                    above.remove(seq_next)
+                    seq_next += 1
             self._watermark = seq_next
         elif seq < self._watermark or seq in above:
             return None  # duplicate: counted once, ignored afterwards
         else:
             above.add(seq)
-        self._outstanding_lost.pop(seq, None)
+        if self._outstanding_lost:
+            self._outstanding_lost.pop(seq, None)
 
         self._received += 1
-        if packet.ecn is EcnCodepoint.ECT1:
+        ecn = packet.ecn
+        if ecn is _ECT1:
             self._ect1 += 1
-        elif packet.ecn is EcnCodepoint.CE:
+        elif ecn is _CE:
             self._ce += 1
         if not packet.is_retransmit:
             self._samples.append((seq, packet.sent_at, now))
@@ -229,8 +234,8 @@ class Receiver:
 
         if seq > self._highest_seq:
             # In-order links: any gap below the new highest is a loss.
-            for missing in range(self._highest_seq + 1, seq):
-                self._pending_lost.append(missing)
+            if seq > self._highest_seq + 1:
+                self._pending_lost.extend(range(self._highest_seq + 1, seq))
             self._highest_seq = seq
 
         if packet.frame_id is None:

@@ -85,6 +85,19 @@ def capacity_at(pattern: CapacityPattern, t_us: SimTime) -> float:
     return samples[bisect_right(samples, (t_us, math.inf)) - 1][1] * 1e6
 
 
+def _segment_bounds(pattern: CapacityPattern, t_us: SimTime) -> tuple[SimTime, float]:
+    """The span [start, end) around t over which the rate stays constant."""
+    if isinstance(pattern, Constant):
+        return 0, math.inf
+    if isinstance(pattern, SquareWave):
+        half = pattern.half_period_us
+        start = t_us // half * half
+        return start, start + half
+    samples = pattern.samples
+    i = bisect_right(samples, (t_us, math.inf))
+    return samples[i - 1][0], samples[i][0] if i < len(samples) else math.inf
+
+
 def average_capacity_bps(pattern: CapacityPattern, duration_us: SimTime) -> float:
     """Time-average of the capacity pattern over [0, duration], exact
     piecewise integral."""
@@ -147,6 +160,9 @@ class ForwardLink:
     Delivery times are clamped monotone so the receiver never sees
     reordering, even under jitter: its loss detection reads any sequence gap
     as a loss.
+
+    The link keeps the capacity segment it last looked up, so `capacity_at`
+    runs once per capacity step rather than once per packet.
     """
 
     def __init__(
@@ -163,10 +179,16 @@ class ForwardLink:
         self.jitter = jitter
         self._rng = rng
         self._last_delivery: SimTime = 0
+        # Rate in bits/s over [_segment_start, _segment_end); empty at first.
+        self._rate = 0.0
+        self._segment_start: SimTime = 0
+        self._segment_end: float = 0
 
     def serialization_us(self, size_bytes: int, now: SimTime) -> SimTime:
-        rate = capacity_at(self.capacity, now)
-        return int(round(size_bytes * 8 * US_PER_S / rate))
+        if not self._segment_start <= now < self._segment_end:
+            self._rate = capacity_at(self.capacity, now)
+            self._segment_start, self._segment_end = _segment_bounds(self.capacity, now)
+        return int(round(size_bytes * 8 * US_PER_S / self._rate))
 
     def deliver(self, wire_exit: SimTime) -> SimTime:
         """Delivery time of a packet whose last bit leaves the link at

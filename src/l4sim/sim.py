@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import itertools
 import math
 import random
 import struct
@@ -236,7 +237,8 @@ class _Engine:
         self.target_bps = bounds.clamp(scenario.source.start_bitrate_bps)
 
         self.heap: list[tuple[SimTime, int, int, object]] = []
-        self._tie = 0
+        # Heap ties in push order, so equal-due events run in that order.
+        self._next_tie = itertools.count(1).__next__
         self.link_busy = False
         self.sent = 0
         self.delivered = 0
@@ -250,49 +252,20 @@ class _Engine:
     def _playout_event(self, event: str, value: int, now: SimTime) -> None:
         self.rows.record((now, _EVENT_CODE[event], value))
 
-    # -- event plumbing -----------------------------------------------------
+    # -- event handlers -----------------------------------------------------
+    # Sends, service ends and deliveries, the per-packet events, are handled
+    # in `run` itself; the handlers below run once per frame, report or tick.
 
     def _push(self, due: SimTime, kind: int, payload: object = None) -> None:
-        self._tie += 1
-        heapq.heappush(self.heap, (due, self._tie, kind, payload))
-
-    def _try_service(self, now: SimTime) -> None:
-        """Start serving the head packet, if any; the link must be idle."""
-        packet = self.aqm.dequeue(now)
-        if packet is None:
-            return
-        self.link_busy = True
-        wire_exit = now + self.link.serialization_us(packet.size_bytes, now)
-        self._push(wire_exit, _SERVICE_END)
-        self.in_transit += 1
-        self._push(self.link.deliver(wire_exit), _DELIVER, packet)
-
-    def _send(self, now: SimTime, packet: Packet) -> None:
-        self.sent += 1
-        if self.rows is not None:
-            self.rows.record((now, _ROW_SEND, packet.seq))
-        self.aqm.enqueue(packet, now)
-        if not self.link_busy:
-            self._try_service(now)
-
-    # -- event handlers -----------------------------------------------------
+        heapq.heappush(self.heap, (due, self._next_tie(), kind, payload))
 
     def _on_encode(self, now: SimTime) -> None:
-        packets = self.source.encode_tick(self.target_bps, now)
-        for packet in packets:
-            self._push(packet.sent_at, _SEND, packet)
+        heap, push, tie = self.heap, heapq.heappush, self._next_tie
+        for packet in self.source.encode_tick(self.target_bps, now):
+            push(heap, (packet.sent_at, tie(), _SEND, packet))
         next_tick = (self.source.next_frame * 1_000_000) // self.sc.source.fps
         if next_tick <= self.end_us:
             self._push(next_tick, _ENCODE)
-
-    def _on_deliver(self, now: SimTime, packet: Packet) -> None:
-        self.in_transit -= 1
-        self.delivered += 1
-        if self.rows is not None:
-            self.rows.record((now, _ROW_DELIVER, packet.seq))
-        playout_at = self.receiver.on_packet(packet, now)
-        if playout_at is not None:
-            self._push(playout_at, _PLAYOUT)
 
     def _on_fb_build(self, now: SimTime) -> None:
         report = self.receiver.build_feedback(now)
@@ -301,15 +274,16 @@ class _Engine:
         if self.rows is not None:
             self.rows.pack()
 
-    def _on_fb_arrive(self, now: SimTime, report) -> None:
+    def _on_fb_arrive(self, now: SimTime, report) -> list[Packet]:
+        """Update the controller; returns the repairs to send now, in order."""
         new_target = self.controller.update(report, now)
         if new_target != self.target_bps:
             self.target_bps = new_target
             if self.rows is not None:
                 self.rows.record((now, _ROW_RATE, new_target))
-        for seq in report.lost_seqs:
-            self._send(now, self.source.make_retransmit(seq, now))
+        repairs = [self.source.make_retransmit(seq, now) for seq in report.lost_seqs]
         self.source.forget_below(report.received_below)
+        return repairs
 
     def _on_playout(self, now: SimTime) -> None:
         next_at = self.receiver.playout_tick(now)
@@ -326,29 +300,70 @@ class _Engine:
 
         heap = self.heap
         end = self.end_us
-        pop = heapq.heappop
-        while heap:
-            due, _tie, kind, payload = pop(heap)
-            if due > end:
-                break
+        pop, push, tie = heapq.heappop, heapq.heappush, self._next_tie
+        # Bound once, after any wrapping of these methods on their classes.
+        enqueue, dequeue = self.aqm.enqueue, self.aqm.dequeue
+        serialization_us, deliver = self.link.serialization_us, self.link.deliver
+        on_packet = self.receiver.on_packet
+        record = self.rows.record if self.rows is not None else None
+        sent, delivered, in_transit, link_busy = (
+            self.sent, self.delivered, self.in_transit, self.link_busy
+        )
+        # Repairs from the last feedback report, last one first. Each goes
+        # through the send branch at the report's arrival time before the
+        # next event is popped, as a send event would.
+        repairs: list[Packet] = []
+        while heap or repairs:
+            if repairs:
+                kind, payload = _SEND, repairs.pop()
+            else:
+                due, _tie, kind, payload = pop(heap)
+                if due > end:
+                    break
+            if kind == _DELIVER:
+                in_transit -= 1
+                delivered += 1
+                if record is not None:
+                    record((due, _ROW_DELIVER, payload.seq))
+                playout_at = on_packet(payload, due)
+                if playout_at is not None:
+                    push(heap, (playout_at, tie(), _PLAYOUT, None))
+                continue
             if kind == _SEND:
-                self._send(due, payload)
-            elif kind == _DELIVER:
-                self._on_deliver(due, payload)
+                sent += 1
+                if record is not None:
+                    record((due, _ROW_SEND, payload.seq))
+                enqueue(payload, due)
+                if link_busy:
+                    continue
             elif kind == _SERVICE_END:
-                self.link_busy = False
-                self._try_service(due)
-            elif kind == _ENCODE:
-                self._on_encode(due)
-            elif kind == _FB_BUILD:
-                self._on_fb_build(due)
-            elif kind == _FB_ARRIVE:
-                self._on_fb_arrive(due, payload)
-            elif kind == _PI2:
-                self.aqm.pi2_update(due)
-                self._push(due + self._pi2_period, _PI2)
-            else:  # _PLAYOUT
-                self._on_playout(due)
+                link_busy = False
+            else:
+                if kind == _ENCODE:
+                    self._on_encode(due)
+                elif kind == _FB_BUILD:
+                    self._on_fb_build(due)
+                elif kind == _FB_ARRIVE:
+                    repairs = self._on_fb_arrive(due, payload)
+                    repairs.reverse()
+                elif kind == _PI2:
+                    self.aqm.pi2_update(due)
+                    push(heap, (due + self._pi2_period, tie(), _PI2, None))
+                else:  # _PLAYOUT
+                    self._on_playout(due)
+                continue
+            # The link is idle: start serving the head packet, if any.
+            packet = dequeue(due)
+            if packet is None:
+                continue
+            link_busy = True
+            wire_exit = due + serialization_us(packet.size_bytes, due)
+            push(heap, (wire_exit, tie(), _SERVICE_END, None))
+            in_transit += 1
+            push(heap, (deliver(wire_exit), tie(), _DELIVER, packet))
+        self.sent, self.delivered, self.in_transit, self.link_busy = (
+            sent, delivered, in_transit, link_busy
+        )
 
         self.receiver.finalize(end)
         audit = RunAudit(

@@ -206,6 +206,17 @@ class TestCompare:
             "compare", "--cases", "case1", "--controllers", "gcc", "--seeds", "0"
         ) == 1
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_fails(self, tmp_path, capsys, workers):
+        out = tmp_path / "table.csv"
+        code = run_cli(
+            "compare", "--cases", "case1", "--controllers", "gcc", "--seeds", "1",
+            "--workers", workers, "--out", str(out),
+        )  # fmt: skip
+        assert code == 1
+        assert f"l4sim: error: workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNormalizeTrace:
     def test_normalizes_file(self, tmp_path):

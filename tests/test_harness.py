@@ -167,6 +167,11 @@ class TestRunComparison:
         with pytest.raises(ValueError):
             run_comparison([], [ControllerKind.GCC], seeds=[1])
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            run_comparison(["case1"], [ControllerKind.GCC], seeds=[1], workers=workers)
+
 
 class TestEmission:
     def make_rows(self):

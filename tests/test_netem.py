@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from l4sim import netem
+from l4sim.core import US_PER_S
 from l4sim.netem import (
     Constant,
     ForwardLink,
@@ -193,6 +195,65 @@ class TestDeliver:
             when = link.deliver(i * 100 + link.serialization_us(300, i * 100))
             assert when >= last
             last = when
+
+
+@st.composite
+def patterns_and_times(draw):
+    """A capacity pattern of any kind and a sequence of query times that
+    steps back and lands exactly on, and one microsecond either side of,
+    the pattern's segment boundaries."""
+    kind = draw(st.sampled_from(("constant", "square", "trace")))
+    if kind == "constant":
+        pattern = Constant(draw(st.floats(0.1, 100)))
+        boundaries = [0]
+    elif kind == "square":
+        half = draw(st.integers(1, 10**7))
+        pattern = SquareWave(draw(st.floats(0.1, 10)), draw(st.floats(0.1, 10)), half)
+        boundaries = [k * half for k in range(6)]
+    else:
+        pattern, _ = draw(trace_queries())
+        boundaries = [t for t, _ in pattern.samples]
+    near = st.sampled_from(boundaries).flatmap(
+        lambda b: st.sampled_from((b - 1, b, b + 1)).filter(lambda t: t >= 0)
+    )
+    times = draw(st.lists(st.one_of(near, st.integers(0, boundaries[-1] + 10**8)), max_size=40))
+    for b in draw(st.lists(st.sampled_from(boundaries), min_size=1, max_size=3)):
+        times += [b, max(0, b - 1), b]  # onto a boundary, back one, and forward
+    return pattern, times
+
+
+class TestSegmentCache:
+    """The link keeps the rate segment it last looked up; every answer must
+    be the one a fresh capacity lookup gives."""
+
+    @given(query=patterns_and_times())
+    @example(query=(STEPS, [9_000, 4_999, 5_000, 0, 8_999, 9_000, 10**9, 5_000]))
+    def test_matches_fresh_lookup(self, query):
+        pattern, times = query
+        link = ForwardLink(pattern, 6_000, None)
+        for t in times:
+            for size in (1, 1_200):
+                expected = int(round(size * 8 * US_PER_S / capacity_at(pattern, t)))
+                assert link.serialization_us(size, t) == expected
+
+    def test_one_lookup_per_capacity_step(self, monkeypatch):
+        calls = []
+
+        def counting(pattern, t_us):
+            calls.append(t_us)
+            return capacity_at(pattern, t_us)
+
+        monkeypatch.setattr(netem, "capacity_at", counting)
+        link = ForwardLink(SquareWave(1.0, 2.0, 1_000_000), 6_000, None)
+        for t in range(0, 3_000_000, 1_000):
+            link.serialization_us(1_200, t)
+        assert calls == [0, 1_000_000, 2_000_000]
+
+    def test_negative_time_rejected(self):
+        link = ForwardLink(Constant(1.0), 6_000, None)
+        link.serialization_us(1_200, 5)
+        with pytest.raises(ValueError):
+            link.serialization_us(1_200, -1)
 
 
 class TestNormalizeTrace:

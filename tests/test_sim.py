@@ -1,12 +1,14 @@
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+from l4sim.aqm import DualPi2
 from l4sim.cc import ControllerKind
 from l4sim.core import EcnCodepoint
 from l4sim.harness import preset_scenario
-from l4sim.media import SourceConfig
-from l4sim.netem import Constant
+from l4sim.media import Receiver, SourceConfig
+from l4sim.netem import Constant, ForwardLink
 from l4sim.sim import (
     TIMELINE_EVENTS,
     Scenario,
@@ -63,6 +65,36 @@ class TestConservation:
             + log.audit.in_queue
             + log.audit.in_transit
         )
+
+
+class TestEntryPointBoundaries:
+    """The engine calls the per-packet entry points of the AQM, the link and
+    the receiver through their classes, once per packet event, so wrappers
+    set on the classes before a run (as the benchmark's tracer sets them)
+    see every call."""
+
+    def test_wrappers_see_every_per_packet_call(self, monkeypatch):
+        calls = Counter()
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(DualPi2, "enqueue")
+        counting(ForwardLink, "serialization_us")
+        counting(ForwardLink, "deliver")
+        counting(Receiver, "on_packet")
+        _, log = run_scenario(short("case4c", ControllerKind.L4S_GCC, duration=10.0))
+        audit = log.audit
+        assert audit.sent > 0 and audit.in_transit > 0
+        assert calls["enqueue"] == audit.sent
+        assert calls["serialization_us"] == calls["deliver"] == audit.delivered + audit.in_transit
+        assert calls["on_packet"] == audit.delivered
 
 
 class TestDegeneratePath:
