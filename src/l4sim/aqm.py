@@ -26,7 +26,7 @@ DEFAULT_QUEUE_LIMIT_BYTES = 375_000
 # been ECT(0) upstream, but RFC 9331 has a node classify CE as L4S by
 # default: the safe choice, as it keeps an L4S packet that was marked
 # earlier on its path in order with the rest of its flow.
-L4S_CODEPOINTS = frozenset((EcnCodepoint.ECT1, EcnCodepoint.CE))
+_L4S_CODEPOINTS = frozenset((EcnCodepoint.ECT1, EcnCodepoint.CE))
 # A plain name: an attribute lookup on the enum class is slow.
 _CE = EcnCodepoint.CE
 
@@ -176,7 +176,7 @@ class DualPi2(_FifoDiscipline):
         self.prev_c_delay_us = c_delay
 
     def enqueue(self, packet: Packet, now: SimTime) -> None:
-        (self.l_queue if packet.ecn in L4S_CODEPOINTS else self.c_queue).offer(packet, now)
+        (self.l_queue if packet.ecn in _L4S_CODEPOINTS else self.c_queue).offer(packet, now)
 
     def dequeue(self, now: SimTime) -> Optional[Packet]:
         """Pop the next packet to put on the wire, applying mark/drop logic.
