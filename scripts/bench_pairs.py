@@ -33,12 +33,13 @@ def metric_directions(benchmark: Path) -> dict[str, str]:
     return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One end-to-end benchmark run; returns its last output line, parsed."""
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
+    """One end-to-end benchmark run of the benchmark's own length; returns
+    its last output line, parsed."""
     proc = subprocess.run(
         [
             sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+            "--seed", str(seed), "--trace", "0",
         ],
         cwd=checkout,
         capture_output=True,
@@ -95,7 +96,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0, help="seconds per run")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     for k in range(args.pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         result = {
-            side: run_once(getattr(args, side), args.workload, args.seed, args.seconds)
+            side: run_once(getattr(args, side), args.workload, args.seed)
             for side in order
         }
         pairs.append((result["parent"], result["change"]))
