@@ -70,32 +70,29 @@ class TracePattern:
 CapacityPattern = Union[Constant, SquareWave, TracePattern]
 
 
-def capacity_at(pattern: CapacityPattern, t_us: SimTime) -> float:
-    """Link rate in bits/s at time t (t >= 0)."""
+def capacity_segment(pattern: CapacityPattern, t_us: SimTime) -> tuple[float, SimTime, float]:
+    """The link rate in bits/s at time t (t >= 0), and the span [start, end)
+    around t over which that rate holds."""
     if t_us < 0:
         raise ValueError("time must be non-negative")
     if isinstance(pattern, Constant):
-        return pattern.mbps * 1e6
+        return pattern.mbps * 1e6, 0, math.inf
     if isinstance(pattern, SquareWave):
-        phase = (t_us // pattern.half_period_us) % 2
-        return (pattern.high_mbps if phase else pattern.low_mbps) * 1e6
+        half = pattern.half_period_us
+        step = t_us // half
+        rate = pattern.high_mbps if step % 2 else pattern.low_mbps
+        return rate * 1e6, step * half, (step + 1) * half
     # TracePattern: step-hold. Times are strictly increasing, so the
     # (t, inf) sentinel sorts just after the last sample at or before t.
     samples = pattern.samples
-    return samples[bisect_right(samples, (t_us, math.inf)) - 1][1] * 1e6
-
-
-def _segment_bounds(pattern: CapacityPattern, t_us: SimTime) -> tuple[SimTime, float]:
-    """The span [start, end) around t over which the rate stays constant."""
-    if isinstance(pattern, Constant):
-        return 0, math.inf
-    if isinstance(pattern, SquareWave):
-        half = pattern.half_period_us
-        start = t_us // half * half
-        return start, start + half
-    samples = pattern.samples
     i = bisect_right(samples, (t_us, math.inf))
-    return samples[i - 1][0], samples[i][0] if i < len(samples) else math.inf
+    start, mbps = samples[i - 1]
+    return mbps * 1e6, start, samples[i][0] if i < len(samples) else math.inf
+
+
+def capacity_at(pattern: CapacityPattern, t_us: SimTime) -> float:
+    """Link rate in bits/s at time t (t >= 0)."""
+    return capacity_segment(pattern, t_us)[0]
 
 
 def average_capacity_bps(pattern: CapacityPattern, duration_us: SimTime) -> float:
@@ -161,8 +158,9 @@ class ForwardLink:
     reordering, even under jitter: its loss detection reads any sequence gap
     as a loss.
 
-    The link keeps the capacity segment it last looked up, so `capacity_at`
-    runs once per capacity step rather than once per packet.
+    The link keeps the capacity segment it last looked up, so
+    `capacity_segment` runs once per capacity step rather than once per
+    packet.
     """
 
     def __init__(
@@ -186,8 +184,9 @@ class ForwardLink:
 
     def serialization_us(self, size_bytes: int, now: SimTime) -> SimTime:
         if not self._segment_start <= now < self._segment_end:
-            self._rate = capacity_at(self.capacity, now)
-            self._segment_start, self._segment_end = _segment_bounds(self.capacity, now)
+            self._rate, self._segment_start, self._segment_end = capacity_segment(
+                self.capacity, now
+            )
         return int(round(size_bytes * 8 * US_PER_S / self._rate))
 
     def deliver(self, wire_exit: SimTime) -> SimTime:

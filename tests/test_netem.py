@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from l4sim.netem import (
     TracePattern,
     average_capacity_bps,
     capacity_at,
+    capacity_segment,
     load_trace_csv,
     normalize_trace,
     sample_jitter,
@@ -236,14 +238,23 @@ class TestSegmentCache:
                 expected = int(round(size * 8 * US_PER_S / capacity_at(pattern, t)))
                 assert link.serialization_us(size, t) == expected
 
+    @given(query=patterns_and_times())
+    def test_segment_holds_its_rate(self, query):
+        pattern, times = query
+        for t in times:
+            rate, start, end = capacity_segment(pattern, t)
+            assert start <= t < end
+            last = t + 10**9 if end == math.inf else end - 1
+            assert capacity_at(pattern, start) == capacity_at(pattern, last) == rate
+
     def test_one_lookup_per_capacity_step(self, monkeypatch):
         calls = []
 
         def counting(pattern, t_us):
             calls.append(t_us)
-            return capacity_at(pattern, t_us)
+            return capacity_segment(pattern, t_us)
 
-        monkeypatch.setattr(netem, "capacity_at", counting)
+        monkeypatch.setattr(netem, "capacity_segment", counting)
         link = ForwardLink(SquareWave(1.0, 2.0, 1_000_000), 6_000, None)
         for t in range(0, 3_000_000, 1_000):
             link.serialization_us(1_200, t)
