@@ -198,29 +198,21 @@ class DualPi2(_FifoDiscipline):
             if not c_entries or (
                 l_entries and l_entries[0][1] - cfg.time_shift_us <= c_entries[0][1]
             ):
-                packet, enqueued_at = l_entries.popleft()
-                l_queue.bytes -= packet.size_bytes
-                l_queue.dequeued += 1
+                packet, enqueued_at = l_queue.pop()
                 if (
                     now - enqueued_at > cfg.l4s_step_threshold_us
-                    or (
-                        self.p_base > 0.0
-                        and self._rng.random() < min(1.0, cfg.coupling_k * self.p_base)
-                    )
+                    or (self.p_base > 0.0 and self._rng.random() < self.p_l4s_coupled)
                 ) and packet.ecn is not _CE:
                     packet = apply_ce_mark(packet)
                     l_queue.marked += 1
                     if self._observer:
                         self._observer("mark", packet, now)
                 return packet
-            p = self.p_base * self.p_base
+            p = self.p_classic
             if p > 0.0 and self._rng.random() < p:
                 c_queue.drop_head(now)
                 continue
-            packet = c_entries.popleft()[0]
-            c_queue.bytes -= packet.size_bytes
-            c_queue.dequeued += 1
-            return packet
+            return c_queue.pop()[0]
         return None
 
 
