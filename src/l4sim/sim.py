@@ -15,7 +15,7 @@ import itertools
 import math
 import random
 import struct
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import starmap
 from typing import Iterator
@@ -239,7 +239,6 @@ class _Engine:
         self.heap: list[tuple[SimTime, int, int, object]] = []
         # Heap ties in push order, so equal-due events run in that order.
         self._next_tie = itertools.count(1).__next__
-        self.link_busy = False
         self.sent = 0
         self.delivered = 0
         self.in_transit = 0
@@ -254,7 +253,8 @@ class _Engine:
 
     # -- event handlers -----------------------------------------------------
     # Sends, service ends and deliveries, the per-packet events, are handled
-    # in `run` itself; the handlers below run once per frame, report or tick.
+    # in `run` itself (DECISIONS.md entries 8 and 9); the handlers below run
+    # once per frame, report or tick.
 
     def _push(self, due: SimTime, kind: int, payload: object = None) -> None:
         heapq.heappush(self.heap, (due, self._next_tie(), kind, payload))
@@ -306,38 +306,65 @@ class _Engine:
         serialization_us, deliver = self.link.serialization_us, self.link.deliver
         on_packet = self.receiver.on_packet
         record = self.rows.record if self.rows is not None else None
-        sent, delivered, in_transit, link_busy = (
-            self.sent, self.delivered, self.in_transit, self.link_busy
-        )
+        sent, delivered, in_transit = self.sent, self.delivered, self.in_transit
+        # Packets on the wire as (delivery time, tie, packet). The link never
+        # moves a delivery earlier than the one before it and ties rise, so
+        # this FIFO is in event order: each delivery runs just before the
+        # first heap event with a larger key.
+        flight: deque[tuple[SimTime, int, Packet]] = deque()
+        land, next_landing = flight.append, flight.popleft
+        # The link is busy while a service end is pending. `backlog` counts
+        # the sends enqueued behind a busy link and not yet served, an upper
+        # bound on what the AQM holds; while it is non-zero the service end
+        # is on the heap. While it is zero the AQM is empty, so the service
+        # end would find nothing to serve: its key `(wire exit, tie)` stays
+        # off the heap as `quiet` until a send arrives before it.
+        backlog = 0
+        quiet: tuple[SimTime, int] | None = None
         # Repairs from the last feedback report, last one first. Each goes
-        # through the send branch at the report's arrival time before the
-        # next event is popped, as a send event would.
+        # through the send branch at the report's arrival time, under the
+        # report's key `event`, before the next event is popped.
         repairs: list[Packet] = []
-        while heap or repairs:
+        while True:
             if repairs:
                 kind, payload = _SEND, repairs.pop()
             else:
-                due, _tie, kind, payload = pop(heap)
+                # The feedback build re-arms itself, so the heap never empties.
+                head = heap[0]
+                while flight and flight[0] < head:
+                    at, _tie, packet = next_landing()
+                    if at > end:
+                        break  # the heap head is later still: the run ends below
+                    in_transit -= 1
+                    delivered += 1
+                    if record is not None:
+                        record((at, _ROW_DELIVER, packet.seq))
+                    playout_at = on_packet(packet, at)
+                    if playout_at is not None:
+                        push(heap, (playout_at, tie(), _PLAYOUT, None))
+                        head = heap[0]
+                due, _tie, kind, payload = event = pop(heap)
                 if due > end:
                     break
-            if kind == _DELIVER:
-                in_transit -= 1
-                delivered += 1
-                if record is not None:
-                    record((due, _ROW_DELIVER, payload.seq))
-                playout_at = on_packet(payload, due)
-                if playout_at is not None:
-                    push(heap, (playout_at, tie(), _PLAYOUT, None))
-                continue
             if kind == _SEND:
                 sent += 1
                 if record is not None:
                     record((due, _ROW_SEND, payload.seq))
                 enqueue(payload, due)
-                if link_busy:
+                if backlog:
+                    backlog += 1
                     continue
+                if quiet is not None:
+                    if event < quiet:
+                        # The packet waits behind the service in progress,
+                        # whose end now has something to serve.
+                        push(heap, (quiet[0], quiet[1], _SERVICE_END, None))
+                        quiet = None
+                        backlog = 1
+                        continue
+                    quiet = None  # that service ended before this send
             elif kind == _SERVICE_END:
-                link_busy = False
+                backlog -= 1
             else:
                 if kind == _ENCODE:
                     self._on_encode(due)
@@ -355,15 +382,16 @@ class _Engine:
             # The link is idle: start serving the head packet, if any.
             packet = dequeue(due)
             if packet is None:
+                backlog = 0
                 continue
-            link_busy = True
             wire_exit = due + serialization_us(packet.size_bytes, due)
-            push(heap, (wire_exit, tie(), _SERVICE_END, None))
+            if backlog:
+                push(heap, (wire_exit, tie(), _SERVICE_END, None))
+            else:
+                quiet = (wire_exit, tie())
             in_transit += 1
-            push(heap, (deliver(wire_exit), tie(), _DELIVER, packet))
-        self.sent, self.delivered, self.in_transit, self.link_busy = (
-            sent, delivered, in_transit, link_busy
-        )
+            land((deliver(wire_exit), tie(), packet))
+        self.sent, self.delivered, self.in_transit = sent, delivered, in_transit
 
         self.receiver.finalize(end)
         audit = RunAudit(

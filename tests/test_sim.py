@@ -96,6 +96,22 @@ class TestEntryPointBoundaries:
         assert calls["serialization_us"] == calls["deliver"] == audit.delivered + audit.in_transit
         assert calls["on_packet"] == audit.delivered
 
+    def test_every_dequeue_serves_a_packet(self, monkeypatch):
+        # The engine tries the AQM only when it may hold a packet: on a run
+        # without drops or overflows, each dequeue puts one on the wire.
+        calls = []
+        dequeue = DualPi2.dequeue
+
+        def counting(self, now):
+            calls.append(now)
+            return dequeue(self, now)
+
+        monkeypatch.setattr(DualPi2, "dequeue", counting)
+        _, log = run_scenario(short("case4c", ControllerKind.L4S_GCC, duration=10.0))
+        audit = log.audit
+        assert audit.dropped == 0 and audit.in_transit > 0
+        assert len(calls) == audit.delivered + audit.in_transit
+
 
 class TestDegeneratePath:
     def test_uncongested_fixed_rate_flow(self):
