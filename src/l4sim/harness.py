@@ -4,7 +4,6 @@ four comparison cases, the multi-seed comparison runner, and CSV emission.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cache
@@ -190,6 +189,10 @@ def run_comparison(
     cells = [(case, controller.value) for case in cases for controller in controllers]
     jobs = [(case, controller, seed, duration_s) for case, controller in cells for seed in seeds]
     if workers > 1:
+        # Imported here: only a parallel comparison needs it, and it costs
+        # l4sim's import about a tenth of its time.
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:
