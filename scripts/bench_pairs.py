@@ -12,12 +12,18 @@ Example:
 
 The direction of each metric ("better": "higher" or "lower") comes from
 BENCHMARK.json at the root of this checkout. Standard library only.
+
+Both sides run with PYTHONDONTWRITEBYTECODE=1, and the script refuses a
+checkout that already holds `src/l4sim/__pycache__`: the set-up time
+includes compiling l4sim, so a cached side would measure less set-up than
+a fresh one.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -25,12 +31,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+BYTECODE_CACHE = Path("src", "l4sim", "__pycache__")
 
 
 def metric_directions(benchmark: Path) -> dict[str, str]:
     """End-to-end metric name -> "higher" or "lower", from BENCHMARK.json."""
     spec = json.loads(benchmark.read_text(encoding="utf-8"))
     return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+
+
+def bytecode_caches(*checkouts: Path) -> list[Path]:
+    """The l4sim bytecode caches present in the given checkouts."""
+    caches = (checkout / BYTECODE_CACHE for checkout in checkouts)
+    return [cache for cache in caches if cache.exists()]
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -42,6 +55,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
             "--seed", str(seed), "--trace", "0",
         ],
         cwd=checkout,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         check=False,
@@ -99,6 +113,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    caches = bytecode_caches(args.parent, args.change)
+    if caches:
+        parser.error(f"remove the bytecode cache first: {', '.join(map(str, caches))}")
 
     directions = metric_directions(ROOT / "BENCHMARK.json")
     pairs = []

@@ -1,6 +1,8 @@
 """The summary that `scripts/bench_pairs.py` prints for parent/change pairs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,30 @@ def test_directions_come_from_the_benchmark_file():
     directions = bench_pairs.metric_directions(SCRIPT.parents[1] / "BENCHMARK.json")
     assert directions["sim_speed"] == "higher"
     assert directions["peak_rss_mb"] == "lower"
+
+
+def test_a_bytecode_cache_in_either_checkout_stops_the_script(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (change / "src" / "l4sim" / "__pycache__").mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as stop:
+        bench_pairs.main([str(parent), str(change), "--workload", "jitter-dense"])
+    assert stop.value.code == 2
+    err = capsys.readouterr().err
+    assert str(change / "src" / "l4sim" / "__pycache__") in err
+    assert str(parent / "src") not in err
+
+
+def test_runs_write_no_bytecode(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_run(command, **kwargs):
+        seen.update(kwargs)
+        line = json.dumps({"correct": True, "metrics": {}})
+        return subprocess.CompletedProcess(command, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once(tmp_path, "jitter-dense", 1)["correct"] is True
+    assert seen["cwd"] == tmp_path
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
