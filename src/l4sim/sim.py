@@ -182,11 +182,11 @@ class TimelineLog:
                 write(f"{t},{names[code]},{value}\n")
 
 
-# Event kinds, dispatched by integer for speed.
+# Heap event kinds, dispatched by integer for speed. Deliveries are not heap
+# events: they drain from a FIFO of their own (DECISIONS.md entry 9).
 _ENCODE = 0
 _SEND = 1
 _SERVICE_END = 2
-_DELIVER = 3
 _FB_BUILD = 4
 _FB_ARRIVE = 5
 _PI2 = 6

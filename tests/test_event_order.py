@@ -3,7 +3,9 @@
 `HeapOnlyEngine` runs every event, the per-packet ones included, through
 one heap keyed by ``(due, tie)``: its `run` is the engine loop in which
 sends, service ends and deliveries are all heap events. `_Engine` must give
-the same timeline rows, metrics and audit on every scenario.
+the same timeline rows, metrics and audit on every scenario, and call the
+AQM and the receiver in the same order: some ordering faults change no
+output in this model (DECISIONS.md entry 9).
 
 The scenarios are short and built to reach the orderings a faster loop
 could get wrong: byte caps of a few kB (overflows, hence losses and
@@ -27,7 +29,6 @@ from l4sim.harness import compute_metrics
 from l4sim.media import SourceConfig
 from l4sim.netem import Constant, JitterProfile, SquareWave, TracePattern
 from l4sim.sim import (
-    _DELIVER,
     _ENCODE,
     _FB_ARRIVE,
     _FB_BUILD,
@@ -42,6 +43,9 @@ from l4sim.sim import (
     TimelineLog,
     _Engine,
 )
+
+
+_DELIVER = 3  # the delivery event's kind; the engine has no such heap event
 
 
 class HeapOnlyEngine(_Engine):
