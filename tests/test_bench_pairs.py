@@ -61,17 +61,21 @@ def test_directions_come_from_the_benchmark_file():
     assert directions["peak_rss_mb"] == "lower"
 
 
-def test_a_bytecode_cache_in_either_checkout_stops_the_script(tmp_path, monkeypatch, capsys):
-    parent, change = tmp_path / "parent", tmp_path / "change"
-    parent.mkdir()
-    (change / "src" / "l4sim" / "__pycache__").mkdir(parents=True)
+@pytest.mark.parametrize("cached", bench_pairs.SIDES)
+def test_a_bytecode_cache_in_either_checkout_stops_the_script(
+    cached, tmp_path, monkeypatch, capsys
+):
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for checkout in checkouts.values():
+        checkout.mkdir()
+    (checkouts[cached] / "src" / "l4sim" / "__pycache__").mkdir(parents=True)
     monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("a run started"))
     with pytest.raises(SystemExit) as stop:
-        bench_pairs.main([str(parent), str(change), "--workload", "jitter-dense"])
+        bench_pairs.main([str(checkouts["parent"]), str(checkouts["change"]), "--workload", "w"])
     assert stop.value.code == 2
     err = capsys.readouterr().err
-    assert str(change / "src" / "l4sim" / "__pycache__") in err
-    assert str(parent / "src") not in err
+    for side, checkout in checkouts.items():
+        assert (str(checkout / "src" / "l4sim" / "__pycache__") in err) == (side == cached)
 
 
 def test_runs_write_no_bytecode(tmp_path, monkeypatch):
