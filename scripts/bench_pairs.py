@@ -5,13 +5,22 @@ Each pair runs `perfbench/run.py --trace 0` once in each checkout, the
 parent first in even pairs and the change first in odd ones, so that a
 drift of the host's speed favours neither side. The script prints one JSON
 line: per end-to-end metric, each side's median and quartiles over the
-pairs, and in how many pairs the change did better.
+pairs, in how many pairs the change did better, and a verdict:
+
+- `gain`: the change did better in at least nine tenths of the pairs, and
+  the medians differ, in its favour, by more than the distance between the
+  parent's quartiles;
+- `regressed`: the change's median is worse than the parent's by more than
+  the metric's bound (a fraction of the parent's median);
+- `unresolved`: either side's quartile distance is wider than the bound,
+  and not every run of the change is better than every run of the parent;
+- `ok`: none of these.
 
 Example:
     python3 scripts/bench_pairs.py ../parent . --workload jitter-dense --seed 1 --pairs 10
 
-The direction of each metric ("better": "higher" or "lower") comes from
-BENCHMARK.json at the root of this checkout. Standard library only.
+The direction of each metric ("better": "higher" or "lower") and its bound
+come from BENCHMARK.json at the root of this checkout. Standard library only.
 
 Both sides run with PYTHONDONTWRITEBYTECODE=1, and the script refuses a
 checkout that already holds `src/l4sim/__pycache__`: the set-up time
@@ -34,10 +43,11 @@ SIDES = ("parent", "change")
 BYTECODE_CACHE = Path("src", "l4sim", "__pycache__")
 
 
-def metric_directions(benchmark: Path) -> dict[str, str]:
-    """End-to-end metric name -> "higher" or "lower", from BENCHMARK.json."""
+def metric_specs(benchmark: Path) -> dict[str, dict]:
+    """End-to-end metric name -> its BENCHMARK.json entry, which holds
+    `better` ("higher" or "lower") and `bound`."""
     spec = json.loads(benchmark.read_text(encoding="utf-8"))
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    return {metric["name"]: metric for metric in spec["end_to_end"]}
 
 
 def bytecode_caches(*checkouts: Path) -> list[Path]:
@@ -73,24 +83,43 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[tuple[dict, dict]], directions: dict[str, str]) -> dict:
+def verdict(values: dict[str, list[float]], row: dict, bound: float) -> str:
+    """`gain`, `regressed`, `unresolved` or `ok` for one metric (see the
+    module docstring), from each side's runs and the summary row of them."""
+    sign = 1 if row["better"] == "higher" else -1
+    parent, change = row["parent"], row["change"]
+    gap = sign * (change["median"] - parent["median"])
+    if 10 * row["change_wins"] >= 9 * len(values["parent"]) and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if gap < -bound * abs(parent["median"]):
+        return "regressed"
+    wide = any(
+        row[side]["q3"] - row[side]["q1"] > bound * abs(row[side]["median"]) for side in SIDES
+    )
+    if wide and min(sign * v for v in values["change"]) <= max(sign * v for v in values["parent"]):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(pairs: list[tuple[dict, dict]], specs: dict[str, dict]) -> dict:
     """Summarise (parent, change) pairs of run results.
 
     Each result is a benchmark output line: `correct` plus `metrics`, each
     metric a `{"value": ...}`. Per metric it gives each side's median and
-    quartiles, the ratio of the medians (change over parent), and the number
-    of pairs in which the change was strictly better.
+    quartiles, the ratio of the medians (change over parent), the number
+    of pairs in which the change was strictly better, and the verdict.
     """
     out: dict = {
         "pairs": len(pairs),
         "correct": {side: sum(run[i]["correct"] for run in pairs) for i, side in enumerate(SIDES)},
         "metrics": {},
     }
-    for name, better in directions.items():
+    for name, spec in specs.items():
         values = {
             side: [run[i]["metrics"][name]["value"] for run in pairs]
             for i, side in enumerate(SIDES)
         }
+        better = spec["better"]
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         row = {side: spread(values[side]) for side in SIDES}
@@ -99,6 +128,7 @@ def summarize(pairs: list[tuple[dict, dict]], directions: dict[str, str]) -> dic
         row["change_over_parent"] = ratio
         row["change_wins"] = wins
         row["better"] = better
+        row["verdict"] = verdict(values, row, spec["bound"])
         out["metrics"][name] = row
     return out
 
@@ -117,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     if caches:
         parser.error(f"remove the bytecode cache first: {', '.join(map(str, caches))}")
 
-    directions = metric_directions(ROOT / "BENCHMARK.json")
+    specs = metric_specs(ROOT / "BENCHMARK.json")
     pairs = []
     for k in range(args.pairs):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
@@ -127,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         pairs.append((result["parent"], result["change"]))
         print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr)
-    summary = summarize(pairs, directions)
+    summary = summarize(pairs, specs)
     summary.update(workload=args.workload, seed=args.seed)
     print(json.dumps(summary, sort_keys=True))
     return 0

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import FeedbackReport, SimTime
 
@@ -44,6 +44,7 @@ class Signal(Enum):
 GROUP_SPAN_US = 5_000
 # Retention weight of the accumulated-delay EWMA (reference estimator).
 SMOOTHING = 0.9
+_NEW_WEIGHT = 1.0 - SMOOTHING  # the weight of each new accumulated delay
 # The detector compares the slope scaled by min(sample count, this cap) and
 # threshold_gain against gamma, as in the reference estimator.
 SLOPE_COUNT_CAP = 60
@@ -137,32 +138,28 @@ def ce_fraction(report: FeedbackReport) -> float:
     return report.ce_count / total
 
 
-def _group_samples(
-    samples: Sequence[tuple[int, SimTime, SimTime]]
-) -> list[tuple[SimTime, SimTime]]:
-    """Collapse (seq, sent, arrival) samples into send-time bursts; each
-    group is represented by its last packet's (sent, arrival)."""
-    groups: list[tuple[SimTime, SimTime]] = []
-    group_first_send: SimTime | None = None
-    for _seq, sent, arrival in samples:
-        if group_first_send is None or sent - group_first_send > GROUP_SPAN_US:
-            groups.append((sent, arrival))
-            group_first_send = sent
-        else:
-            groups[-1] = (sent, arrival)
-    return groups
+def group_delay_gradients(report: FeedbackReport) -> Iterator[tuple[SimTime, float]]:
+    """Per consecutive pair of send-time bursts in the report: (the later
+    burst's arrival time, the inter-burst delay delta in us). Queue growth
+    shows up as positive deltas.
 
-
-def group_delay_gradients(report: FeedbackReport) -> list[tuple[SimTime, float]]:
-    """Per consecutive group pair: (group arrival time, inter-group delay
-    delta in us). Queue growth shows up as positive deltas."""
-    groups = _group_samples(report.arrival_samples)
-    out: list[tuple[SimTime, float]] = []
-    for i in range(1, len(groups)):
-        sent_prev, arr_prev = groups[i - 1]
-        sent_cur, arr_cur = groups[i]
-        out.append((arr_cur, float((arr_cur - arr_prev) - (sent_cur - sent_prev))))
-    return out
+    A burst holds the packets sent within GROUP_SPAN_US of its first one and
+    is represented by its last packet's (sent, arrival). One pass: a burst's
+    delta is yielded as soon as the next burst starts, or at the end."""
+    first_sent: SimTime | None = None
+    prev: tuple[SimTime, SimTime] | None = None  # the burst before the current one
+    sent = arrival = 0  # the current burst's last packet
+    for _seq, sample_sent, sample_arrival in report.arrival_samples:
+        if first_sent is None:
+            first_sent = sample_sent
+        elif sample_sent - first_sent > GROUP_SPAN_US:
+            if prev is not None:
+                yield arrival, float((arrival - prev[1]) - (sent - prev[0]))
+            prev = (sent, arrival)
+            first_sent = sample_sent
+        sent, arrival = sample_sent, sample_arrival
+    if prev is not None:
+        yield arrival, float((arrival - prev[1]) - (sent - prev[0]))
 
 
 def trendline_slope(times_ms: Sequence[float], values_ms: Sequence[float]) -> float:
@@ -212,28 +209,44 @@ class OveruseDetector:
         self._last_ms: float | None = None
 
     def update(self, slope: float, now_ms: float) -> Signal:
+        # Comparisons stand in for the builtins and return the same floats:
+        # min(a, b) is `b if b < a else a`, max(a, b) is `b if b > a else a`.
+        # `magnitude` is abs(slope) except that -0.0 stays -0.0; it only
+        # meets comparisons and a difference with gamma, where that sign
+        # cannot change a result (DECISIONS.md entry 10).
         p = self._p
-        dt = 0.0 if self._last_ms is None else min(now_ms - self._last_ms, self.MAX_DT_MS)
-        if dt < 0.0:
+        gamma = self.gamma_ms
+        last = self._last_ms
+        if last is None:
             dt = 0.0
-        if slope > self.gamma_ms:
-            if self._time_over_ms < 0.0:
-                self._time_over_ms = dt / 2.0
-            else:
-                self._time_over_ms += dt
-            if self._time_over_ms >= p.overuse_time_ms and slope >= self._prev_slope:
-                self._time_over_ms = 0.0
+        else:
+            dt = now_ms - last
+            if dt > self.MAX_DT_MS:
+                dt = self.MAX_DT_MS
+            elif dt < 0.0:
+                dt = 0.0
+        if slope > gamma:
+            time_over = self._time_over_ms
+            time_over = dt / 2.0 if time_over < 0.0 else time_over + dt
+            if time_over >= p.overuse_time_ms and slope >= self._prev_slope:
+                time_over = 0.0
                 self.state = Signal.OVERUSE
-        elif slope < -self.gamma_ms:
+            self._time_over_ms = time_over
+        elif slope < -gamma:
             self._time_over_ms = -1.0
             self.state = Signal.UNDERUSE
         else:
             self._time_over_ms = -1.0
             self.state = Signal.NORMAL
-        if not p.adapt_skip or abs(slope) - self.gamma_ms <= self.MAX_ADAPT_OFFSET_MS:
-            k = p.k_up if abs(slope) > self.gamma_ms else p.k_down
-            gamma = self.gamma_ms + k * (abs(slope) - self.gamma_ms) * dt
-            self.gamma_ms = min(p.gamma_max_ms, max(p.gamma_min_ms, gamma))
+        magnitude = -slope if slope < 0.0 else slope
+        if not p.adapt_skip or magnitude - gamma <= self.MAX_ADAPT_OFFSET_MS:
+            k = p.k_up if magnitude > gamma else p.k_down
+            gamma = gamma + k * (magnitude - gamma) * dt
+            if not gamma > p.gamma_min_ms:
+                gamma = p.gamma_min_ms
+            if not gamma < p.gamma_max_ms:
+                gamma = p.gamma_max_ms
+            self.gamma_ms = gamma
         self._prev_slope = slope
         self._last_ms = now_ms
         return self.state
@@ -245,6 +258,10 @@ class ReceiveRateTracker:
     The window is wide while the estimate warms up and short afterwards;
     until a full window of history exists the divisor is the actual span, so
     early estimates are not biased low.
+
+    Arrivals come in delivery order, which the link keeps monotone, so the
+    window is pruned from the left and its byte total is kept as it changes
+    (an integer, so it equals a fresh sum).
     """
 
     def __init__(
@@ -253,7 +270,8 @@ class ReceiveRateTracker:
         self._window_us = window_us
         self._initial_window_us = max(initial_window_us, window_us)
         self._size_lookup = size_lookup
-        self._samples: list[tuple[SimTime, int]] = []  # (arrival, bytes)
+        self._samples: deque[tuple[SimTime, int]] = deque()  # (arrival, bytes)
+        self._total_bytes = 0
         self._first_arrival: SimTime | None = None
         self._newest: SimTime = 0
 
@@ -265,32 +283,30 @@ class ReceiveRateTracker:
         return self._window_us
 
     def extend(self, report: FeedbackReport) -> None:
+        samples = self._samples
+        append, size_lookup = samples.append, self._size_lookup
+        total, newest = self._total_bytes, self._newest
         for seq, _sent, arrival in report.arrival_samples:
-            size = self._size_lookup(seq)
-            self._samples.append((arrival, size))
-            if self._first_arrival is None:
-                self._first_arrival = arrival
-            if arrival > self._newest:
-                self._newest = arrival
-        cutoff = self._newest - self._current_window()
-        keep = 0
-        for i, (arrival, _) in enumerate(self._samples):
-            if arrival > cutoff:
-                keep = i
-                break
-        else:
-            keep = len(self._samples)
-        if keep:
-            del self._samples[:keep]
+            size = size_lookup(seq)
+            append((arrival, size))
+            total += size
+            if arrival > newest:
+                newest = arrival
+        if self._first_arrival is None and samples:
+            self._first_arrival = samples[0][0]
+        self._newest = newest
+        cutoff = newest - self._current_window()
+        while samples and samples[0][0] <= cutoff:
+            total -= samples.popleft()[1]
+        self._total_bytes = total
 
     def rate_bps(self) -> float:
         if not self._samples or self._first_arrival is None:
             return 0.0
-        total = sum(b for _, b in self._samples)
         window = self._current_window()
         span = min(window, self._newest - self._first_arrival)
         span = max(span, 100_000)  # floor the divisor at 100 ms of history
-        return total * 8 * 1e6 / span
+        return self._total_bytes * 8 * 1e6 / span
 
 
 class GccController:
@@ -329,22 +345,25 @@ class GccController:
         An overuse trigger anywhere in the report wins: congestion must reach
         the rate controller even when later groups in the same report have
         already relaxed."""
-        p = self.params
+        detect = self.detector.update
+        gain = self.params.threshold_gain
+        times_ms, smoothed_window_ms = self._times_ms, self._smoothed_window_ms
+        acc_ms, smoothed_ms, num_deltas = self._acc_delay_ms, self._smoothed_ms, self._num_deltas
         signal = self.detector.state
         saw_overuse = False
         for arrival_us, delta_us in group_delay_gradients(report):
-            self._acc_delay_ms += delta_us / 1_000.0
-            self._smoothed_ms = (
-                SMOOTHING * self._smoothed_ms + (1.0 - SMOOTHING) * self._acc_delay_ms
-            )
-            self._times_ms.append(arrival_us / 1_000.0)
-            self._smoothed_window_ms.append(self._smoothed_ms)
-            self._num_deltas += 1
-            slope = trendline_slope(self._times_ms, self._smoothed_window_ms)
-            scaled = slope * min(self._num_deltas, SLOPE_COUNT_CAP) * p.threshold_gain
-            signal = self.detector.update(scaled, arrival_us / 1_000.0)
+            acc_ms += delta_us / 1_000.0
+            smoothed_ms = SMOOTHING * smoothed_ms + _NEW_WEIGHT * acc_ms
+            now_ms = arrival_us / 1_000.0
+            times_ms.append(now_ms)
+            smoothed_window_ms.append(smoothed_ms)
+            num_deltas += 1
+            slope = trendline_slope(times_ms, smoothed_window_ms)
+            count = num_deltas if num_deltas < SLOPE_COUNT_CAP else SLOPE_COUNT_CAP
+            signal = detect(slope * count * gain, now_ms)
             if signal is Signal.OVERUSE:
                 saw_overuse = True
+        self._acc_delay_ms, self._smoothed_ms, self._num_deltas = acc_ms, smoothed_ms, num_deltas
         return Signal.OVERUSE if saw_overuse else signal
 
     def apply_rate_update(self, signal: Signal, report: FeedbackReport, now: SimTime) -> int:

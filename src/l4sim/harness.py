@@ -368,6 +368,10 @@ def _build(start, spec: dict, path: str, keys: Sequence[str], **given):
         if hasattr(config, "validate"):
             config.validate()
     except ValueError as exc:
+        # "<field>: <problem>" names one field; any other message the object.
+        name, colon, problem = str(exc).partition(": ")
+        if colon and name in hints:
+            raise ScenarioError(f"{_join(path, name)}: {problem}") from exc
         raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from exc
     return config
 

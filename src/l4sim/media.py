@@ -28,6 +28,16 @@ PlayoutObserver = Callable[[str, int, SimTime], None]
 _ECT1, _CE = EcnCodepoint.ECT1, EcnCodepoint.CE
 
 
+# The highest frame rate a source may run at. Every frame is at least one
+# packet, so a run's work grows with fps times duration, and the frame clock
+# counts whole microseconds: up to 1000 fps the frame interval is at least
+# 1000 us, so cutting it to whole microseconds (`frame_interval_us`) moves it
+# by under 0.1% and the playout catch-up step is at least 100 us. Past
+# 10**6 fps the interval is 0 us; a 2 s session at 2 * 10**6 fps did not
+# finish in 20 s.
+MAX_FPS = 1_000
+
+
 @dataclass
 class SourceConfig:
     fps: int = 30
@@ -38,8 +48,11 @@ class SourceConfig:
     ecn_mode: EcnCodepoint = EcnCodepoint.ECT1
 
     def validate(self) -> None:
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0 < self.fps <= MAX_FPS:
+            raise ValueError(
+                f"fps: must be from 1 to {MAX_FPS}, so that every frame interval is"
+                f" at least 1 ms of whole microseconds, got {self.fps}"
+            )
         if self.mtu_bytes <= 0:
             raise ValueError("mtu_bytes must be positive")
         if not self.min_bitrate_bps <= self.start_bitrate_bps <= self.max_bitrate_bps:
@@ -61,9 +74,10 @@ class MediaSource:
         self.config = config
         self.next_seq = 0
         self.next_frame = 0
-        # seq -> (size, frame_id, frame_packet_count) for seqs from _oldest
-        # on, kept for repair and receive-rate accounting.
-        self._sent: dict[int, tuple[int, int, int]] = {}
+        # (size, frame_id, frame_packet_count) of each seq from _oldest up to
+        # next_seq, at index seq - _oldest, kept for repair and receive-rate
+        # accounting.
+        self._sent: list[tuple[int, int, int]] = []
         self._oldest = 0
 
     def frame_interval_us(self) -> SimTime:
@@ -86,7 +100,7 @@ class MediaSource:
         self.next_frame += 1
         interval = self.frame_interval_us()
         ecn = cfg.ecn_mode
-        sent = self._sent
+        record = self._sent.append
         seq = self.next_seq
         self.next_seq += n_packets
         packets: list[Packet] = []
@@ -95,18 +109,28 @@ class MediaSource:
             packets.append(
                 Packet(seq, size, ecn, now + (i * interval) // n_packets, frame_id, n_packets)
             )
-            sent[seq] = (size, frame_id, n_packets)
+            record((size, frame_id, n_packets))
             seq += 1
         return packets
 
     def size_of(self, seq: int) -> int:
-        return self._sent[seq][0]
+        """The size of `seq`; KeyError for a seq never sent or already
+        forgotten. A seq below `_oldest` must not reach the list, whose
+        negative indices would name a later seq's record."""
+        index = seq - self._oldest
+        if index < 0:
+            raise KeyError(seq)
+        try:
+            return self._sent[index][0]
+        except IndexError:
+            raise KeyError(seq) from None
 
     def make_retransmit(self, seq: int, now: SimTime) -> Packet:
         """Clone a reported-lost packet for immediate resend: one repair per
         loss report listing it. Raises KeyError, as ``size_of`` does, for a
         seq never sent or already forgotten."""
-        size, frame_id, count = self._sent[seq]
+        size = self.size_of(seq)
+        _, frame_id, count = self._sent[seq - self._oldest]
         return Packet(
             seq=seq,
             size_bytes=size,
@@ -121,10 +145,11 @@ class MediaSource:
         """Drop the records of every seq below `seq`. The engine passes the
         watermark of a report it has fully processed: the receiver then held
         every seq below it, so no later report can sample or list one."""
-        sent = self._sent
-        for old in range(self._oldest, seq):
-            del sent[old]
-        self._oldest = max(self._oldest, seq)
+        if seq > self.next_seq:
+            raise KeyError(seq)  # never sent: a report cannot cover it
+        if seq > self._oldest:
+            del self._sent[: seq - self._oldest]
+            self._oldest = seq
 
 
 @dataclass(slots=True)

@@ -122,7 +122,11 @@ def average_capacity_bps(pattern: CapacityPattern, duration_us: SimTime) -> floa
 
 @dataclass(frozen=True)
 class JitterProfile:
-    """Discrete one-way delay distribution: (delay_us, probability) entries."""
+    """Discrete one-way delay distribution: (delay_us, probability) entries.
+
+    The cumulative probabilities are summed once, left to right, when the
+    profile is built. They are kept outside the dataclass fields, so they
+    take no part in equality, hashing or the repr."""
 
     entries: tuple[tuple[SimTime, float], ...]
 
@@ -130,25 +134,28 @@ class JitterProfile:
         if not self.entries:
             raise ValueError("jitter profile needs at least one entry")
         total = 0.0
+        cumulative = []
         for delay, prob in self.entries:
             if delay <= 0:
                 raise ValueError(f"jitter delay must be positive, got {delay}")
             if prob < 0:
                 raise ValueError(f"jitter probability must be non-negative, got {prob}")
             total += prob
+            cumulative.append(total)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"jitter probabilities must sum to 1, got {total}")
+        delays = tuple(delay for delay, _ in self.entries)
+        object.__setattr__(self, "_cumulative", tuple(cumulative))
+        # One delay per bisect position: the last one doubles as the guard
+        # for a variate at or above the final sum, which float round-off can
+        # leave just below 1.
+        object.__setattr__(self, "_draws", delays + delays[-1:])
 
 
 def sample_jitter(profile: JitterProfile, rng: random.Random) -> SimTime:
-    """Draw one delay via inverse CDF on a single uniform variate."""
-    u = rng.random()
-    acc = 0.0
-    for delay, prob in profile.entries:
-        acc += prob
-        if u < acc:
-            return delay
-    return profile.entries[-1][0]  # guard against float round-off at u ~ 1
+    """Draw one delay via inverse CDF on a single uniform variate: the first
+    entry whose cumulative probability exceeds it."""
+    return profile._draws[bisect_right(profile._cumulative, rng.random())]
 
 
 class ForwardLink:
@@ -160,7 +167,8 @@ class ForwardLink:
 
     The link keeps the capacity segment it last looked up, so
     `capacity_segment` runs once per capacity step rather than once per
-    packet.
+    packet, and within that segment the serialization time of each packet
+    size it has seen.
     """
 
     def __init__(
@@ -181,13 +189,19 @@ class ForwardLink:
         self._rate = 0.0
         self._segment_start: SimTime = 0
         self._segment_end: float = 0
+        # size in bytes -> serialization time in us at `_rate`.
+        self._serialization: dict[int, SimTime] = {}
 
     def serialization_us(self, size_bytes: int, now: SimTime) -> SimTime:
         if not self._segment_start <= now < self._segment_end:
             self._rate, self._segment_start, self._segment_end = capacity_segment(
                 self.capacity, now
             )
-        return int(round(size_bytes * 8 * US_PER_S / self._rate))
+            self._serialization = {}
+        us = self._serialization.get(size_bytes)
+        if us is None:
+            us = self._serialization[size_bytes] = round(size_bytes * 8 * US_PER_S / self._rate)
+        return us
 
     def deliver(self, wire_exit: SimTime) -> SimTime:
         """Delivery time of a packet whose last bit leaves the link at

@@ -65,6 +65,11 @@ class Scenario:
     def validate(self) -> None:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+        if us_from_s(self.duration_s) == 0:
+            raise ValueError(
+                f"duration_s must be at least 1 us once rounded to whole microseconds,"
+                f" got {self.duration_s}"
+            )
         for name in ("forward_delay_us", "reverse_delay_us", "feedback_interval_us"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -12,7 +12,10 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-DIRECTIONS = {"sim_speed": "higher", "setup_s": "lower"}
+SPECS = {
+    "sim_speed": {"better": "higher", "bound": 0.25},
+    "setup_s": {"better": "lower", "bound": 0.25},
+}
 
 
 def result(sim_speed, setup_s, correct=True):
@@ -22,13 +25,23 @@ def result(sim_speed, setup_s, correct=True):
     }
 
 
+def peak_rss_verdict(parent, change):
+    specs = {"peak_rss_mb": {"better": "lower", "bound": 0.1}}
+    pairs = [
+        ({"correct": True, "metrics": {"peak_rss_mb": {"value": p}}},
+         {"correct": True, "metrics": {"peak_rss_mb": {"value": c}}})
+        for p, c in zip(parent, change)
+    ]  # fmt: skip
+    return bench_pairs.summarize(pairs, specs)["metrics"]["peak_rss_mb"]["verdict"]
+
+
 def test_wins_follow_each_metrics_direction():
     pairs = [
         (result(100.0, 0.050), result(120.0, 0.060)),
         (result(110.0, 0.050), result(105.0, 0.040)),
         (result(100.0, 0.050), result(100.0, 0.050)),  # a tie is no win
     ]
-    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    summary = bench_pairs.summarize(pairs, SPECS)
     assert summary["pairs"] == 3
     assert summary["metrics"]["sim_speed"]["change_wins"] == 1
     assert summary["metrics"]["setup_s"]["change_wins"] == 1
@@ -38,7 +51,7 @@ def test_medians_quartiles_and_ratio():
     parent = [100.0, 104.0, 96.0, 98.0, 102.0]
     change = [130.0, 126.0, 124.0, 128.0, 122.0]
     pairs = [(result(p, 0.05), result(c, 0.05)) for p, c in zip(parent, change)]
-    row = bench_pairs.summarize(pairs, DIRECTIONS)["metrics"]["sim_speed"]
+    row = bench_pairs.summarize(pairs, SPECS)["metrics"]["sim_speed"]
     assert row["parent"] == {"median": 100.0, "q1": 97.0, "q3": 103.0}
     assert row["change"] == {"median": 126.0, "q1": 123.0, "q3": 129.0}
     assert row["change_over_parent"] == pytest.approx(1.26)
@@ -48,7 +61,7 @@ def test_medians_quartiles_and_ratio():
 
 def test_one_pair_and_correct_counts():
     pairs = [(result(100.0, 0.05, correct=False), result(90.0, 0.05))]
-    summary = bench_pairs.summarize(pairs, DIRECTIONS)
+    summary = bench_pairs.summarize(pairs, SPECS)
     assert summary["correct"] == {"parent": 0, "change": 1}
     row = summary["metrics"]["sim_speed"]
     assert row["parent"] == {"median": 100.0, "q1": 100.0, "q3": 100.0}
@@ -56,9 +69,52 @@ def test_one_pair_and_correct_counts():
 
 
 def test_directions_come_from_the_benchmark_file():
-    directions = bench_pairs.metric_directions(SCRIPT.parents[1] / "BENCHMARK.json")
-    assert directions["sim_speed"] == "higher"
-    assert directions["peak_rss_mb"] == "lower"
+    specs = bench_pairs.metric_specs(SCRIPT.parents[1] / "BENCHMARK.json")
+    assert specs["sim_speed"]["better"] == "higher"
+    assert specs["peak_rss_mb"]["better"] == "lower"
+    assert specs["peak_rss_mb"]["bound"] == 0.1
+
+
+def sim_speed_verdict(parent, change):
+    pairs = [(result(p, 0.05), result(c, 0.05)) for p, c in zip(parent, change)]
+    return bench_pairs.summarize(pairs, SPECS)["metrics"]["sim_speed"]["verdict"]
+
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]
+
+
+def test_gain_needs_nine_tenths_of_pairs_and_a_gap_beyond_the_parents_quartiles():
+    # the parent's quartiles are 99.375 and 100.625: a gap of 1.25
+    ahead = [p + 3.0 for p in PARENT]
+    assert sim_speed_verdict(PARENT, ahead) == "gain"
+    one_loss = ahead[:9] + [PARENT[9] - 1.0]  # 9 of 10 pairs still won
+    assert sim_speed_verdict(PARENT, one_loss) == "gain"
+    two_losses = ahead[:8] + [PARENT[8] - 1.0, PARENT[9] - 1.0]
+    assert sim_speed_verdict(PARENT, two_losses) == "ok"
+    inside_the_spread = [p + 0.5 for p in PARENT]  # wins every pair, gap 0.5
+    assert sim_speed_verdict(PARENT, inside_the_spread) == "ok"
+
+
+def test_regressed_when_the_median_is_worse_by_more_than_the_bound():
+    assert sim_speed_verdict(PARENT, [p * 0.74 for p in PARENT]) == "regressed"
+    assert sim_speed_verdict(PARENT, [p * 0.76 for p in PARENT]) == "ok"
+
+
+def test_a_peak_memory_regression_like_29_4_to_33_4_mb_is_caught():
+    parent = [29.40, 29.41, 29.39, 29.40, 29.42]
+    assert peak_rss_verdict(parent, [33.40, 33.41, 33.39, 33.42, 33.40]) == "regressed"
+    assert peak_rss_verdict(parent, [29.39, 29.40, 29.41, 29.40, 29.39]) == "ok"
+
+
+def test_unresolved_when_the_spread_is_wider_than_the_bound():
+    noisy = [60.0, 140.0, 70.0, 130.0, 100.0, 90.0, 110.0, 65.0, 135.0, 100.0]
+    assert sim_speed_verdict(PARENT, noisy) == "unresolved"  # the change's spread
+    assert sim_speed_verdict(noisy, PARENT) == "unresolved"  # the parent's spread
+    # a wide spread is resolved when every change run beats every parent run
+    assert sim_speed_verdict(noisy, [v + 100.0 for v in noisy]) == "gain"
+    # ... and then reads `ok` when the gap is still inside the parent's
+    # quartiles (68.75 to 131.25 against a gap of 45.5)
+    assert sim_speed_verdict(noisy, [141.0 + k for k in range(10)]) == "ok"
 
 
 @pytest.mark.parametrize("cached", bench_pairs.SIDES)

@@ -1,11 +1,13 @@
 import copy
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from l4sim.cc import (
+    RECEIVE_WINDOW_INITIAL_US,
+    RECEIVE_WINDOW_US,
     ControllerKind,
     GccController,
     GccParams,
@@ -13,6 +15,7 @@ from l4sim.cc import (
     L4sGccController,
     OveruseDetector,
     RateBounds,
+    ReceiveRateTracker,
     ScalableParams,
     Signal,
     ce_fraction,
@@ -93,7 +96,7 @@ class TestDelayGradients:
 
     def test_single_sample_is_empty(self):
         r = report(samples=[(0, 0, 10_000)])
-        assert group_delay_gradients(r) == []
+        assert list(group_delay_gradients(r)) == []
 
     def test_burst_grouping_uses_last_packet(self):
         # two bursts of packets within 5 ms of each other
@@ -104,11 +107,59 @@ class TestDelayGradients:
             (3, 20_000, 30_000),
             (4, 22_000, 33_000),  # last of burst 2
         ]
-        pairs = group_delay_gradients(report(samples=samples))
+        pairs = list(group_delay_gradients(report(samples=samples)))
         assert len(pairs) == 1
         arrival, delta = pairs[0]
         assert arrival == 33_000
         assert delta == (33_000 - 14_500) - (22_000 - 4_000)
+
+
+# Unit round-off of a binary64 float, and the largest absolute error of one
+# rounding that underflows (half the smallest subnormal).
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+UNDERFLOW = Fraction(1, 2**1075)
+
+
+def gamma(k):
+    """Higham's gamma_k = k*u / (1 - k*u): a bound on the relative error that
+    k chained roundings can build up (Accuracy and Stability of Numerical
+    Algorithms, section 3.1)."""
+    return k * UNIT_ROUNDOFF / (1 - k * UNIT_ROUNDOFF)
+
+
+def least_squares_oracle(times, values):
+    """The exact least-squares slope of the given floats, and a bound on how
+    far `trendline_slope`'s float result can lie from it.
+
+    The bound follows the float algorithm step by step:
+    - each mean is a left-to-right sum then one division, so it lies within
+      gamma_n times the mean magnitude (`e_t`, `e_v`) of the exact mean;
+    - each term (t - t_mean) * (v - v_mean) takes three roundings and the
+      running sum n - 1 more, so both sums lie within gamma_{n+2} of their
+      terms' magnitudes, plus n * e_t * e_v (n * e_t**2) for using the float
+      means: the first-order effect of a mean's error cancels;
+    - any rounding that underflows adds up to `UNDERFLOW` instead, which
+      4n of them cover;
+    - the final division adds one rounding.
+    """
+    n = len(times)
+    ts = [Fraction(t) for t in times]
+    vs = [Fraction(v) for v in values]
+    t_mean, v_mean = sum(ts) / n, sum(vs) / n
+    dts = [t - t_mean for t in ts]
+    dvs = [v - v_mean for v in vs]
+    sxx = sum(d * d for d in dts)
+    sxy = sum(a * b for a, b in zip(dts, dvs))
+    slope = sxy / sxx
+    e_t = gamma(n) * sum(abs(t) for t in ts) / n + UNDERFLOW
+    e_v = gamma(n) * sum(abs(v) for v in vs) / n + UNDERFLOW
+    g = gamma(n + 2)
+    e_num = g * sum((abs(a) + e_t) * (abs(b) + e_v) for a, b in zip(dts, dvs))
+    e_num += n * e_t * e_v + 4 * n * UNDERFLOW
+    e_den = g * (sxx + n * e_t * e_t) + n * e_t * e_t + 4 * n * UNDERFLOW
+    assert e_den < sxx
+    quotient = (e_num + abs(slope) * e_den) / (sxx - e_den)
+    return slope, quotient * (1 + UNIT_ROUNDOFF) + UNIT_ROUNDOFF * abs(slope) + UNDERFLOW
 
 
 class TestTrendlineSlope:
@@ -118,8 +169,9 @@ class TestTrendlineSlope:
     def test_exact_linear_series(self):
         times = [float(i) for i in range(20)]
         values = [3.5 * t - 2.0 for t in times]
-        expected = np.polyfit(times, values, 1)[0]
-        assert abs(trendline_slope(times, values) - expected) <= 1e-9
+        slope, bound = least_squares_oracle(times, values)
+        assert slope == Fraction(7, 2)
+        assert abs(Fraction(trendline_slope(times, values)) - slope) <= bound
 
     def test_short_series_is_zero(self):
         assert trendline_slope([1.0], [2.0]) == 0.0
@@ -136,13 +188,14 @@ class TestTrendlineSlope:
             unique_by=lambda p: p[0],
         )
     )
+    @example(data=[(0, 7716.0), (1, 7716.0)])
     @settings(max_examples=200)
     def test_matches_least_squares_oracle(self, data):
         data.sort()
         times = [float(t) / 1000.0 for t, _ in data]
         values = [v for _, v in data]
-        expected = float(np.polyfit(times, values, 1)[0])
-        assert trendline_slope(times, values) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        slope, bound = least_squares_oracle(times, values)
+        assert abs(Fraction(trendline_slope(times, values)) - slope) <= bound
 
 
 class TestOveruseDetector:
@@ -178,6 +231,128 @@ class TestOveruseDetector:
         for i in range(50):
             detector.update(0.0, 20.0 + i * 10.0)
         assert detector.gamma_ms == params.gamma_min_ms
+
+
+class BuiltinDetector(OveruseDetector):
+    """The detector as written with the builtin min, max and abs: the
+    reference for the comparisons that replaced them."""
+
+    def update(self, slope, now_ms):
+        p = self._p
+        dt = 0.0 if self._last_ms is None else min(now_ms - self._last_ms, self.MAX_DT_MS)
+        if dt < 0.0:
+            dt = 0.0
+        if slope > self.gamma_ms:
+            if self._time_over_ms < 0.0:
+                self._time_over_ms = dt / 2.0
+            else:
+                self._time_over_ms += dt
+            if self._time_over_ms >= p.overuse_time_ms and slope >= self._prev_slope:
+                self._time_over_ms = 0.0
+                self.state = Signal.OVERUSE
+        elif slope < -self.gamma_ms:
+            self._time_over_ms = -1.0
+            self.state = Signal.UNDERUSE
+        else:
+            self._time_over_ms = -1.0
+            self.state = Signal.NORMAL
+        if not p.adapt_skip or abs(slope) - self.gamma_ms <= self.MAX_ADAPT_OFFSET_MS:
+            k = p.k_up if abs(slope) > self.gamma_ms else p.k_down
+            gamma = self.gamma_ms + k * (abs(slope) - self.gamma_ms) * dt
+            self.gamma_ms = min(p.gamma_max_ms, max(p.gamma_min_ms, gamma))
+        self._prev_slope = slope
+        self._last_ms = now_ms
+        return self.state
+
+
+# Parameters whose threshold can sit at a signed zero, to check the sign.
+ZERO_FLOOR = GccParams(gamma_init_ms=0.0, gamma_min_ms=0.0, gamma_max_ms=1.0, k_down=0.5)
+NEGATIVE_ZERO_FLOOR = GccParams(gamma_init_ms=-0.0, gamma_min_ms=-0.0, gamma_max_ms=1.0)
+
+
+class TestDetectorComparisons:
+    """`OveruseDetector.update` compares instead of calling min, max and
+    abs; every state and float it keeps must match the builtin form bit for
+    bit, signed zeros included."""
+
+    @staticmethod
+    def floats(detector):
+        values = (detector.gamma_ms, detector._time_over_ms, detector._prev_slope)
+        return [v.hex() for v in values], detector._last_ms, detector.state
+
+    @given(
+        params=st.sampled_from(
+            (GccParams(), GccParams.sensitive(), ZERO_FLOOR, NEGATIVE_ZERO_FLOOR)
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from((0.0, -0.0, 2.5, -2.5, 6.0, -6.0, 12.5, -12.5,
+                                     27.5, 600.0, -600.0, 1e-300, -1e-300)),
+                    st.floats(-700.0, 700.0),
+                ),
+                st.one_of(
+                    st.sampled_from((0.0, -0.0, 5.0, 10.0, 100.0, 150.0, -3.0)),
+                    st.floats(-200.0, 200.0),
+                ),
+            ),  # fmt: skip
+            max_size=40,
+        ),
+    )
+    @example(params=ZERO_FLOOR, steps=[(0.0, 0.0), (-0.0, 100.0), (-0.0, 200.0)])
+    @example(params=NEGATIVE_ZERO_FLOOR, steps=[(-0.0, 0.0), (0.0, 100.0), (-0.0, 100.0)])
+    def test_matches_builtin_min_max_abs(self, params, steps):
+        detector, reference = OveruseDetector(params), BuiltinDetector(params)
+        now = 0.0
+        for slope, step_ms in steps:
+            now += step_ms
+            assert detector.update(slope, now) is reference.update(slope, now)
+            assert self.floats(detector) == self.floats(reference)
+
+
+def rate_from_scratch(arrivals):
+    """The receive rate re-derived from every (arrival, bytes) so far: the
+    bytes that arrived after the current window's cutoff, over the span."""
+    first = arrivals[0][0]
+    newest = max(a for a, _ in arrivals)
+    wide = newest - first < RECEIVE_WINDOW_INITIAL_US
+    window = RECEIVE_WINDOW_INITIAL_US if wide else RECEIVE_WINDOW_US
+    kept = [size for a, size in arrivals if a > newest - window]
+    if not kept:
+        return 0.0
+    span = max(min(window, newest - first), 100_000)
+    return sum(kept) * 8 * 1e6 / span
+
+
+class TestReceiveRateTracker:
+    """The tracker prunes a window and keeps its byte total as it goes; its
+    rate must equal a re-sum from scratch, through the switch from the
+    warm-up window to the short one, with arrivals exactly on a cutoff."""
+
+    @given(
+        reports=st.lists(
+            st.lists(st.tuples(st.integers(0, 20), st.integers(1, 1_500)), max_size=12),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    @example(reports=[[(0, 1_000), (35, 1_200), (15, 800)]])  # 0, 350 ms, 500 ms
+    @settings(max_examples=200)
+    def test_matches_a_fresh_sum(self, reports):
+        sizes = {}
+        tracker = ReceiveRateTracker(RECEIVE_WINDOW_US, RECEIVE_WINDOW_INITIAL_US, sizes.__getitem__)
+        arrivals, now = [], 0
+        for steps in reports:
+            samples = []
+            for gap, size in steps:  # arrivals on a 10 ms grid, in order
+                now += gap * 10_000
+                seq = len(sizes)
+                sizes[seq] = size
+                samples.append((seq, now - 10_000, now))
+                arrivals.append((now, size))
+            tracker.extend(report(samples=samples))
+            expected = rate_from_scratch(arrivals) if arrivals else 0.0
+            assert tracker.rate_bps() == expected
 
 
 class TestGccRateUpdate:

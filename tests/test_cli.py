@@ -122,6 +122,38 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("l4sim: error: duration_s")
 
+    def test_frame_rate_beyond_the_bound_names_field(self, tmp_path, capsys):
+        # 2 * 10**6 fps makes a zero-microsecond frame interval; a 2 s run
+        # of it did not finish in 20 s before fps was bounded.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": {"kind": "constant", "mbps": 3}},
+            "controller": {"kind": "gcc"},
+            "source": {"fps": 2_000_000},
+            "duration_s": 2,
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr().err.startswith("l4sim: error: source.fps: must be from 1 to 1000")
+
+    @pytest.mark.parametrize("duration", [1e-7, 4.9e-7])
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_duration_rounding_to_zero_microseconds_names_field(
+        self, tmp_path, capsys, duration, from_file
+    ):
+        # Such a run used to end in "empty run: no RTT samples to aggregate".
+        if from_file:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({
+                "link": {"capacity": {"kind": "constant", "mbps": 3}},
+                "controller": {"kind": "gcc"},
+                "duration_s": duration,
+            }))  # fmt: skip
+            argv = ["--scenario", str(path)]
+        else:
+            argv = ["--scenario", "case1", "--controller", "gcc", "--duration", str(duration)]
+        assert run_cli("run", *argv) == 1
+        assert capsys.readouterr().err.startswith("l4sim: error: duration_s must be at least 1 us")
+
     @pytest.mark.parametrize(
         "row", ["inf,2", "1,nan", "1,inf"], ids=["time-inf", "rate-nan", "rate-inf"]
     )

@@ -392,6 +392,40 @@ class TestReceiverWatermark:
         source.forget_below(2)  # an older watermark forgets nothing more
         assert source.size_of(4) == packets[4].size_bytes
 
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.tuples(st.just("encode"), st.integers(150_000, 5_000_000)),
+                st.tuples(st.just("forget"), st.integers(0, 60)),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100)
+    def test_lookups_raise_for_every_seq_not_held(self, steps):
+        # The records sit in a list at seq - oldest: a seq below the oldest
+        # kept, negative or not yet sent must raise, never index a record.
+        source = make_source()
+        sizes, oldest = {}, 0
+        for op, arg in steps:
+            if op == "encode":
+                for packet in source.encode_tick(arg, 0):
+                    sizes[packet.seq] = packet.size_bytes
+            elif arg <= source.next_seq:
+                source.forget_below(arg)
+                oldest = max(oldest, arg)
+        for seq in range(-3, source.next_seq + 3):
+            if oldest <= seq < source.next_seq:
+                assert source.size_of(seq) == sizes[seq]
+                assert source.make_retransmit(seq, 0).size_bytes == sizes[seq]
+            else:
+                with pytest.raises(KeyError):
+                    source.size_of(seq)
+                with pytest.raises(KeyError):
+                    source.make_retransmit(seq, 0)
+        with pytest.raises(KeyError):
+            source.forget_below(source.next_seq + 1)  # no report covers an unsent seq
+
     def test_played_frames_are_dropped(self):
         receiver = make_receiver()
         source = make_source()

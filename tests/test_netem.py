@@ -158,6 +158,63 @@ class TestSampleJitter:
             JitterProfile(())
 
 
+def inverse_cdf_loop(profile, u):
+    """The draw as a loop over the entries: the first whose running sum of
+    probabilities exceeds u, else the last entry."""
+    acc = 0.0
+    for delay, prob in profile.entries:
+        acc += prob
+        if u < acc:
+            return delay
+    return profile.entries[-1][0]
+
+
+class FixedVariate:
+    """A random stream that always returns `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@st.composite
+def profiles(draw):
+    """A jitter profile with zero-probability entries allowed, so some
+    running sums repeat, and sums that can fall just short of 1."""
+    weights = draw(st.lists(st.integers(0, 20), min_size=1, max_size=8).filter(any))
+    if draw(st.booleans()):
+        probs = [w / sum(weights) for w in weights]
+    else:
+        probs = [0.1] * 10  # sums to 0.9999999999999999
+    return JitterProfile(tuple((1_000 * (i + 1), p) for i, p in enumerate(probs)))
+
+
+class TestJitterTable:
+    """`sample_jitter` bisects a cumulative table built once per profile;
+    each draw must be the loop's, on every running sum, either side of it,
+    and up to the largest variate below 1."""
+
+    @given(profile=profiles(), extra=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=5))
+    @example(profile=CASE4A, extra=[])
+    def test_matches_the_inverse_cdf_loop(self, profile, extra):
+        sums, acc = [], 0.0
+        for _, prob in profile.entries:
+            acc += prob
+            sums.append(acc)
+        variates = [0.0, math.nextafter(1.0, 0.0), *extra]
+        for s in sums:
+            variates += [s, math.nextafter(s, 0.0), math.nextafter(s, 1.0)]
+        for u in (u for u in variates if 0.0 <= u < 1.0):
+            assert sample_jitter(profile, FixedVariate(u)) == inverse_cdf_loop(profile, u)
+
+    def test_table_takes_no_part_in_equality_or_repr(self):
+        twin = JitterProfile(CASE4A.entries)
+        assert twin == CASE4A and hash(twin) == hash(CASE4A)
+        assert repr(twin) == f"JitterProfile(entries={CASE4A.entries!r})"
+
+
 class TestDeliver:
     def test_serialization_plus_base_delay(self):
         link = ForwardLink(Constant(3.0), 6_000, None)
@@ -236,6 +293,24 @@ class TestSegmentCache:
         for t in times:
             for size in (1, 1_200):
                 expected = int(round(size * 8 * US_PER_S / capacity_at(pattern, t)))
+                assert link.serialization_us(size, t) == expected
+
+    @given(
+        query=patterns_and_times(),
+        sizes=st.lists(st.integers(1, 9_000), min_size=1, max_size=4),
+    )
+    @example(
+        query=(SquareWave(1.0, 2.0, 1_000), [0, 999, 1_000, 1_999, 2_000, 1_000]),
+        sizes=[1_200, 300],
+    )
+    def test_serialization_memo_matches_fresh_formula(self, query, sizes):
+        # The same sizes recur in every segment, so a time kept from an
+        # earlier segment's rate would show.
+        pattern, times = query
+        link = ForwardLink(pattern, 6_000, None)
+        for t in times:
+            for size in sizes:
+                expected = round(size * 8 * US_PER_S / capacity_at(pattern, t))
                 assert link.serialization_us(size, t) == expected
 
     @given(query=patterns_and_times())
