@@ -32,9 +32,8 @@ _ECT1, _CE = EcnCodepoint.ECT1, EcnCodepoint.CE
 # packet, so a run's work grows with fps times duration, and the frame clock
 # counts whole microseconds: up to 1000 fps the frame interval is at least
 # 1000 us, so cutting it to whole microseconds (`frame_interval_us`) moves it
-# by under 0.1% and the playout catch-up step is at least 100 us. Past
-# 10**6 fps the interval is 0 us; a 2 s session at 2 * 10**6 fps did not
-# finish in 20 s.
+# by under 0.1% and the playout catch-up step is at least 100 us. Past 10**6
+# fps the interval would be 0 us.
 MAX_FPS = 1_000
 
 
@@ -50,8 +49,8 @@ class SourceConfig:
     def validate(self) -> None:
         if not 0 < self.fps <= MAX_FPS:
             raise ValueError(
-                f"fps: must be from 1 to {MAX_FPS}, so that every frame interval is"
-                f" at least 1 ms of whole microseconds, got {self.fps}"
+                f"fps: must be from 1 to {MAX_FPS}, so that a frame interval is at"
+                f" least {US_PER_S // MAX_FPS} whole microseconds, got {self.fps}"
             )
         if self.mtu_bytes <= 0:
             raise ValueError("mtu_bytes must be positive")

@@ -25,16 +25,6 @@ def result(sim_speed, setup_s, correct=True):
     }
 
 
-def peak_rss_verdict(parent, change):
-    specs = {"peak_rss_mb": {"better": "lower", "bound": 0.1}}
-    pairs = [
-        ({"correct": True, "metrics": {"peak_rss_mb": {"value": p}}},
-         {"correct": True, "metrics": {"peak_rss_mb": {"value": c}}})
-        for p, c in zip(parent, change)
-    ]  # fmt: skip
-    return bench_pairs.summarize(pairs, specs)["metrics"]["peak_rss_mb"]["verdict"]
-
-
 def test_wins_follow_each_metrics_direction():
     pairs = [
         (result(100.0, 0.050), result(120.0, 0.060)),
@@ -78,6 +68,16 @@ def test_directions_come_from_the_benchmark_file():
 def sim_speed_verdict(parent, change):
     pairs = [(result(p, 0.05), result(c, 0.05)) for p, c in zip(parent, change)]
     return bench_pairs.summarize(pairs, SPECS)["metrics"]["sim_speed"]["verdict"]
+
+
+def peak_rss_verdict(parent, change):
+    specs = {"peak_rss_mb": {"better": "lower", "bound": 0.1}}
+    pairs = [
+        ({"correct": True, "metrics": {"peak_rss_mb": {"value": p}}},
+         {"correct": True, "metrics": {"peak_rss_mb": {"value": c}}})
+        for p, c in zip(parent, change)
+    ]  # fmt: skip
+    return bench_pairs.summarize(pairs, specs)["metrics"]["peak_rss_mb"]["verdict"]
 
 
 PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]

@@ -188,7 +188,8 @@ class TestTrendlineSlope:
             unique_by=lambda p: p[0],
         )
     )
-    @example(data=[(0, 7716.0), (1, 7716.0)])
+    @example(data=[(0, 7716.0), (1, 7716.0)])  # np.polyfit gave -1.72e-9, not 0
+    @example(data=[(0, 0.0), (1, 4054.0)])  # a slope of about 4e6
     @settings(max_examples=200)
     def test_matches_least_squares_oracle(self, data):
         data.sort()
