@@ -4,8 +4,9 @@
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, the
 parent first in even pairs and the change first in odd ones, so that a
 drift of the host's speed favours neither side. The script prints one JSON
-line: per end-to-end metric, each side's median and quartiles over the
-pairs, in how many pairs the change did better, and a verdict:
+line, which also carries the Python version (`sys.version`): per
+end-to-end metric, each side's value in every pair with their median and
+quartiles, in how many pairs the change did better, and a verdict:
 
 - `gain`: the change did better in at least nine tenths of the pairs, and
   the medians differ, in its favour, by more than the distance between the
@@ -105,12 +106,14 @@ def summarize(pairs: list[tuple[dict, dict]], specs: dict[str, dict]) -> dict:
     """Summarise (parent, change) pairs of run results.
 
     Each result is a benchmark output line: `correct` plus `metrics`, each
-    metric a `{"value": ...}`. Per metric it gives each side's median and
-    quartiles, the ratio of the medians (change over parent), the number
-    of pairs in which the change was strictly better, and the verdict.
+    metric a `{"value": ...}`. Per metric it gives each side's values in
+    pair order, their median and quartiles, the ratio of the medians
+    (change over parent), the number of pairs in which the change was
+    strictly better, and the verdict.
     """
     out: dict = {
         "pairs": len(pairs),
+        "python": sys.version,
         "correct": {side: sum(run[i]["correct"] for run in pairs) for i, side in enumerate(SIDES)},
         "metrics": {},
     }
@@ -123,6 +126,7 @@ def summarize(pairs: list[tuple[dict, dict]], specs: dict[str, dict]) -> dict:
         sign = 1 if better == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         row = {side: spread(values[side]) for side in SIDES}
+        row["values"] = values
         parent_median = row["parent"]["median"]
         ratio = row["change"]["median"] / parent_median if parent_median else None
         row["change_over_parent"] = ratio

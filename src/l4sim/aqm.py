@@ -47,11 +47,11 @@ class DualPi2Config:
     def validate(self) -> None:
         for name in ("target_delay_us", "t_update_us", "l4s_step_threshold_us", "time_shift_us"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name}: must be positive")
         if self.coupling_k < 1:
-            raise ValueError("coupling_k must be >= 1")
+            raise ValueError("coupling_k: must be >= 1")
         if self.queue_limit_bytes <= 0:
-            raise ValueError("queue_limit_bytes must be positive")
+            raise ValueError("queue_limit_bytes: must be positive")
 
 
 @dataclass
@@ -60,7 +60,7 @@ class DropTailConfig:
 
     def validate(self) -> None:
         if self.queue_limit_bytes <= 0:
-            raise ValueError("queue_limit_bytes must be positive")
+            raise ValueError("queue_limit_bytes: must be positive")
 
 
 class ByteFifo:

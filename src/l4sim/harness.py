@@ -349,20 +349,27 @@ def _number(value, path: str, integral: bool, scale: int = 1) -> int | float:
 _type_hints = cache(get_type_hints)
 
 
-def _build(start, spec: dict, path: str, keys: Sequence[str], **given):
+def _build(
+    start, spec: dict, path: str, keys: Sequence[str], given_paths: dict[str, str] | None = None,
+    **given,
+):  # fmt: skip
     """`start` with each of `keys` present in `spec` overriding its field,
     then range-checked by the class. `start` is an instance whose values
     stand for absent keys, or a class whose keys are all required (an absent
-    key reads as null)."""
+    key reads as null). `given_paths` maps a `given` field to the file key
+    it came from, for its error messages."""
     cls = start if isinstance(start, type) else type(start)
     hints = _type_hints(cls)
     values = dict(given)
-    for key in (k for k in keys if start is cls or k in spec):
+    key_paths = dict(given_paths or {})  # field -> the file key that sets it
+    for key in keys:
         name, scale = key, 1
         for suffix, us_per_unit in _US_PER_UNIT.items():
             if key.endswith(suffix) and key[: -len(suffix)] + "_us" in hints:
                 name, scale = key[: -len(suffix)] + "_us", us_per_unit
-        values[name] = _number(spec.get(key), _join(path, key), hints[name] is int, scale)
+        key_paths[name] = _join(path, key)
+        if start is cls or key in spec:
+            values[name] = _number(spec.get(key), key_paths[name], hints[name] is int, scale)
     try:
         config = cls(**values) if start is cls else replace(start, **values)
         if hasattr(config, "validate"):
@@ -371,7 +378,7 @@ def _build(start, spec: dict, path: str, keys: Sequence[str], **given):
         # "<field>: <problem>" names one field; any other message the object.
         name, colon, problem = str(exc).partition(": ")
         if colon and name in hints:
-            raise ScenarioError(f"{_join(path, name)}: {problem}") from exc
+            raise ScenarioError(f"{key_paths.get(name, _join(path, name))}: {problem}") from exc
         raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from exc
     return config
 
@@ -414,7 +421,11 @@ def scenario_from_dict(data: dict) -> Scenario:
     link = _object(data.get("link"), "link", ("capacity", "forward_delay", "reverse_delay_ms"))
     delay = _forward_delay(link["forward_delay"]) if "forward_delay" in link else {}
     capacity = _capacity(link.get("capacity"))
-    linked = _build(Scenario(), link, "link", ("reverse_delay_ms",), capacity=capacity, **delay)
+    linked = _build(
+        Scenario(), link, "link", ("reverse_delay_ms",),
+        given_paths={"forward_delay_us": "link.forward_delay.delay_ms"},
+        capacity=capacity, **delay,
+    )  # fmt: skip
     ctl = data.get("controller")
     kind = ControllerKind(_kind(ctl, "controller", _CONTROLLER_KEYS))
 

@@ -17,7 +17,8 @@ import random
 import struct
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import chain, starmap
+from operator import eq
 from typing import Iterator
 
 from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
@@ -72,9 +73,9 @@ class Scenario:
             )
         for name in ("forward_delay_us", "reverse_delay_us", "feedback_interval_us"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name}: must be positive")
         if self.dejitter_us < 0:
-            raise ValueError("dejitter_us must be non-negative")
+            raise ValueError("dejitter_us: must be non-negative")
         self.aqm.validate()
         self.source.validate()
         if self.gcc_params is not None:
@@ -110,42 +111,78 @@ TIMELINE_EVENTS = (
 )
 _EVENT_CODE = {name: code for code, name in enumerate(TIMELINE_EVENTS)}
 _ROW_SEND, _ROW_DELIVER, _ROW_RATE = (_EVENT_CODE[e] for e in ("send", "deliver", "rate"))
-# One packed row: time (int64), event code (byte), value (int64).
-_ROW = struct.Struct("<qBq")
+# One packed row: time, event code (byte), value. Narrow rows hold time and
+# value as uint32, 9 bytes a row; a batch with a time past 2**32 us (about
+# 71.6 minutes) or a value outside 0..2**32-1 is packed wide, as int64s.
+_NARROW = struct.Struct("<IBI")
+_WIDE = struct.Struct("<qBq")
+# Rows are kept in blocks of one format of at most this many bytes, so a
+# growing timeline never reallocates and copies all of its rows at once.
+_BLOCK_BYTES = 1 << 16
 
 
 class TimelineRows:
-    """Timeline rows ``(t_us, event, value)``, packed 17 bytes a row where a
-    tuple in a list takes about 100. It counts, iterates and compares as the
-    list of triples it stands for.
+    """Timeline rows ``(t_us, event, value)``, packed 9 bytes a row (17 for
+    rows that do not fit uint32) where a tuple in a list takes about 100. It
+    counts, iterates and compares as the list of triples it stands for.
 
     ``record`` takes a ``(t_us, event code, value)`` tuple, the code indexing
     ``TIMELINE_EVENTS``. It is a plain list append, so recording costs what a
-    list of tuples costs; ``pack`` moves the recorded tuples into the packed
-    buffer in one call. The engine packs at every feedback build, so only one
+    list of tuples costs; ``pack`` moves the recorded tuples into the open
+    block in one call. The engine packs at every feedback build, so only one
     interval's tuples exist at a time.
     """
 
-    __slots__ = ("_packed", "_pending", "record")
+    __slots__ = ("_blocks", "_open", "_row", "_pending", "record")
 
     def __init__(self) -> None:
-        self._packed = bytearray()
+        # Closed blocks, each (format, rows); the open block's format is _row.
+        self._blocks: list[tuple[struct.Struct, bytes]] = []
+        self._open = bytearray()
+        self._row = _NARROW
         self._pending: list[tuple[SimTime, int, int]] = []
         self.record = self._pending.append
 
     def pack(self) -> None:
-        if self._pending:
-            self._packed += b"".join(starmap(_ROW.pack, self._pending))
-            self._pending.clear()
+        pending = self._pending
+        if not pending:
+            return
+        if not self._open:
+            self._row = _NARROW  # each block tries narrow rows first
+        try:
+            data = b"".join(starmap(self._row.pack, pending))
+        except struct.error:  # the batch does not fit narrow rows
+            self._close()
+            # A wide block stays wide until it is full, so batches that
+            # alternate between the formats still fill whole blocks.
+            self._row = _WIDE
+            data = b"".join(starmap(_WIDE.pack, pending))
+        pending.clear()
+        cap = _BLOCK_BYTES - _BLOCK_BYTES % self._row.size
+        data = memoryview(data)  # slices of a long batch without copies
+        while len(self._open) + len(data) >= cap:
+            room = cap - len(self._open)
+            self._open += data[:room]
+            data = data[room:]
+            self._close()
+        self._open += data
+
+    def _close(self) -> None:
+        """Store the open block at its exact size and start an empty one."""
+        if self._open:
+            self._blocks.append((self._row, bytes(self._open)))
+            self._open = bytearray()
+
+    def _segments(self) -> list[tuple[struct.Struct, bytes | bytearray]]:
+        self.pack()
+        return [*self._blocks, (self._row, self._open)]
 
     def coded(self) -> Iterator[tuple[SimTime, int, int]]:
         """The rows as ``(t_us, event code, value)``."""
-        self.pack()
-        return _ROW.iter_unpack(self._packed)
+        return chain.from_iterable(row.iter_unpack(block) for row, block in self._segments())
 
     def __len__(self) -> int:
-        self.pack()
-        return len(self._packed) // _ROW.size
+        return sum(len(block) // row.size for row, block in self._segments())
 
     def __iter__(self) -> Iterator[tuple[SimTime, str, int]]:
         names = TIMELINE_EVENTS
@@ -155,9 +192,7 @@ class TimelineRows:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimelineRows):
             return NotImplemented
-        self.pack()
-        other.pack()
-        return self._packed == other._packed
+        return len(self) == len(other) and all(map(eq, self.coded(), other.coded()))
 
     __hash__ = None  # mutable
 
@@ -204,10 +239,22 @@ class _Engine:
         self.sc = scenario
         self.end_us = us_from_s(scenario.duration_s)
         self.rows = TimelineRows() if timeline else None
+        aqm_observer = playout_observer = None
+        if timeline:
+            # Closures over the row list rather than engine methods: an
+            # observer that held the engine would tie it into a reference
+            # cycle, and the engine and its rows would outlive the run until
+            # the cyclic collector ran.
+            record, codes = self.rows.record, _EVENT_CODE
+
+            def aqm_observer(event: str, packet: Packet, now: SimTime) -> None:
+                record((now, codes[event], packet.seq))
+
+            def playout_observer(event: str, value: int, now: SimTime) -> None:
+                record((now, codes[event], value))
 
         jitter_rng = random.Random(stream_seed(scenario.seed, "jitter"))
 
-        aqm_observer = self._aqm_event if timeline else None
         if isinstance(scenario.aqm, DualPi2Config):
             aqm_rng = random.Random(stream_seed(scenario.seed, "aqm"))
             self.aqm: DualPi2 | DropTail = DualPi2(scenario.aqm, aqm_rng, aqm_observer)
@@ -220,7 +267,6 @@ class _Engine:
             scenario.capacity, scenario.forward_delay_us, scenario.jitter, jitter_rng
         )
         self.source = MediaSource(scenario.source)
-        playout_observer = self._playout_event if timeline else None
         self.receiver = Receiver(
             scenario.source.fps,
             scenario.reverse_delay_us,
@@ -247,14 +293,6 @@ class _Engine:
         self.sent = 0
         self.delivered = 0
         self.in_transit = 0
-
-    # -- timeline hooks -----------------------------------------------------
-
-    def _aqm_event(self, event: str, packet: Packet, now: SimTime) -> None:
-        self.rows.record((now, _EVENT_CODE[event], packet.seq))
-
-    def _playout_event(self, event: str, value: int, now: SimTime) -> None:
-        self.rows.record((now, _EVENT_CODE[event], value))
 
     # -- event handlers -----------------------------------------------------
     # Sends, service ends and deliveries, the per-packet events, are handled

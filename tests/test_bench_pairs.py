@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,15 @@ def test_medians_quartiles_and_ratio():
     assert row["change_over_parent"] == pytest.approx(1.26)
     assert row["change_wins"] == 5
     assert row["better"] == "higher"
+
+
+def test_raw_values_and_python_version_are_kept():
+    parent, change = [100.0, 104.0, 96.0], [130.0, 126.0, 124.0]
+    pairs = [(result(p, 0.05), result(c, 0.04)) for p, c in zip(parent, change)]
+    summary = json.loads(json.dumps(bench_pairs.summarize(pairs, SPECS)))
+    assert summary["python"] == sys.version
+    assert summary["metrics"]["sim_speed"]["values"] == {"parent": parent, "change": change}
+    assert summary["metrics"]["setup_s"]["values"] == {"parent": [0.05] * 3, "change": [0.04] * 3}
 
 
 def test_one_pair_and_correct_counts():

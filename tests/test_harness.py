@@ -316,7 +316,7 @@ class TestScenarioFromDict:
             ("source", {"fps": 29.97}, "source.fps"),
             ("source", {"ecn_mode": "ect0"}, "source.ecn_mode"),
             ("aqm", {"queue_limit_bytes": 1.5}, "aqm.queue_limit_bytes"),
-            ("aqm", {"target_delay_ms": 0}, "aqm: target_delay_us"),
+            ("aqm", {"target_delay_ms": 0}, "aqm.target_delay_ms: must be positive"),
             ("duration_s", math.nan, "duration_s"),
             ("duration_s", math.inf, "duration_s"),
             ("seed", 1.5, "seed"),
@@ -337,7 +337,7 @@ class TestScenarioFromDict:
                 "link",
                 {"capacity": {"kind": "constant", "mbps": 3},
                  "forward_delay": {"kind": "fixed", "delay_ms": 0}},
-                "link: forward_delay_us must be positive",
+                "link.forward_delay.delay_ms: must be positive",
             ),
             ("link", {"capacity": {"kind": "constant"}}, "link.capacity.mbps: expected a number"),
             ("link", {"capacity": {"kind": "trace", "path": "/nope.csv"}}, "link.capacity.path"),

@@ -1,8 +1,12 @@
+import gc
 import tracemalloc
+import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from l4sim import sim
 from l4sim.aqm import DualPi2
 from l4sim.cc import ControllerKind
 from l4sim.core import EcnCodepoint
@@ -193,16 +197,31 @@ class TestTimelineLog:
 class TestTimelineRows:
     def test_behaves_as_the_list_of_triples(self):
         triples = [(0, "send", 0), (7, "mark", 0), (9, "rate", 5_000_000), (12, "stall_end", 3)]
-        rows, same, other = TimelineRows(), TimelineRows(), TimelineRows()
-        for t, event, value in triples:
-            for log in (rows, same, other):
+        # Rows that do not fit uint32 among narrow ones, and enough rows to
+        # fill several blocks.
+        triples += [(2**32, "deliver", 1), (13, "rate", 2**32), (14, "drop", -1)]
+        triples += [(15 + i, TIMELINE_EVENTS[i % 8], i) for i in range(20_000)]
+        triples += [(2**40, "send", -(2**40)), (16, "deliver", 2), (17, "send", 3)]
+        # Packed after every row, every 97 rows, and only when read: packed
+        # and pending rows read alike, whatever the formats or pack points.
+        logs = {every: TimelineRows() for every in (1, 97, None)}
+        other = TimelineRows()
+        for i, (t, event, value) in enumerate(triples, 1):
+            for every, log in [*logs.items(), (None, other)]:
                 log.record((t, TIMELINE_EVENTS.index(event), value))
-            rows.pack()  # packed and pending rows read alike
-        other.record((13, TIMELINE_EVENTS.index("deliver"), 1))
-        assert list(rows) == list(same) == triples
-        assert len(rows) == len(same) == len(triples)
-        assert rows == same
+                if every and i % every == 0:
+                    log.pack()
+        rows, same, unpacked = logs.values()
+        assert list(rows) == list(same) == list(unpacked) == triples
+        assert len(rows) == len(same) == len(unpacked) == len(triples)
+        assert rows == same == unpacked
+        assert rows == other
+        other.record((18, TIMELINE_EVENTS.index("deliver"), 1))
         assert rows != other
+        last_differs = TimelineRows()
+        for t, event, value in triples[:-1] + [(17, "send", 4)]:
+            last_differs.record((t, TIMELINE_EVENTS.index(event), value))
+        assert rows != last_differs
 
 
 class TestBoundedState:
@@ -222,6 +241,54 @@ class TestBoundedState:
         assert len(receiver._frames) <= 300
         assert len(receiver._above_watermark) <= 300
         assert source._oldest <= receiver._watermark <= source.next_seq
+
+    def test_a_timeline_run_is_freed_without_the_cycle_collector(self, monkeypatch):
+        engines = []
+
+        class Watched(_Engine):
+            def __init__(self, *args):
+                super().__init__(*args)
+                engines.append(weakref.ref(self))
+
+        monkeypatch.setattr(sim, "_Engine", Watched)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            result = run_scenario(short("case1", ControllerKind.L4S_GCC, duration=2.0), timeline=True)
+            assert len(result[1].rows) > 0
+            del result
+            assert engines[0]() is None, "the engine outlived its run"
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize(
+        "feedback_interval_us, duration_s", [(100_000, 60.0), (1_000, 30.0)]
+    )  # fmt: skip
+    def test_timeline_takes_about_ten_bytes_a_row(self, feedback_interval_us, duration_s):
+        # At a 1 ms feedback interval each pack holds 1 to 3 rows, so an
+        # object kept per pack would cost far more than the rows themselves.
+        scenario = replace(
+            preset_scenario("case2", ControllerKind.L4S_GCC, duration_s=duration_s),
+            feedback_interval_us=feedback_interval_us,
+        )
+
+        def traced_peak(timeline):
+            tracemalloc.start()
+            try:
+                _, log = run_scenario(scenario, timeline=timeline)
+                return tracemalloc.get_traced_memory()[1], log
+            finally:
+                tracemalloc.stop()
+
+        base, _ = traced_peak(False)
+        peak, log = traced_peak(True)
+        rows = len(log.rows)
+        assert rows > 35_000
+        # The run's own state, plus two 64 KiB blocks: the open one and the
+        # copy made of it when it closes.
+        allowance = base + 2 * 65_536
+        assert peak <= 10 * rows + allowance, f"{(peak - allowance) / rows:.1f} bytes a row"
 
     def test_traced_peak_below_one_megabyte(self):
         scenario = preset_scenario("case4c", ControllerKind.GCC, duration_s=60.0)
