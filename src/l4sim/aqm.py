@@ -146,7 +146,6 @@ class DualPi2(_FifoDiscipline):
         rng: random.Random,
         observer: AqmObserver | None = None,
     ) -> None:
-        config.validate()
         self.config = config
         self._rng = rng
         self._observer = observer
@@ -220,7 +219,6 @@ class DropTail(_FifoDiscipline):
     """Single FIFO with a byte cap; drops only on overflow."""
 
     def __init__(self, config: DropTailConfig, observer: AqmObserver | None = None) -> None:
-        config.validate()
         self.config = config
         self.queue = ByteFifo("queue", config.queue_limit_bytes, observer)
         self.fifos = (self.queue,)

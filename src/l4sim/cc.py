@@ -76,13 +76,13 @@ class GccParams:
 
     def validate(self) -> None:
         if not 0.0 < self.decrease_factor < 1.0:
-            raise ValueError("decrease_factor must be in (0, 1)")
+            raise ValueError(f"decrease_factor: must be in (0, 1), got {self.decrease_factor}")
         if not self.loss_low < self.loss_high:
             raise ValueError("loss_low must be below loss_high")
         if not self.gamma_min_ms < self.gamma_max_ms:
             raise ValueError("gamma_min_ms must be below gamma_max_ms")
         if self.window < 2:
-            raise ValueError("trendline window must hold at least 2 points")
+            raise ValueError(f"window: must hold at least 2 points, got {self.window}")
 
     @classmethod
     def sensitive(cls) -> "GccParams":
@@ -114,9 +114,9 @@ class ScalableParams:
 
     def validate(self) -> None:
         if not 0.0 < self.ewma_gain <= 1.0:
-            raise ValueError("ewma_gain must be in (0, 1]")
+            raise ValueError(f"ewma_gain: must be in (0, 1], got {self.ewma_gain}")
         if self.additive_step_bps <= 0:
-            raise ValueError("additive_step_bps must be positive")
+            raise ValueError(f"additive_step_bps: must be positive, got {self.additive_step_bps}")
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,6 @@ def trendline_slope(times_ms: Sequence[float], values_ms: Sequence[float]) -> fl
     time).
     """
     n = len(times_ms)
-    if n != len(values_ms):
-        raise ValueError("times and values must have equal length")
     if n < 2:
         return 0.0
     t_mean = sum(times_ms) / n
@@ -264,11 +262,7 @@ class ReceiveRateTracker:
     (an integer, so it equals a fresh sum).
     """
 
-    def __init__(
-        self, window_us: int, initial_window_us: int, size_lookup: Callable[[int], int]
-    ) -> None:
-        self._window_us = window_us
-        self._initial_window_us = max(initial_window_us, window_us)
+    def __init__(self, size_lookup: Callable[[int], int]) -> None:
         self._size_lookup = size_lookup
         self._samples: deque[tuple[SimTime, int]] = deque()  # (arrival, bytes)
         self._total_bytes = 0
@@ -277,10 +271,10 @@ class ReceiveRateTracker:
 
     def _current_window(self) -> SimTime:
         if self._first_arrival is None:
-            return self._initial_window_us
-        if self._newest - self._first_arrival < self._initial_window_us:
-            return self._initial_window_us
-        return self._window_us
+            return RECEIVE_WINDOW_INITIAL_US
+        if self._newest - self._first_arrival < RECEIVE_WINDOW_INITIAL_US:
+            return RECEIVE_WINDOW_INITIAL_US
+        return RECEIVE_WINDOW_US
 
     def extend(self, report: FeedbackReport) -> None:
         samples = self._samples
@@ -318,7 +312,6 @@ class GccController:
         bounds: RateBounds,
         size_lookup: Callable[[int], int],
     ) -> None:
-        params.validate()
         self.params = params
         self.bounds = bounds
         self.target_bps = bounds.clamp(bounds.start_bps)
@@ -330,9 +323,7 @@ class GccController:
         self._smoothed_window_ms: deque[float] = deque(maxlen=params.window)
         self._num_deltas = 0
         self._last_rate_update_us: SimTime = 0
-        self.receive_tracker = ReceiveRateTracker(
-            RECEIVE_WINDOW_US, RECEIVE_WINDOW_INITIAL_US, size_lookup
-        )
+        self.receive_tracker = ReceiveRateTracker(size_lookup)
 
     def update(self, report: FeedbackReport, now: SimTime) -> int:
         self.receive_tracker.extend(report)
@@ -400,7 +391,6 @@ class L4sCcController:
     smoothed mark fraction, additive-only recovery."""
 
     def __init__(self, params: ScalableParams, bounds: RateBounds) -> None:
-        params.validate()
         self.params = params
         self.bounds = bounds
         self.target_bps = bounds.clamp(bounds.start_bps)
@@ -437,16 +427,11 @@ class L4sGccController:
         bounds: RateBounds,
         size_lookup: Callable[[int], int],
     ) -> None:
-        scalable.validate()
         self.gcc = GccController(gcc_params, bounds, size_lookup)
         self.scalable = scalable
         self.bounds = bounds
         self.ce_ewma = 0.0
         self.marks_seen = False
-
-    @property
-    def target_bps(self) -> int:
-        return self.gcc.target_bps
 
     def update(self, report: FeedbackReport, now: SimTime) -> int:
         g = self.scalable.ewma_gain

@@ -39,7 +39,8 @@ _ECT1, _CE = EcnCodepoint.ECT1, EcnCodepoint.CE
 class Packet:
     """A simulated datagram.
 
-    size_bytes is the full on-wire size used for serialization.
+    size_bytes is the full on-wire size used for serialization, positive as
+    `MediaSource` builds it (a repair copies a recorded size).
     frame_id groups media packets into video frames; frame_packet_count is
     the number of packets that make up that frame, carried so the receiver
     can detect frame completion (stand-in for RTP marker/continuity info).
@@ -49,13 +50,9 @@ class Packet:
     size_bytes: int
     ecn: EcnCodepoint
     sent_at: SimTime
-    frame_id: int | None = None
-    frame_packet_count: int = 0
+    frame_id: int
+    frame_packet_count: int
     is_retransmit: bool = False
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"packet size must be positive, got {self.size_bytes}")
 
 
 def apply_ce_mark(packet: Packet) -> Packet:
@@ -96,8 +93,6 @@ class FeedbackReport:
     this report is processed.
     """
 
-    interval_start: SimTime
-    interval_end: SimTime
     received_count: int = 0
     lost_seqs: list[int] = field(default_factory=list)
     ect1_count: int = 0

@@ -5,6 +5,7 @@ four comparison cases, the multi-seed comparison runner, and CSV emission.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, fields, replace
 from functools import cache
 from importlib import resources
@@ -186,6 +187,9 @@ def run_comparison(
         raise ValueError("cases, controllers, and seeds must be non-empty")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        raise ValueError(f"--workers must be at most the CPU count, {cpus}, got {workers}")
     cells = [(case, controller.value) for case in cases for controller in controllers]
     jobs = [(case, controller, seed, duration_s) for case, controller in cells for seed in seeds]
     if workers > 1:
@@ -193,7 +197,8 @@ def run_comparison(
         # l4sim's import about a tenth of its time.
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # A pool starts all its processes at the first submit: no more than there are jobs.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_run_one, jobs))
     else:
         results = list(map(_run_one, jobs))

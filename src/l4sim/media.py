@@ -31,7 +31,7 @@ _ECT1, _CE = EcnCodepoint.ECT1, EcnCodepoint.CE
 # The highest frame rate a source may run at. Every frame is at least one
 # packet, so a run's work grows with fps times duration, and the frame clock
 # counts whole microseconds: up to 1000 fps the frame interval is at least
-# 1000 us, so cutting it to whole microseconds (`frame_interval_us`) moves it
+# 1000 us, so cutting it to whole microseconds (`US_PER_S // fps`) moves it
 # by under 0.1% and the playout catch-up step is at least 100 us. Past 10**6
 # fps the interval would be 0 us.
 MAX_FPS = 1_000
@@ -53,7 +53,9 @@ class SourceConfig:
                 f" least {US_PER_S // MAX_FPS} whole microseconds, got {self.fps}"
             )
         if self.mtu_bytes <= 0:
-            raise ValueError("mtu_bytes must be positive")
+            raise ValueError(f"mtu_bytes: must be positive, got {self.mtu_bytes}")
+        if self.min_bitrate_bps <= 0:
+            raise ValueError(f"min_bitrate_bps: must be positive, got {self.min_bitrate_bps}")
         if not self.min_bitrate_bps <= self.start_bitrate_bps <= self.max_bitrate_bps:
             raise ValueError("bitrates must satisfy min <= start <= max")
         if self.ecn_mode not in (EcnCodepoint.ECT1, EcnCodepoint.NOT_ECT):
@@ -69,7 +71,6 @@ class MediaSource:
     """
 
     def __init__(self, config: SourceConfig) -> None:
-        config.validate()
         self.config = config
         self.next_seq = 0
         self.next_frame = 0
@@ -78,9 +79,6 @@ class MediaSource:
         # accounting.
         self._sent: list[tuple[int, int, int]] = []
         self._oldest = 0
-
-    def frame_interval_us(self) -> SimTime:
-        return US_PER_S // self.config.fps
 
     def encode_tick(self, target_bps: int, now: SimTime) -> list[Packet]:
         """Emit one frame worth of packets, sent_at spread evenly across the
@@ -97,7 +95,7 @@ class MediaSource:
         last_size = frame_bytes - (n_packets - 1) * mtu
         frame_id = self.next_frame
         self.next_frame += 1
-        interval = self.frame_interval_us()
+        interval = US_PER_S // cfg.fps
         ecn = cfg.ecn_mode
         record = self._sent.append
         seq = self.next_seq
@@ -195,7 +193,6 @@ class Receiver:
         self._frames: dict[int, _FrameState] = {}
 
         # Interval accumulators, reset at every feedback emission.
-        self._interval_start: SimTime = 0
         self._received = 0
         self._ect1 = 0
         self._ce = 0
@@ -217,8 +214,6 @@ class Receiver:
         self.rtt_samples_us: Counter[int] = Counter()
 
     def deadline(self, frame_id: int) -> SimTime:
-        if self.playout_anchor is None:
-            raise RuntimeError("playout has not started")
         return self.playout_anchor + (frame_id * US_PER_S) // self.fps + self.deadline_shift_us
 
     def _play(self) -> None:
@@ -262,8 +257,6 @@ class Receiver:
                 self._pending_lost.extend(range(self._highest_seq + 1, seq))
             self._highest_seq = seq
 
-        if packet.frame_id is None:
-            return None
         frame = self._frames.get(packet.frame_id)
         if frame is None:
             frame = _FrameState(expected=packet.frame_packet_count)
@@ -324,8 +317,6 @@ class Receiver:
         for seq in lost:
             self._outstanding_lost[seq] = now
         report = FeedbackReport(
-            interval_start=self._interval_start,
-            interval_end=now,
             received_count=self._received,
             lost_seqs=lost,
             ect1_count=self._ect1,
@@ -333,7 +324,6 @@ class Receiver:
             arrival_samples=self._samples,
             received_below=self._watermark,
         )
-        self._interval_start = now
         self._received = 0
         self._ect1 = 0
         self._ce = 0

@@ -27,7 +27,7 @@ class Constant:
 
     def __post_init__(self) -> None:
         if self.mbps <= 0:
-            raise ValueError(f"capacity must be positive, got {self.mbps} Mbps")
+            raise ValueError(f"mbps: must be positive, got {self.mbps}")
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,12 @@ class SquareWave:
     half_period_us: SimTime
 
     def __post_init__(self) -> None:
-        if self.low_mbps <= 0 or self.high_mbps <= 0:
-            raise ValueError("square-wave rates must be positive")
+        if self.low_mbps <= 0:
+            raise ValueError(f"low_mbps: must be positive, got {self.low_mbps}")
+        if self.high_mbps <= 0:
+            raise ValueError(f"high_mbps: must be positive, got {self.high_mbps}")
         if self.half_period_us <= 0:
-            raise ValueError("square-wave half period must be positive")
+            raise ValueError("half_period_us: must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,6 @@ def capacity_at(pattern: CapacityPattern, t_us: SimTime) -> float:
 def average_capacity_bps(pattern: CapacityPattern, duration_us: SimTime) -> float:
     """Time-average of the capacity pattern over [0, duration], exact
     piecewise integral."""
-    if duration_us <= 0:
-        raise ValueError("duration must be positive")
     if isinstance(pattern, Constant):
         return pattern.mbps * 1e6
     if isinstance(pattern, SquareWave):
@@ -176,10 +176,8 @@ class ForwardLink:
         capacity: CapacityPattern,
         base_delay_us: SimTime,
         jitter: JitterProfile | None,
-        rng: random.Random | None = None,
+        rng: random.Random,
     ) -> None:
-        if jitter is not None and rng is None:
-            raise ValueError("a jitter profile needs a random stream")
         self.capacity = capacity
         self.base_delay_us = base_delay_us
         self.jitter = jitter

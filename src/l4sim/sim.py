@@ -27,15 +27,6 @@ from .core import Packet, SimTime, us_from_s
 from .media import MediaSource, Receiver, SourceConfig
 from .netem import CapacityPattern, Constant, ForwardLink, JitterProfile
 
-__all__ = [
-    "Scenario",
-    "TimelineLog",
-    "TimelineRows",
-    "RunAudit",
-    "run_scenario",
-    "stream_seed",
-]
-
 
 def stream_seed(seed: int, label: str) -> int:
     """Derive an independent, reproducible sub-stream seed from the scenario

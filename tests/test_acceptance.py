@@ -231,7 +231,8 @@ class TestCriterion6DualQueueOracle:
         config = DualPi2Config()
         aqm = DualPi2(config, random.Random(0))
         probe = Packet(
-            seq=0, size_bytes=1200, ecn=EcnCodepoint.NOT_ECT, sent_at=0
+            seq=0, size_bytes=1200, ecn=EcnCodepoint.NOT_ECT, sent_at=0,
+            frame_id=0, frame_packet_count=1,
         )
         aqm.enqueue(probe, 0)
 

@@ -8,7 +8,7 @@ from l4sim.core import EcnCodepoint, Packet
 
 
 def packet(seq, ecn=EcnCodepoint.ECT1, size=1200):
-    return Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=0)
+    return Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=0, frame_id=0, frame_packet_count=1)
 
 
 def make_aqm(**overrides):

@@ -34,12 +34,8 @@ def report(
     ect1=0,
     ce=0,
     samples=(),
-    start=0,
-    end=100_000,
 ):
     return FeedbackReport(
-        interval_start=start,
-        interval_end=end,
         received_count=received,
         lost_seqs=list(lost),
         ect1_count=ect1,
@@ -341,7 +337,7 @@ class TestReceiveRateTracker:
     @settings(max_examples=200)
     def test_matches_a_fresh_sum(self, reports):
         sizes = {}
-        tracker = ReceiveRateTracker(RECEIVE_WINDOW_US, RECEIVE_WINDOW_INITIAL_US, sizes.__getitem__)
+        tracker = ReceiveRateTracker(sizes.__getitem__)
         arrivals, now = [], 0
         for steps in reports:
             samples = []

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import pytest
 
@@ -247,6 +248,26 @@ class TestCompare:
         )  # fmt: skip
         assert code == 1
         assert f"l4sim: error: workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_workers_than_cpus_fails_before_any_process_starts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "table.csv"
+        code = run_cli(
+            "compare", "--cases", "case1", "--controllers", "gcc", "--seeds", "1",
+            "--workers", "5000", "--out", str(out),
+        )  # fmt: skip
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "l4sim: error: --workers must be at most the CPU count, 2, got 5000" in err
         assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from l4sim.core import EcnCodepoint, FeedbackReport, Packet, apply_ce_mark
 
 
 def make_packet(ecn=EcnCodepoint.ECT1, seq=0, size=1200):
-    return Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=0)
+    return Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=0, frame_id=0, frame_packet_count=1)
 
 
 def classify(ecn):
@@ -64,16 +64,18 @@ class TestApplyCeMark:
         seq=st.integers(0, 10**9),
         size=st.integers(1, 65535),
         sent_at=st.integers(0, 10**12),
-        frame_id=st.one_of(st.none(), st.integers(0, 10**6)),
+        frame_id=st.integers(0, 10**6),
+        frame_packet_count=st.integers(1, 1_000),
         retransmit=st.booleans(),
     )
-    def test_changes_only_ecn(self, seq, size, sent_at, frame_id, retransmit):
+    def test_changes_only_ecn(self, seq, size, sent_at, frame_id, frame_packet_count, retransmit):
         packet = Packet(
             seq=seq,
             size_bytes=size,
             ecn=EcnCodepoint.ECT1,
             sent_at=sent_at,
             frame_id=frame_id,
+            frame_packet_count=frame_packet_count,
             is_retransmit=retransmit,
         )
         marked = apply_ce_mark(packet)
@@ -87,12 +89,8 @@ class TestApplyCeMark:
 
 
 class TestPacket:
-    def test_rejects_non_positive_size(self):
-        with pytest.raises(ValueError):
-            make_packet(size=0)
-
     def test_feedback_report_defaults(self):
-        report = FeedbackReport(interval_start=0, interval_end=100_000)
+        report = FeedbackReport()
         assert report.received_count == 0
         assert report.lost_seqs == []
         assert report.ect1_count + report.ce_count <= report.received_count

@@ -16,19 +16,23 @@ the time-shifted scheduler with both queues occupied). A group of longer runs
 reaches what no 10 s run does: case2 across the square wave's capacity steps
 at 10 s and 20 s, and case3 `gcc` long enough for classic random drops and
 their repairs, at two seeds that differ there. A last group locks the two
-output formats of `l4sim compare`.
+output formats of `l4sim compare`. One more test re-checks some of these
+with Python 3.12's float `sum` emulated.
 """
 
 import dataclasses
 import hashlib
 import json
+import math
 import random
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from l4sim import cc, harness
 from l4sim.aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
 from l4sim.cc import ControllerKind
 from l4sim.cli import main as cli_main
@@ -218,7 +222,7 @@ def aqm_sequence(kind: str) -> tuple[str, Counter]:
                 arrived_ce.add(seq)
             transcript.append(f"enqueue {seq} {ecn.name} {size} {now}")
             overflows = counts["overflow"]
-            aqm.enqueue(Packet(seq=seq, size_bytes=size, ecn=ecn, sent_at=now), now)
+            aqm.enqueue(Packet(seq, size, ecn, now, frame_id=0, frame_packet_count=1), now)
             if counts["overflow"] == overflows:
                 queued[is_l[seq]] += 1
         elif r < (0.7 if overload else 1.0):
@@ -278,6 +282,46 @@ def comparison_digest(fmt: str) -> str:
 @pytest.mark.parametrize("fmt", COMPARISON_FORMATS)
 def test_comparison_matches_golden_digest(fmt):
     assert comparison_digest(fmt) == load_digests()["comparison"][fmt]
+
+
+# -- Python 3.12's float `sum` ---------------------------------------------------
+
+
+def compensated_sum(values, start=0):
+    """The builtin `sum` as Python 3.12 computes it: floats are added with
+    Neumaier's compensated summation, ints exactly, as before."""
+    total, compensation = start, 0.0
+    for x in values:
+        if isinstance(total, float) and isinstance(x, float):
+            t = total + x
+            if abs(total) >= abs(x):
+                compensation += (total - t) + x
+            else:
+                compensation += (x - t) + total
+            total = t
+        else:
+            total = total + x
+    if compensation and math.isfinite(compensation):
+        return total + compensation
+    return total
+
+
+def test_digests_hold_under_compensated_float_sum(monkeypatch):
+    # The trendline means and the comparison's mean and stdev sum floats
+    # with the builtin, whose algorithm changed in Python 3.12. These runs
+    # change no digest under it; a change that makes one depend on the
+    # summation algorithm fails here (ROADMAP item 6).
+    assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
+    if sys.version_info < (3, 12):
+        assert sum([1e16, 1.0, -1e16]) == 0.0  # the patch changes something
+    monkeypatch.setattr(cc, "sum", compensated_sum, raising=False)
+    monkeypatch.setattr(harness, "sum", compensated_sum, raising=False)
+    stored = load_digests()
+    for case in PRESET_CASES:
+        for kind in (ControllerKind.GCC, ControllerKind.SENSITIVE_GCC, ControllerKind.L4S_GCC):
+            assert run_digests(case, kind, 1) == stored["runs"][run_key(case, kind, 1)]
+    for fmt in COMPARISON_FORMATS:
+        assert comparison_digest(fmt) == stored["comparison"][fmt]
 
 
 def write_digests() -> None:

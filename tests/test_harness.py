@@ -1,5 +1,6 @@
 import copy
 import math
+import os
 from collections import Counter
 from dataclasses import fields, replace
 from importlib import resources
@@ -24,6 +25,31 @@ from l4sim.harness import (
 )
 from l4sim.netem import Constant, SquareWave, TracePattern, JitterProfile, load_trace_csv
 from l4sim.sim import RunAudit, Scenario, TimelineLog, run_scenario
+
+
+def fake_process_pools(monkeypatch, cpus):
+    """Report `cpus` CPUs and replace the process pool with one that runs
+    its jobs in this process; returns the `max_workers` of each pool made."""
+    import concurrent.futures
+
+    made = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return made
 
 
 def make_log(rtt_samples, stalled_us=0, played_bytes=0, duration_us=100_000_000):
@@ -172,6 +198,12 @@ class TestRunComparison:
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             run_comparison(["case1"], [ControllerKind.GCC], seeds=[1], workers=workers)
 
+    def test_pool_starts_at_most_one_process_per_job(self, monkeypatch):
+        pools = fake_process_pools(monkeypatch, cpus=8)
+        rows = run_comparison(["case1"], [ControllerKind.GCC], [1, 2], 1.0, workers=8)
+        assert pools == [2]
+        assert rows == run_comparison(["case1"], [ControllerKind.GCC], [1, 2], 1.0)
+
 
 class TestEmission:
     def make_rows(self):
@@ -232,6 +264,7 @@ VALID_SCENARIO = {
     "source": {"fps": 30, "mtu_bytes": 1200},
     "feedback_interval_ms": 100,
 }
+SQUARE = VALID_SCENARIO["link"]["capacity"]
 
 
 class TestScenarioFromDict:
@@ -341,6 +374,38 @@ class TestScenarioFromDict:
             ),
             ("link", {"capacity": {"kind": "constant"}}, "link.capacity.mbps: expected a number"),
             ("link", {"capacity": {"kind": "trace", "path": "/nope.csv"}}, "link.capacity.path"),
+            # Single-field range checks name their key; cross-field ones the section.
+            ("controller", {"kind": "gcc", "window": 1}, "controller.window: must hold at least 2"),
+            ("controller", {"kind": "gcc", "decrease_factor": 1}, "controller.decrease_factor: must"),
+            ("controller", {"kind": "l4s-cc", "ewma_gain": 0}, "controller.ewma_gain: must be in"),
+            (
+                "controller",
+                {"kind": "l4s-cc", "additive_step_bps": 0},
+                "controller.additive_step_bps: must be positive",
+            ),
+            ("source", {"mtu_bytes": 0}, "source.mtu_bytes: must be positive, got 0"),
+            (
+                "source",
+                {"min_bitrate_bps": -100, "start_bitrate_bps": -50},
+                "source.min_bitrate_bps: must be positive, got -100",
+            ),
+            ("source", {"max_bitrate_bps": 100_000}, "source: bitrates must satisfy"),
+            ("link", {"capacity": {"kind": "constant", "mbps": 0}}, "link.capacity.mbps: must be"),
+            (
+                "link",
+                {"capacity": dict(SQUARE, low_mbps=0)},
+                "link.capacity.low_mbps: must be positive",
+            ),
+            (
+                "link",
+                {"capacity": dict(SQUARE, high_mbps=-4)},
+                "link.capacity.high_mbps: must be positive",
+            ),
+            (
+                "link",
+                {"capacity": dict(SQUARE, half_period_s=0)},
+                "link.capacity.half_period_s: must be positive",
+            ),
         ],
     )  # fmt: skip
     def test_invalid_value_names_field_path(self, section, value, where):
