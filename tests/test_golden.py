@@ -16,8 +16,8 @@ the time-shifted scheduler with both queues occupied). A group of longer runs
 reaches what no 10 s run does: case2 across the square wave's capacity steps
 at 10 s and 20 s, and case3 `gcc` long enough for classic random drops and
 their repairs, at two seeds that differ there. A last group locks the two
-output formats of `l4sim compare`. One more test re-checks some of these
-with Python 3.12's float `sum` emulated.
+output formats of `l4sim compare`, at two seeds and at four. One more test
+re-checks some of these with Python 3.12's float `sum` emulated.
 """
 
 import dataclasses
@@ -262,17 +262,22 @@ def test_aqm_sequences_reach_every_branch():
 
 COMPARISON_CASES = "case1,case3,case4c"
 COMPARISON_SEEDS = 2
+# With two or three seeds every mean and stdev of these runs is the same
+# under Python 3.12's compensated float `sum`; with four seeds two of the
+# twelve rows differ in their last digits, so that table locks the order in
+# which the comparison adds floats.
+SUMMATION_SEEDS = 4
 COMPARISON_FORMATS = ("csv", "table")
 
 
-def comparison_digest(fmt: str) -> str:
+def comparison_digest(fmt: str, seeds: int = COMPARISON_SEEDS) -> str:
     """SHA-256 of the file `l4sim compare --format fmt --out` writes."""
     controllers = ",".join(kind.value for kind in ControllerKind)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp, f"compare.{fmt}")
         code = cli_main([
             "compare", "--cases", COMPARISON_CASES, "--controllers", controllers,
-            "--seeds", str(COMPARISON_SEEDS), "--duration", str(DURATION_S),
+            "--seeds", str(seeds), "--duration", str(DURATION_S),
             "--format", fmt, "--out", str(out),
         ])  # fmt: skip
         assert code == 0
@@ -282,6 +287,11 @@ def comparison_digest(fmt: str) -> str:
 @pytest.mark.parametrize("fmt", COMPARISON_FORMATS)
 def test_comparison_matches_golden_digest(fmt):
     assert comparison_digest(fmt) == load_digests()["comparison"][fmt]
+
+
+@pytest.mark.parametrize("fmt", COMPARISON_FORMATS)
+def test_four_seed_comparison_matches_golden_digest(fmt):
+    assert comparison_digest(fmt, SUMMATION_SEEDS) == load_digests()["comparison_4_seeds"][fmt]
 
 
 # -- Python 3.12's float `sum` ---------------------------------------------------
@@ -334,6 +344,9 @@ def write_digests() -> None:
         "long_runs": {long_run_key(*run): long_run_digests(*run) for run in LONG_RUNS},
         "aqm_sequences": {kind: aqm_sequence(kind)[0] for kind in AQM_KINDS},
         "comparison": {fmt: comparison_digest(fmt) for fmt in COMPARISON_FORMATS},
+        "comparison_4_seeds": {
+            fmt: comparison_digest(fmt, SUMMATION_SEEDS) for fmt in COMPARISON_FORMATS
+        },
     }
     with open(DIGEST_PATH, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=1, sort_keys=True)
