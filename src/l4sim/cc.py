@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import FeedbackReport, SimTime
 
@@ -149,7 +149,7 @@ def group_delay_gradients(report: FeedbackReport) -> Iterator[tuple[SimTime, flo
     first_sent: SimTime | None = None
     prev: tuple[SimTime, SimTime] | None = None  # the burst before the current one
     sent = arrival = 0  # the current burst's last packet
-    for _seq, sample_sent, sample_arrival in report.arrival_samples:
+    for _size, sample_sent, sample_arrival in report.arrival_samples:
         if first_sent is None:
             first_sent = sample_sent
         elif sample_sent - first_sent > GROUP_SPAN_US:
@@ -262,8 +262,7 @@ class ReceiveRateTracker:
     (an integer, so it equals a fresh sum).
     """
 
-    def __init__(self, size_lookup: Callable[[int], int]) -> None:
-        self._size_lookup = size_lookup
+    def __init__(self) -> None:
         self._samples: deque[tuple[SimTime, int]] = deque()  # (arrival, bytes)
         self._total_bytes = 0
         self._first_arrival: SimTime | None = None
@@ -278,10 +277,9 @@ class ReceiveRateTracker:
 
     def extend(self, report: FeedbackReport) -> None:
         samples = self._samples
-        append, size_lookup = samples.append, self._size_lookup
+        append = samples.append
         total, newest = self._total_bytes, self._newest
-        for seq, _sent, arrival in report.arrival_samples:
-            size = size_lookup(seq)
+        for size, _sent, arrival in report.arrival_samples:
             append((arrival, size))
             total += size
             if arrival > newest:
@@ -306,12 +304,7 @@ class ReceiveRateTracker:
 class GccController:
     """Delay-gradient + loss rate controller."""
 
-    def __init__(
-        self,
-        params: GccParams,
-        bounds: RateBounds,
-        size_lookup: Callable[[int], int],
-    ) -> None:
+    def __init__(self, params: GccParams, bounds: RateBounds) -> None:
         self.params = params
         self.bounds = bounds
         self.target_bps = bounds.clamp(bounds.start_bps)
@@ -323,7 +316,7 @@ class GccController:
         self._smoothed_window_ms: deque[float] = deque(maxlen=params.window)
         self._num_deltas = 0
         self._last_rate_update_us: SimTime = 0
-        self.receive_tracker = ReceiveRateTracker(size_lookup)
+        self.receive_tracker = ReceiveRateTracker()
 
     def update(self, report: FeedbackReport, now: SimTime) -> int:
         self.receive_tracker.extend(report)
@@ -421,13 +414,9 @@ class L4sGccController:
     """
 
     def __init__(
-        self,
-        gcc_params: GccParams,
-        scalable: ScalableParams,
-        bounds: RateBounds,
-        size_lookup: Callable[[int], int],
+        self, gcc_params: GccParams, scalable: ScalableParams, bounds: RateBounds
     ) -> None:
-        self.gcc = GccController(gcc_params, bounds, size_lookup)
+        self.gcc = GccController(gcc_params, bounds)
         self.scalable = scalable
         self.bounds = bounds
         self.ce_ewma = 0.0
@@ -464,12 +453,11 @@ def default_gcc_params(kind: ControllerKind) -> GccParams:
 def make_controller(
     kind: ControllerKind,
     bounds: RateBounds,
-    size_lookup: Callable[[int], int],
     gcc_params: Optional[GccParams] = None,
     scalable_params: Optional[ScalableParams] = None,
 ) -> Controller:
     if kind in (ControllerKind.GCC, ControllerKind.SENSITIVE_GCC):
-        return GccController(gcc_params or default_gcc_params(kind), bounds, size_lookup)
+        return GccController(gcc_params or default_gcc_params(kind), bounds)
     if kind is ControllerKind.L4S_CC:
         return L4sCcController(scalable_params or ScalableParams(), bounds)
     if kind is ControllerKind.L4S_GCC:
@@ -477,6 +465,5 @@ def make_controller(
             gcc_params or default_gcc_params(kind),
             scalable_params or ScalableParams(),
             bounds,
-            size_lookup,
         )
     raise ValueError(f"unknown controller kind {kind!r}")

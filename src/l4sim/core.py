@@ -83,9 +83,10 @@ def apply_ce_mark(packet: Packet) -> Packet:
 class FeedbackReport:
     """Periodic receiver-to-sender report.
 
-    arrival_samples holds (seq, sender_timestamp, receiver_arrival_time)
-    tuples in sequence order; repair retransmissions are counted but not
-    sampled so the delay estimator sees a clean in-order stream.
+    arrival_samples holds (size_bytes, sender_timestamp,
+    receiver_arrival_time) tuples in sequence order; repair retransmissions
+    are counted but not sampled so the delay estimator sees a clean in-order
+    stream.
 
     received_below is the receiver's cumulative acknowledgement when the
     report was built: every seq below it had arrived. Later reports can

@@ -82,11 +82,15 @@ def compute_metrics(log: TimelineLog, scenario: Scenario) -> MetricsReport:
     """
     samples = log.rtt_samples_us
     count = samples.total()
-    if not count:
-        raise ValueError("empty run: no RTT samples to aggregate")
+    avg_capacity = average_capacity_bps(scenario.capacity, log.duration_us)
+    if not count:  # an input error, not a result (DECISIONS.md entry 12)
+        raise ValueError(
+            f"duration_s: no packet was delivered in {scenario.duration_s:g} s; the session"
+            f" must outlast a packet's trip over link.capacity (mean {avg_capacity / 1e6:g}"
+            " Mbps) and link.forward_delay"
+        )
     duration_s = log.duration_us / 1e6
     quality_bps = log.played_bytes * 8 / duration_s
-    avg_capacity = average_capacity_bps(scenario.capacity, log.duration_us)
     return MetricsReport(
         rtt_max_ms=max(samples) / 1_000.0,
         rtt_min_ms=min(samples) / 1_000.0,
@@ -137,14 +141,24 @@ class ComparisonRow:
     stdevs: dict[str, float]
 
 
+def _sum_in_order(values: Iterable[float]) -> float:
+    """Floats added left to right. The builtin `sum` compensates its rounding
+    from Python 3.12 on, which changes the last digits of a comparison table
+    of four or more seeds (ROADMAP item 6)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values)
+    return _sum_in_order(values) / len(values)
 
 
 def _pstdev(values: Sequence[float]) -> float:
     # Population stdev: a single seed aggregates to exactly its own report.
     m = _mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+    return math.sqrt(_sum_in_order((v - m) ** 2 for v in values) / len(values))
 
 
 def _aggregate(case: str, controller: str, runs: Sequence[MetricsReport]) -> ComparisonRow:

@@ -196,7 +196,7 @@ class Receiver:
         self._received = 0
         self._ect1 = 0
         self._ce = 0
-        self._samples: list[tuple[int, SimTime, SimTime]] = []
+        self._samples: list[tuple[int, SimTime, SimTime]] = []  # (size, sent, arrival)
         self._pending_lost: list[int] = []
         # Sequences reported lost but not yet repaired, by last report time;
         # re-reported when the repair itself goes missing too long.
@@ -248,7 +248,7 @@ class Receiver:
         elif ecn is _CE:
             self._ce += 1
         if not packet.is_retransmit:
-            self._samples.append((seq, packet.sent_at, now))
+            self._samples.append((packet.size_bytes, packet.sent_at, now))
         self.rtt_samples_us[(now - packet.sent_at) + self.reverse_delay_us] += 1
 
         if seq > self._highest_seq:

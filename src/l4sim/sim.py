@@ -13,8 +13,11 @@ import hashlib
 import heapq
 import itertools
 import math
+import os
 import random
 import struct
+import tempfile
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import chain, starmap
@@ -103,34 +106,35 @@ TIMELINE_EVENTS = (
 _EVENT_CODE = {name: code for code, name in enumerate(TIMELINE_EVENTS)}
 _ROW_SEND, _ROW_DELIVER, _ROW_RATE = (_EVENT_CODE[e] for e in ("send", "deliver", "rate"))
 # One packed row: time, event code (byte), value. Narrow rows hold time and
-# value as uint32, 9 bytes a row; a batch with a time past 2**32 us (about
-# 71.6 minutes) or a value outside 0..2**32-1 is packed wide, as int64s.
+# value as uint32, 9 bytes a row; from the first batch with a time past 2**32
+# us (71.6 minutes) or a value outside 0..2**32-1 on, rows are int64s.
 _NARROW = struct.Struct("<IBI")
 _WIDE = struct.Struct("<qBq")
-# Rows are kept in blocks of one format of at most this many bytes, so a
-# growing timeline never reallocates and copies all of its rows at once.
-_BLOCK_BYTES = 1 << 16
+# Rows are read back in chunks of at most 64 KiB, whole rows of either width.
+_CHUNK_BYTES = (1 << 16) - (1 << 16) % (_NARROW.size * _WIDE.size)
 
 
 class TimelineRows:
     """Timeline rows ``(t_us, event, value)``, packed 9 bytes a row (17 for
-    rows that do not fit uint32) where a tuple in a list takes about 100. It
-    counts, iterates and compares as the list of triples it stands for.
+    rows that do not fit uint32) into an unnamed temporary file that closes
+    when the rows are freed. It counts, iterates and compares as the list of
+    triples it stands for.
 
     ``record`` takes a ``(t_us, event code, value)`` tuple, the code indexing
     ``TIMELINE_EVENTS``. It is a plain list append, so recording costs what a
-    list of tuples costs; ``pack`` moves the recorded tuples into the open
-    block in one call. The engine packs at every feedback build, so only one
-    interval's tuples exist at a time.
+    list of tuples costs; ``pack`` writes the recorded tuples to the file in
+    one call. The engine packs at every feedback build, so the process holds
+    one interval's rows however long the session.
     """
 
-    __slots__ = ("_blocks", "_open", "_row", "_pending", "record")
+    __slots__ = ("_file", "_runs", "_pending", "record", "__weakref__")
 
     def __init__(self) -> None:
-        # Closed blocks, each (format, rows); the open block's format is _row.
-        self._blocks: list[tuple[struct.Struct, bytes]] = []
-        self._open = bytearray()
-        self._row = _NARROW
+        self._file = tempfile.TemporaryFile()
+        weakref.finalize(self, self._file.close)
+        # (row format, file offset of its first row): narrow from the start,
+        # and wide from the first batch that does not fit narrow rows.
+        self._runs = [(_NARROW, 0)]
         self._pending: list[tuple[SimTime, int, int]] = []
         self.record = self._pending.append
 
@@ -138,42 +142,38 @@ class TimelineRows:
         pending = self._pending
         if not pending:
             return
-        if not self._open:
-            self._row = _NARROW  # each block tries narrow rows first
+        row = self._runs[-1][0]
         try:
-            data = b"".join(starmap(self._row.pack, pending))
+            data = b"".join(starmap(row.pack, pending))
         except struct.error:  # the batch does not fit narrow rows
-            self._close()
-            # A wide block stays wide until it is full, so batches that
-            # alternate between the formats still fill whole blocks.
-            self._row = _WIDE
             data = b"".join(starmap(_WIDE.pack, pending))
+            self._runs.append((_WIDE, self._file.tell()))
         pending.clear()
-        cap = _BLOCK_BYTES - _BLOCK_BYTES % self._row.size
-        data = memoryview(data)  # slices of a long batch without copies
-        while len(self._open) + len(data) >= cap:
-            room = cap - len(self._open)
-            self._open += data[:room]
-            data = data[room:]
-            self._close()
-        self._open += data
+        self._file.write(data)
 
-    def _close(self) -> None:
-        """Store the open block at its exact size and start an empty one."""
-        if self._open:
-            self._blocks.append((self._row, bytes(self._open)))
-            self._open = bytearray()
-
-    def _segments(self) -> list[tuple[struct.Struct, bytes | bytearray]]:
+    def _spans(self) -> list[tuple[struct.Struct, int, int]]:
         self.pack()
-        return [*self._blocks, (self._row, self._open)]
+        runs = self._runs
+        ends = [start for _, start in runs[1:]] + [self._file.tell()]
+        return [(row, start, end) for (row, start), end in zip(runs, ends)]
+
+    def _read(self, at: int, size: int) -> bytes:
+        file = self._file
+        file.seek(at)
+        chunk = file.read(size)
+        file.seek(0, os.SEEK_END)  # back where the next pack writes
+        return chunk
 
     def coded(self) -> Iterator[tuple[SimTime, int, int]]:
         """The rows as ``(t_us, event code, value)``."""
-        return chain.from_iterable(row.iter_unpack(block) for row, block in self._segments())
+        return chain.from_iterable(
+            row.iter_unpack(self._read(at, min(_CHUNK_BYTES, end - at)))
+            for row, start, end in self._spans()
+            for at in range(start, end, _CHUNK_BYTES)
+        )
 
     def __len__(self) -> int:
-        return sum(len(block) // row.size for row, block in self._segments())
+        return sum((end - start) // row.size for row, start, end in self._spans())
 
     def __iter__(self) -> Iterator[tuple[SimTime, str, int]]:
         names = TIMELINE_EVENTS
@@ -190,9 +190,8 @@ class TimelineRows:
 
 @dataclass
 class TimelineLog:
-    """Per-run record: optional event rows for plotting plus the aggregate
-    RTT count and counters the metrics layer consumes. Rows are the only
-    part that grows with session length, and only when recording is on."""
+    """Per-run record: optional event rows for plotting, kept on file, plus
+    the aggregate RTT count and counters the metrics layer consumes."""
 
     duration_us: SimTime
     rtt_samples_us: Counter[int]  # RTT sample value (us) -> count
@@ -270,11 +269,7 @@ class _Engine:
             scenario.source.start_bitrate_bps,
         )
         self.controller = make_controller(
-            scenario.controller,
-            bounds,
-            self.source.size_of,
-            scenario.gcc_params,
-            scenario.scalable_params,
+            scenario.controller, bounds, scenario.gcc_params, scenario.scalable_params
         )
         self.target_bps = bounds.clamp(scenario.source.start_bitrate_bps)
 

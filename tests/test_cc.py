@@ -49,14 +49,13 @@ def samples_with_constant_rate(
 ):
     """In-order samples: one packet every `spacing_us`, constant delay."""
     return [
-        (i, start_us + i * spacing_us, start_us + i * spacing_us + owd_us)
+        (size_bytes, start_us + i * spacing_us, start_us + i * spacing_us + owd_us)
         for i in range(n)
     ]
 
 
-def gcc(params=None, bounds=BOUNDS, sizes=1200):
-    lookup = (lambda seq: sizes) if isinstance(sizes, int) else sizes
-    return GccController(params or GccParams(), bounds, lookup)
+def gcc(params=None, bounds=BOUNDS):
+    return GccController(params or GccParams(), bounds)
 
 
 class TestCeFraction:
@@ -85,23 +84,23 @@ class TestDelayGradients:
     def test_growing_queue_gives_positive_deltas(self):
         # one packet per group; queueing delay grows 1 ms per group
         samples = [
-            (i, i * 10_000, i * 10_000 + 10_000 + i * 1_000) for i in range(10)
+            (1_200, i * 10_000, i * 10_000 + 10_000 + i * 1_000) for i in range(10)
         ]
         gradients = [d for _, d in group_delay_gradients(report(samples=samples))]
         assert all(g == pytest.approx(1_000) for g in gradients)
 
     def test_single_sample_is_empty(self):
-        r = report(samples=[(0, 0, 10_000)])
+        r = report(samples=[(1_200, 0, 10_000)])
         assert list(group_delay_gradients(r)) == []
 
     def test_burst_grouping_uses_last_packet(self):
         # two bursts of packets within 5 ms of each other
         samples = [
-            (0, 0, 10_000),
-            (1, 2_000, 12_000),
-            (2, 4_000, 14_500),  # last of burst 1
-            (3, 20_000, 30_000),
-            (4, 22_000, 33_000),  # last of burst 2
+            (1_200, 0, 10_000),
+            (1_200, 2_000, 12_000),
+            (1_200, 4_000, 14_500),  # last of burst 1
+            (1_200, 20_000, 30_000),
+            (1_200, 22_000, 33_000),  # last of burst 2
         ]
         pairs = list(group_delay_gradients(report(samples=samples)))
         assert len(pairs) == 1
@@ -336,16 +335,13 @@ class TestReceiveRateTracker:
     @example(reports=[[(0, 1_000), (35, 1_200), (15, 800)]])  # 0, 350 ms, 500 ms
     @settings(max_examples=200)
     def test_matches_a_fresh_sum(self, reports):
-        sizes = {}
-        tracker = ReceiveRateTracker(sizes.__getitem__)
+        tracker = ReceiveRateTracker()
         arrivals, now = [], 0
         for steps in reports:
             samples = []
             for gap, size in steps:  # arrivals on a 10 ms grid, in order
                 now += gap * 10_000
-                seq = len(sizes)
-                sizes[seq] = size
-                samples.append((seq, now - 10_000, now))
+                samples.append((size, now - 10_000, now))
                 arrivals.append((now, size))
             tracker.extend(report(samples=samples))
             expected = rate_from_scratch(arrivals) if arrivals else 0.0
@@ -363,10 +359,9 @@ class TestGccRateUpdate:
         n = 60
         size = int(rate_bps * spacing / 1e6 / 8)
         samples = [
-            (i, now_us - (n - i) * spacing, now_us - (n - i) * spacing)
+            (size, now_us - (n - i) * spacing, now_us - (n - i) * spacing)
             for i in range(n)
         ]
-        controller.receive_tracker._size_lookup = lambda seq: size
         controller.receive_tracker.extend(report(samples=samples))
         return controller.receive_tracker.rate_bps()
 
@@ -436,9 +431,7 @@ class TestGccRateUpdate:
 
     def test_sensitive_preset_shares_the_update_path(self):
         # the sensitive controller is the same class with different constants
-        sensitive = make_controller(
-            ControllerKind.SENSITIVE_GCC, BOUNDS, lambda seq: 1200
-        )
+        sensitive = make_controller(ControllerKind.SENSITIVE_GCC, BOUNDS)
         assert type(sensitive) is GccController
         assert sensitive.params.decrease_factor == 0.80
         assert sensitive.params.overuse_time_ms == 5.0
@@ -493,7 +486,7 @@ class TestL4sCc:
 
 class TestL4sGcc:
     def make(self):
-        return L4sGccController(GccParams(), ScalableParams(), BOUNDS, lambda s: 1200)
+        return L4sGccController(GccParams(), ScalableParams(), BOUNDS)
 
     def test_marked_report_takes_stronger_decrease(self):
         controller = self.make()
@@ -521,12 +514,12 @@ class TestL4sGcc:
         plain = gcc()
         rng = random.Random(42)
         now = 0
-        for i in range(60):
+        for _ in range(60):
             now += 100_000
             n = rng.randrange(0, 30)
             base = now - 100_000
             samples = [
-                (i * 100 + j, base + j * 3_000, base + j * 3_000 + 10_000 + rng.randrange(0, 2_000))
+                (1_200, base + j * 3_000, base + j * 3_000 + 10_000 + rng.randrange(0, 2_000))
                 for j in range(n)
             ]
             r1 = report(received=n, ect1=n, samples=samples)
@@ -566,7 +559,7 @@ class TestMakeController:
     )
     @settings(max_examples=100)
     def test_any_controller_stays_within_bounds(self, kind, ect1, ce, lost):
-        controller = make_controller(kind, BOUNDS, lambda seq: 1200)
+        controller = make_controller(kind, BOUNDS)
         r = report(received=ect1 + ce, ect1=ect1, ce=ce, lost=range(lost))
         now = 0
         for _ in range(5):
@@ -576,9 +569,9 @@ class TestMakeController:
 
     def test_l4s_kinds(self):
         assert isinstance(
-            make_controller(ControllerKind.L4S_CC, BOUNDS, lambda s: 0), L4sCcController
+            make_controller(ControllerKind.L4S_CC, BOUNDS), L4sCcController
         )
         assert isinstance(
-            make_controller(ControllerKind.L4S_GCC, BOUNDS, lambda s: 0),
+            make_controller(ControllerKind.L4S_GCC, BOUNDS),
             L4sGccController,
         )

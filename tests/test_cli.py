@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import sys
+import tempfile
 
 import pytest
 
@@ -155,6 +157,20 @@ class TestRun:
         assert run_cli("run", *argv) == 1
         assert capsys.readouterr().err.startswith("l4sim: error: duration_s must be at least 1 us")
 
+    def test_run_that_delivers_nothing_names_fields(self, tmp_path, capsys):
+        # A 1e-9 Mbps link serializes no packet in 2 s. Such a run used to
+        # end in "empty run: no RTT samples to aggregate", naming no field.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": {"kind": "constant", "mbps": 1e-9}},
+            "controller": {"kind": "gcc"},
+            "duration_s": 2,
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("l4sim: error: duration_s: no packet was delivered in 2 s;")
+        assert "link.capacity (mean 1e-09 Mbps)" in err
+
     @pytest.mark.parametrize(
         "row", ["inf,2", "1,nan", "1,inf"], ids=["time-inf", "rate-nan", "rate-inf"]
     )
@@ -175,6 +191,18 @@ class TestRun:
     def test_missing_file(self, capsys):
         assert run_cli("run", "--scenario", "/nope/missing.json") == 1
         assert "error" in capsys.readouterr().err
+
+    def test_unwritable_temporary_directory_fails_cleanly(self, tmp_path, monkeypatch, capsys):
+        # The timeline's rows go to a temporary file while the run lasts.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        unraisable = []  # errors in finalizers, which print and are ignored
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        timeline = tmp_path / "timeline.csv"
+        argv = ["--scenario", "case1", "--controller", "gcc", "--duration", "1"]
+        assert run_cli("run", *argv, "--timeline", str(timeline)) == 1
+        assert capsys.readouterr().err.startswith("l4sim: error: ")
+        assert unraisable == []
+        assert not timeline.exists()
 
     def test_unknown_controller_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -332,6 +332,7 @@ def test_digests_hold_under_compensated_float_sum(monkeypatch):
             assert run_digests(case, kind, 1) == stored["runs"][run_key(case, kind, 1)]
     for fmt in COMPARISON_FORMATS:
         assert comparison_digest(fmt) == stored["comparison"][fmt]
+        assert comparison_digest(fmt, SUMMATION_SEEDS) == stored["comparison_4_seeds"][fmt]
 
 
 def write_digests() -> None:

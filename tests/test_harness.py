@@ -94,7 +94,7 @@ class TestComputeMetrics:
         assert metrics.stalling_rate == pytest.approx(0.0183)
 
     def test_empty_run_rejected(self):
-        with pytest.raises(ValueError, match="empty run"):
+        with pytest.raises(ValueError, match="duration_s: no packet was delivered"):
             compute_metrics(make_log([]), Scenario(capacity=Constant(3.0)))
 
     @pytest.mark.parametrize("case", ["case2", "case4b"])
@@ -184,7 +184,9 @@ class TestRunComparison:
         assert row.means["rtt_avg_ms"] == pytest.approx(np.mean(values), abs=1e-12)
         assert row.stdevs["rtt_avg_ms"] == pytest.approx(np.std(values), abs=1e-12)
 
-    def test_failed_run_identifies_triple(self):
+    def test_failed_run_identifies_triple(self, monkeypatch):
+        # Two CPUs whatever the host, so that workers=2 reaches the pool.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         for workers in (1, 2):  # serial and worker-pool paths
             with pytest.raises(RuntimeError, match="case=case9 controller=gcc seed=1: unknown"):
                 run_comparison(["case9"], [ControllerKind.GCC], seeds=[1], workers=workers)

@@ -320,7 +320,7 @@ class PlainSetFeedback:
         self.outstanding.pop(packet.seq, None)
         self.received += 1
         if not packet.is_retransmit:
-            self.samples.append((packet.seq, packet.sent_at, now))
+            self.samples.append((packet.size_bytes, packet.sent_at, now))
         if packet.seq > self.highest:
             self.pending.extend(range(self.highest + 1, packet.seq))
             self.highest = packet.seq
