@@ -1,11 +1,19 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled synthetic cellular-style bandwidth trace.
+"""Write the synthetic cellular-style bandwidth trace that case3 is built on.
 
 Piecewise-linear anchor points with seeded noise, sampled at 0.5 s, then
 min-max normalized onto 0..5 Mbps. The anchors sketch a cellular session:
 mostly 2-5 Mbps with a couple of deep fades and recoveries.
+
+The bundled `src/l4sim/data/case3_trace.csv` is a fixture that this script
+reproduces to within 1e-15 of each rate, not byte for byte: the normalization
+has since changed its order of operations. So the output path is required,
+and the fixture is never rewritten by accident.
+
+    python3 scripts/make_case3_trace.py --out case3_trace.csv
 """
 
+import argparse
 import random
 import sys
 from pathlib import Path
@@ -50,6 +58,9 @@ def interpolate(t: float) -> float:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="write the trace CSV here")
+    args = parser.parse_args()
     rng = random.Random(SEED)
     samples = []
     t = 0.0
@@ -58,11 +69,12 @@ def main() -> None:
         samples.append((int(round(t * 1_000_000)), max(0.15, rate)))
         t += STEP_S
     normalized = normalize_trace(samples, max_mbps=5.0)
-    out = Path(__file__).resolve().parents[1] / "src" / "l4sim" / "data" / "case3_trace.csv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(str(out), normalized)
+    write_trace_csv(args.out, normalized)
     rates = [r for _, r in normalized]
-    print(f"wrote {out} ({len(normalized)} samples, min {min(rates):.3f}, max {max(rates):.3f})")
+    print(
+        f"wrote {args.out} ({len(normalized)} samples,"
+        f" min {min(rates):.3f}, max {max(rates):.3f})"
+    )
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ import math
 import os
 from dataclasses import dataclass, fields, replace
 from functools import cache
-from importlib import resources
 from typing import Iterable, Sequence, get_type_hints
 
 from .aqm import DropTailConfig, DualPi2Config
@@ -36,7 +35,7 @@ def _jitter_case(*delays_ms: int) -> dict:
     }
 
 
-_CASE3_TRACE = str(resources.files("l4sim").joinpath("data/case3_trace.csv"))
+_CASE3_TRACE = os.path.join(os.path.dirname(__file__), "data", "case3_trace.csv")
 # The `link` section of each named comparison scenario, in the scenario-file
 # schema. case1: constant 3 Mbps, no jitter. case2: 2.5/4 Mbps square wave.
 # case3: the bundled synthetic cellular-style trace, already normalized onto

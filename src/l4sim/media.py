@@ -110,24 +110,18 @@ class MediaSource:
             seq += 1
         return packets
 
-    def size_of(self, seq: int) -> int:
-        """The size of `seq`; KeyError for a seq never sent or already
-        forgotten. A seq below `_oldest` must not reach the list, whose
-        negative indices would name a later seq's record."""
+    def make_retransmit(self, seq: int, now: SimTime) -> Packet:
+        """Clone a reported-lost packet for immediate resend: one repair per
+        loss report listing it. Raises KeyError for a seq never sent or
+        already forgotten. A seq below `_oldest` must not reach the list,
+        whose negative indices would name a later seq's record."""
         index = seq - self._oldest
         if index < 0:
             raise KeyError(seq)
         try:
-            return self._sent[index][0]
+            size, frame_id, count = self._sent[index]
         except IndexError:
             raise KeyError(seq) from None
-
-    def make_retransmit(self, seq: int, now: SimTime) -> Packet:
-        """Clone a reported-lost packet for immediate resend: one repair per
-        loss report listing it. Raises KeyError, as ``size_of`` does, for a
-        seq never sent or already forgotten."""
-        size = self.size_of(seq)
-        _, frame_id, count = self._sent[seq - self._oldest]
         return Packet(
             seq=seq,
             size_bytes=size,

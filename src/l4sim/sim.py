@@ -11,16 +11,16 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import itertools
 import math
 import os
 import random
-import struct
 import tempfile
 import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain, starmap
+from itertools import chain
 from operator import eq
 from typing import Iterator
 
@@ -99,63 +99,44 @@ class RunAudit:
         return errs
 
 
-# Every event name a timeline row can carry; a row stores its name's index.
-TIMELINE_EVENTS = (
-    "send", "deliver", "rate", "mark", "drop", "overflow", "stall_begin", "stall_end",
-)
-_EVENT_CODE = {name: code for code, name in enumerate(TIMELINE_EVENTS)}
-_ROW_SEND, _ROW_DELIVER, _ROW_RATE = (_EVENT_CODE[e] for e in ("send", "deliver", "rate"))
-# One packed row: time, event code (byte), value. Narrow rows hold time and
-# value as uint32, 9 bytes a row; from the first batch with a time past 2**32
-# us (71.6 minutes) or a value outside 0..2**32-1 on, rows are int64s.
-_NARROW = struct.Struct("<IBI")
-_WIDE = struct.Struct("<qBq")
-# Rows are read back in chunks of at most 64 KiB, whole rows of either width.
-_CHUNK_BYTES = (1 << 16) - (1 << 16) % (_NARROW.size * _WIDE.size)
+# Rows are read back in chunks of at most 64 KiB.
+_CHUNK_BYTES = 1 << 16
 
 
 class TimelineRows:
-    """Timeline rows ``(t_us, event, value)``, packed 9 bytes a row (17 for
-    rows that do not fit uint32) into an unnamed temporary file that closes
-    when the rows are freed. It counts, iterates and compares as the list of
-    triples it stands for.
+    """Timeline rows ``(t_us, event, value)``, kept as the timeline CSV's
+    lines in an unnamed temporary file that closes when the rows are freed.
+    It counts, iterates and compares as the list of triples it stands for.
 
-    ``record`` takes a ``(t_us, event code, value)`` tuple, the code indexing
-    ``TIMELINE_EVENTS``. It is a plain list append, so recording costs what a
-    list of tuples costs; ``pack`` writes the recorded tuples to the file in
-    one call. The engine packs at every feedback build, so the process holds
-    one interval's rows however long the session.
+    ``record`` takes a ``(t_us, event name, value)`` tuple. It is a plain
+    list append, so recording costs what a list of tuples costs; ``pack``
+    writes the recorded tuples to the file as CSV lines in one call. The
+    engine packs at every feedback build, so the process holds one
+    interval's rows however long the session.
     """
 
-    __slots__ = ("_file", "_runs", "_pending", "record", "__weakref__")
+    __slots__ = ("_file", "_count", "_pending", "record", "__weakref__")
 
     def __init__(self) -> None:
-        self._file = tempfile.TemporaryFile()
+        try:
+            self._file = tempfile.TemporaryFile()
+        except OSError as exc:
+            raise OSError(
+                f"the timeline needs a writable temporary directory, and no file"
+                f" can be made in {tempfile.gettempdir()}: {exc.strerror}"
+            ) from exc
         weakref.finalize(self, self._file.close)
-        # (row format, file offset of its first row): narrow from the start,
-        # and wide from the first batch that does not fit narrow rows.
-        self._runs = [(_NARROW, 0)]
-        self._pending: list[tuple[SimTime, int, int]] = []
+        self._count = 0  # rows in the file
+        self._pending: list[tuple[SimTime, str, int]] = []
         self.record = self._pending.append
 
     def pack(self) -> None:
         pending = self._pending
-        if not pending:
-            return
-        row = self._runs[-1][0]
-        try:
-            data = b"".join(starmap(row.pack, pending))
-        except struct.error:  # the batch does not fit narrow rows
-            data = b"".join(starmap(_WIDE.pack, pending))
-            self._runs.append((_WIDE, self._file.tell()))
-        pending.clear()
-        self._file.write(data)
-
-    def _spans(self) -> list[tuple[struct.Struct, int, int]]:
-        self.pack()
-        runs = self._runs
-        ends = [start for _, start in runs[1:]] + [self._file.tell()]
-        return [(row, start, end) for (row, start), end in zip(runs, ends)]
+        if pending:
+            lines = [f"{t},{event},{value}\n" for t, event, value in pending]
+            self._file.write("".join(lines).encode())
+            self._count += len(pending)
+            pending.clear()
 
     def _read(self, at: int, size: int) -> bytes:
         file = self._file
@@ -164,26 +145,36 @@ class TimelineRows:
         file.seek(0, os.SEEK_END)  # back where the next pack writes
         return chunk
 
-    def coded(self) -> Iterator[tuple[SimTime, int, int]]:
-        """The rows as ``(t_us, event code, value)``."""
-        return chain.from_iterable(
-            row.iter_unpack(self._read(at, min(_CHUNK_BYTES, end - at)))
-            for row, start, end in self._spans()
-            for at in range(start, end, _CHUNK_BYTES)
-        )
+    def chunks(self) -> Iterator[bytes]:
+        """The rows as CSV text, at most 64 KiB at a time. Each read puts the
+        file position back, so recording can go on after a read, even one
+        left half way, and two reads of the same rows can interleave."""
+        self.pack()
+        end = self._file.tell()
+        return (self._read(at, min(_CHUNK_BYTES, end - at)) for at in range(0, end, _CHUNK_BYTES))
 
     def __len__(self) -> int:
-        return sum((end - start) // row.size for row, start, end in self._spans())
+        return self._count + len(self._pending)
 
     def __iter__(self) -> Iterator[tuple[SimTime, str, int]]:
-        names = TIMELINE_EVENTS
-        for t, code, value in self.coded():
-            yield t, names[code], value
+        cut = b""  # the start of a row that a chunk ended inside
+        # BytesIO shares its chunk, and chain drops each one before reading
+        # the next, so one chunk at a time is held.
+        for line in chain.from_iterable(map(io.BytesIO, self.chunks())):
+            if not line.endswith(b"\n"):
+                cut = line
+                continue
+            if cut:
+                line, cut = cut + line, b""
+            t, event, value = line.split(b",")
+            yield int(t), event.decode(), int(value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimelineRows):
             return NotImplemented
-        return len(self) == len(other) and all(map(eq, self.coded(), other.coded()))
+        # With as many rows on each side, one text cannot be a proper prefix
+        # of the other, so equal chunks mean equal texts.
+        return len(self) == len(other) and all(map(eq, self.chunks(), other.chunks()))
 
     __hash__ = None  # mutable
 
@@ -204,12 +195,9 @@ class TimelineLog:
     def to_csv(self, path: str) -> None:
         if self.rows is None:
             raise ValueError("run was executed without timeline recording")
-        names = TIMELINE_EVENTS
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            write = fh.write
-            write("t_us,event,value\n")
-            for t, code, value in self.rows.coded():
-                write(f"{t},{names[code]},{value}\n")
+        with open(path, "wb") as fh:
+            fh.write(b"t_us,event,value\n")
+            fh.writelines(self.rows.chunks())
 
 
 # Heap event kinds, dispatched by integer for speed. Deliveries are not heap
@@ -235,13 +223,13 @@ class _Engine:
             # observer that held the engine would tie it into a reference
             # cycle, and the engine and its rows would outlive the run until
             # the cyclic collector ran.
-            record, codes = self.rows.record, _EVENT_CODE
+            record = self.rows.record
 
             def aqm_observer(event: str, packet: Packet, now: SimTime) -> None:
-                record((now, codes[event], packet.seq))
+                record((now, event, packet.seq))
 
             def playout_observer(event: str, value: int, now: SimTime) -> None:
-                record((now, codes[event], value))
+                record((now, event, value))
 
         jitter_rng = random.Random(stream_seed(scenario.seed, "jitter"))
 
@@ -309,7 +297,7 @@ class _Engine:
         if new_target != self.target_bps:
             self.target_bps = new_target
             if self.rows is not None:
-                self.rows.record((now, _ROW_RATE, new_target))
+                self.rows.record((now, "rate", new_target))
         repairs = [self.source.make_retransmit(seq, now) for seq in report.lost_seqs]
         self.source.forget_below(report.received_below)
         return repairs
@@ -367,7 +355,7 @@ class _Engine:
                     in_transit -= 1
                     delivered += 1
                     if record is not None:
-                        record((at, _ROW_DELIVER, packet.seq))
+                        record((at, "deliver", packet.seq))
                     playout_at = on_packet(packet, at)
                     if playout_at is not None:
                         push(heap, (playout_at, tie(), _PLAYOUT, None))
@@ -378,7 +366,7 @@ class _Engine:
             if kind == _SEND:
                 sent += 1
                 if record is not None:
-                    record((due, _ROW_SEND, payload.seq))
+                    record((due, "send", payload.seq))
                 enqueue(payload, due)
                 if backlog:
                     backlog += 1

@@ -200,7 +200,10 @@ class TestRun:
         timeline = tmp_path / "timeline.csv"
         argv = ["--scenario", "case1", "--controller", "gcc", "--duration", "1"]
         assert run_cli("run", *argv, "--timeline", str(timeline)) == 1
-        assert capsys.readouterr().err.startswith("l4sim: error: ")
+        assert capsys.readouterr().err == (
+            "l4sim: error: the timeline needs a writable temporary directory, and no file"
+            f" can be made in {tmp_path / 'missing'}: No such file or directory\n"
+        )
         assert unraisable == []
         assert not timeline.exists()
 

@@ -34,8 +34,6 @@ from l4sim.sim import (
     _FB_BUILD,
     _PI2,
     _PLAYOUT,
-    _ROW_DELIVER,
-    _ROW_SEND,
     _SEND,
     _SERVICE_END,
     RunAudit,
@@ -85,7 +83,7 @@ class HeapOnlyEngine(_Engine):
                 in_transit -= 1
                 delivered += 1
                 if record is not None:
-                    record((due, _ROW_DELIVER, payload.seq))
+                    record((due, "deliver", payload.seq))
                 playout_at = on_packet(payload, due)
                 if playout_at is not None:
                     push(heap, (playout_at, tie(), _PLAYOUT, None))
@@ -93,7 +91,7 @@ class HeapOnlyEngine(_Engine):
             if kind == _SEND:
                 sent += 1
                 if record is not None:
-                    record((due, _ROW_SEND, payload.seq))
+                    record((due, "send", payload.seq))
                 enqueue(payload, due)
                 if link_busy:
                     continue

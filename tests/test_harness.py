@@ -1,9 +1,12 @@
 import copy
 import math
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +158,18 @@ class TestPresets:
         assert min(rates) == pytest.approx(0.0, abs=1e-9)
         assert max(rates) == pytest.approx(5.0)
         assert samples[0][0] == 0
+
+    def test_trace_script_reproduces_the_bundled_trace(self, tmp_path):
+        # The script normalizes in another order than the fixture was made
+        # with, so its rates agree to within rounding, not byte for byte.
+        out = tmp_path / "case3_trace.csv"
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_case3_trace.py"
+        argv = [sys.executable, str(script), "--out", str(out)]
+        subprocess.run(argv, check=True, stdout=subprocess.DEVNULL)
+        made, bundled = load_trace_csv(str(out)), load_trace_csv(str(BUNDLED_TRACE))
+        assert [t for t, _ in made] == [t for t, _ in bundled]
+        for (t, rate), (_, expected) in zip(made, bundled):
+            assert math.isclose(rate, expected, rel_tol=1e-15), f"t={t} us"
 
 
 class TestRunComparison:

@@ -402,13 +402,11 @@ class TestReceiverWatermark:
         source.forget_below(4)
         for seq in (0, 3):
             with pytest.raises(KeyError):
-                source.size_of(seq)
-            with pytest.raises(KeyError):
                 source.make_retransmit(seq, 0)
-        assert source.size_of(4) == packets[4].size_bytes
+        assert source.make_retransmit(4, 0).size_bytes == packets[4].size_bytes
         assert source.make_retransmit(10, 0).size_bytes == packets[10].size_bytes
         source.forget_below(2)  # an older watermark forgets nothing more
-        assert source.size_of(4) == packets[4].size_bytes
+        assert source.make_retransmit(4, 0).size_bytes == packets[4].size_bytes
 
     @given(
         steps=st.lists(
@@ -434,11 +432,8 @@ class TestReceiverWatermark:
                 oldest = max(oldest, arg)
         for seq in range(-3, source.next_seq + 3):
             if oldest <= seq < source.next_seq:
-                assert source.size_of(seq) == sizes[seq]
                 assert source.make_retransmit(seq, 0).size_bytes == sizes[seq]
             else:
-                with pytest.raises(KeyError):
-                    source.size_of(seq)
                 with pytest.raises(KeyError):
                     source.make_retransmit(seq, 0)
         with pytest.raises(KeyError):

@@ -14,7 +14,6 @@ from l4sim.harness import preset_scenario
 from l4sim.media import Receiver, SourceConfig
 from l4sim.netem import Constant, ForwardLink
 from l4sim.sim import (
-    TIMELINE_EVENTS,
     Scenario,
     TimelineRows,
     _Engine,
@@ -194,21 +193,24 @@ class TestTimelineLog:
             log.to_csv("/tmp/nope.csv")
 
 
+EVENTS = ("send", "deliver", "rate", "mark", "drop", "overflow", "stall_begin", "stall_end")
+
+
 class TestTimelineRows:
     def test_behaves_as_the_list_of_triples(self):
         triples = [(0, "send", 0), (7, "mark", 0), (9, "rate", 5_000_000), (12, "stall_end", 3)]
-        # Rows that do not fit uint32 among narrow ones, and enough rows to
-        # fill several blocks.
+        # Times and values of any width and sign, and enough rows to fill
+        # several 64 KiB chunks.
         triples += [(2**32, "deliver", 1), (13, "rate", 2**32), (14, "drop", -1)]
-        triples += [(15 + i, TIMELINE_EVENTS[i % 8], i) for i in range(20_000)]
+        triples += [(15 + i, EVENTS[i % 8], i) for i in range(20_000)]
         triples += [(2**40, "send", -(2**40)), (16, "deliver", 2), (17, "send", 3)]
         # Packed after every row, every 97 rows, and only when read: packed
-        # and pending rows read alike, whatever the formats or pack points.
+        # and pending rows read alike, whatever the pack points.
         logs = {every: TimelineRows() for every in (1, 97, None)}
         other = TimelineRows()
-        for i, (t, event, value) in enumerate(triples, 1):
+        for i, triple in enumerate(triples, 1):
             for every, log in [*logs.items(), (None, other)]:
-                log.record((t, TIMELINE_EVENTS.index(event), value))
+                log.record(triple)
                 if every and i % every == 0:
                     log.pack()
         rows, same, unpacked = logs.values()
@@ -216,32 +218,32 @@ class TestTimelineRows:
         assert len(rows) == len(same) == len(unpacked) == len(triples)
         assert rows == same == unpacked
         assert rows == other
-        other.record((18, TIMELINE_EVENTS.index("deliver"), 1))
+        other.record((18, "deliver", 1))
         assert rows != other
         last_differs = TimelineRows()
-        for t, event, value in triples[:-1] + [(17, "send", 4)]:
-            last_differs.record((t, TIMELINE_EVENTS.index(event), value))
+        for triple in triples[:-1] + [(17, "send", 4)]:
+            last_differs.record(triple)
         assert rows != last_differs
 
     def test_reads_between_packs_leave_recording_intact(self):
-        # Narrow rows, then wide ones, each several 64 KiB chunks long. Every
-        # read moves the file position, and recording must still append.
-        triples = [(t, TIMELINE_EVENTS[t % 8], t) for t in range(20_000)]
-        triples += [(2**32 + t, TIMELINE_EVENTS[t % 8], t) for t in range(20_000)]
+        # Rows of growing width, several 64 KiB chunks in all. Every read
+        # moves the file position, and recording must still append.
+        triples = [(t, EVENTS[t % 8], t) for t in range(20_000)]
+        triples += [(2**32 + t, EVENTS[t % 8], t) for t in range(20_000)]
         rows, whole = TimelineRows(), TimelineRows()
-        for t, event, value in triples:
-            whole.record((t, TIMELINE_EVENTS.index(event), value))
+        for triple in triples:
+            whole.record(triple)
         recorded = 0
         for upto in (7_001, 15_000, 20_000, 20_001, 33_333, len(triples)):
-            for t, event, value in triples[recorded:upto]:
-                rows.record((t, TIMELINE_EVENTS.index(event), value))
+            for triple in triples[recorded:upto]:
+                rows.record(triple)
             if upto % 2:
                 rows.pack()  # otherwise the read packs the pending rows
             recorded = upto
             assert len(rows) == upto
             assert list(rows) == triples[:upto]
             assert rows == rows  # two reads of one file, interleaved
-            next(rows.coded())  # a read left after its first chunk
+            next(iter(rows))  # a read left after its first chunk
         assert rows == whole
         assert list(rows) == triples
 
@@ -303,7 +305,7 @@ class TestBoundedState:
             try:
                 _, log = run_scenario(scenario, timeline=timeline)
                 if timeline:
-                    deque(log.rows.coded(), maxlen=0)  # read every row back
+                    deque(log.rows, maxlen=0)  # read every row back
                 return tracemalloc.get_traced_memory()[1], log
             finally:
                 tracemalloc.stop()
