@@ -31,7 +31,7 @@ _L4S_CODEPOINTS = frozenset((EcnCodepoint.ECT1, EcnCodepoint.CE))
 _CE = EcnCodepoint.CE
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualPi2Config:
     """PI gains are per second of delay error per second; durations in us."""
 
@@ -44,7 +44,7 @@ class DualPi2Config:
     queue_limit_bytes: int = DEFAULT_QUEUE_LIMIT_BYTES
     time_shift_us: SimTime = 50_000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("target_delay_us", "t_update_us", "l4s_step_threshold_us", "time_shift_us"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive")
@@ -54,11 +54,11 @@ class DualPi2Config:
             raise ValueError("queue_limit_bytes: must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropTailConfig:
     queue_limit_bytes: int = DEFAULT_QUEUE_LIMIT_BYTES
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.queue_limit_bytes <= 0:
             raise ValueError("queue_limit_bytes: must be positive")
 

@@ -55,7 +55,7 @@ RECEIVE_WINDOW_INITIAL_US = 500_000
 RECEIVE_WINDOW_US = 150_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class GccParams:
     window: int = 20
     threshold_gain: float = 4.0
@@ -74,7 +74,7 @@ class GccParams:
     # stock controller lets the threshold chase every observation.
     adapt_skip: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.decrease_factor < 1.0:
             raise ValueError(f"decrease_factor: must be in (0, 1), got {self.decrease_factor}")
         if not self.loss_low < self.loss_high:
@@ -101,7 +101,7 @@ class GccParams:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScalableParams:
     """Mark-fraction response: EWMA gain and additive recovery step.
 
@@ -112,7 +112,7 @@ class ScalableParams:
     ewma_gain: float = 1.0 / 16.0
     additive_step_bps: int = 5_000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 < self.ewma_gain <= 1.0:
             raise ValueError(f"ewma_gain: must be in (0, 1], got {self.ewma_gain}")
         if self.additive_step_bps <= 0:

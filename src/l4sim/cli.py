@@ -17,13 +17,13 @@ from .harness import (
     PRESET_CASES,
     ScenarioError,
     emit_metrics_csv,
-    emit_table_csv,
     format_table_text,
     metrics_csv_lines,
     preset_scenario,
     run_comparison,
     scenario_from_dict,
     table_csv_lines,
+    write_lines,
 )
 from .netem import load_trace_csv, normalize_trace, write_trace_csv
 from .sim import Scenario, run_scenario
@@ -130,18 +130,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         cases, args.controllers, seeds, duration_s=args.duration, workers=args.workers
     )
     if args.format == "table":
-        text = format_table_text(rows)
-        if args.out is not None:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            print(text, end="")
+        lines = format_table_text(rows).splitlines()
     else:
-        if args.out is not None:
-            emit_table_csv(rows, args.out)
-        else:
-            for line in table_csv_lines(rows):
-                print(line)
+        lines = table_csv_lines(rows)
+    if args.out is not None:
+        write_lines(args.out, lines)
+    else:
+        for line in lines:
+            print(line)
     return 0
 
 
@@ -160,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_normalize(args)
-    except (OSError, ValueError, RuntimeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"l4sim: error: {exc}", file=sys.stderr)
         return 1
 

@@ -171,14 +171,14 @@ def _aggregate(case: str, controller: str, runs: Sequence[MetricsReport]) -> Com
     )
 
 
-def _run_one(args: tuple[str, str, int, float]) -> MetricsReport:
-    case, controller_value, seed, duration_s = args
+def _run_one(job: tuple[str, Scenario]) -> MetricsReport:
+    case, scenario = job
     try:
-        scenario = preset_scenario(case, ControllerKind(controller_value), seed, duration_s)
         metrics, _log = run_scenario(scenario)
     except Exception as exc:  # identify the offending triple, in workers too
         raise RuntimeError(
-            f"run failed for case={case} controller={controller_value} seed={seed}: {exc}"
+            f"run failed for case={case} controller={scenario.controller.value}"
+            f" seed={scenario.seed}: {exc}"
         ) from exc
     return metrics
 
@@ -195,16 +195,26 @@ def run_comparison(
 
     Runs are independent, so they may execute in parallel; results are
     collected in input order either way, keeping the table deterministic.
+    Every scenario is built, and so checked, before the first run starts.
     """
-    if not cases or not controllers or not seeds:
-        raise ValueError("cases, controllers, and seeds must be non-empty")
+    for flag, values in (("--cases", cases), ("--controllers", controllers), ("--seeds", seeds)):
+        if not values:
+            raise ValueError(f"{flag}: expected at least one value")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     cpus = os.cpu_count() or 1
     if workers > cpus:
         raise ValueError(f"--workers must be at most the CPU count, {cpus}, got {workers}")
-    cells = [(case, controller.value) for case in cases for controller in controllers]
-    jobs = [(case, controller, seed, duration_s) for case, controller in cells for seed in seeds]
+    for case in cases:
+        if case not in PRESETS:
+            choices = ", ".join(PRESET_CASES)
+            raise ValueError(f"--cases: unknown preset {case!r}; choose one of {choices}")
+    cells = [(case, controller) for case in cases for controller in controllers]
+    jobs = [
+        (case, preset_scenario(case, controller, seed, duration_s))
+        for case, controller in cells
+        for seed in seeds
+    ]
     if workers > 1:
         # Imported here: only a parallel comparison needs it, and it costs
         # l4sim's import about a tenth of its time.
@@ -217,7 +227,7 @@ def run_comparison(
         results = list(map(_run_one, jobs))
     n = len(seeds)
     return tuple(
-        _aggregate(case, controller, results[i * n : (i + 1) * n])
+        _aggregate(case, controller.value, results[i * n : (i + 1) * n])
         for i, (case, controller) in enumerate(cells)
     )
 
@@ -243,7 +253,7 @@ def table_csv_lines(rows: Sequence[ComparisonRow]) -> list[str]:
 
 
 def emit_table_csv(rows: Sequence[ComparisonRow], path: str) -> None:
-    _write_lines(path, table_csv_lines(rows))
+    write_lines(path, table_csv_lines(rows))
 
 
 def format_table_text(rows: Sequence[ComparisonRow]) -> str:
@@ -280,7 +290,7 @@ def metrics_csv_lines(report: MetricsReport) -> list[str]:
 # A scenario file mirrors `Scenario`. A numeric key overrides one field of a
 # config dataclass and an absent key keeps that field's default, so each
 # default is defined once, in its dataclass. Range checks stay in the classes'
-# `validate()`/`__post_init__`, so files and code obey the same rules.
+# `__post_init__`, so files and code obey the same rules.
 
 
 class ScenarioError(ValueError):
@@ -372,10 +382,10 @@ def _build(
     **given,
 ):  # fmt: skip
     """`start` with each of `keys` present in `spec` overriding its field,
-    then range-checked by the class. `start` is an instance whose values
-    stand for absent keys, or a class whose keys are all required (an absent
-    key reads as null). `given_paths` maps a `given` field to the file key
-    it came from, for its error messages."""
+    range-checked by the class as it is built. `start` is an instance whose
+    values stand for absent keys, or a class whose keys are all required (an
+    absent key reads as null). `given_paths` maps a `given` field to the
+    file key it came from, for its error messages."""
     cls = start if isinstance(start, type) else type(start)
     hints = _type_hints(cls)
     values = dict(given)
@@ -390,8 +400,6 @@ def _build(
             values[name] = _number(spec.get(key), key_paths[name], hints[name] is int, scale)
     try:
         config = cls(**values) if start is cls else replace(start, **values)
-        if hasattr(config, "validate"):
-            config.validate()
     except ValueError as exc:
         # "<field>: <problem>" names one field; any other message the object.
         name, colon, problem = str(exc).partition(": ")
@@ -470,10 +478,10 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def emit_metrics_csv(report: MetricsReport, path: str) -> None:
-    _write_lines(path, metrics_csv_lines(report))
+    write_lines(path, metrics_csv_lines(report))
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
+def write_lines(path: str, lines: Iterable[str]) -> None:
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             for line in lines:

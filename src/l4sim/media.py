@@ -37,7 +37,7 @@ _ECT1, _CE = EcnCodepoint.ECT1, EcnCodepoint.CE
 MAX_FPS = 1_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceConfig:
     fps: int = 30
     mtu_bytes: int = 1_200
@@ -46,7 +46,7 @@ class SourceConfig:
     start_bitrate_bps: int = 1_000_000
     ecn_mode: EcnCodepoint = EcnCodepoint.ECT1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.fps <= MAX_FPS:
             raise ValueError(
                 f"fps: must be from 1 to {MAX_FPS}, so that a frame interval is at"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import io
 import itertools
 import math
 import os
@@ -20,8 +19,6 @@ import tempfile
 import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import eq
 from typing import Iterator
 
 from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
@@ -39,9 +36,12 @@ def stream_seed(seed: int, label: str) -> int:
     return (seed & 0xFFFFFFFFFFFFFFFF) ^ int.from_bytes(digest[:8], "big")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One simulated session: link, queue discipline, controller, source."""
+    """One simulated session: link, queue discipline, controller, source.
+
+    Like every config it holds, it is immutable and checks itself when it
+    is built, so a scenario that exists is valid."""
 
     seed: int = 1
     duration_s: float = 120.0
@@ -57,12 +57,17 @@ class Scenario:
     feedback_interval_us: SimTime = 100_000
     dejitter_us: SimTime = 15_000
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
+        """Range checks of the scenario's own fields, run by `__post_init__`.
+        Each config the scenario holds checked itself when it was built."""
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s must be finite and positive, got {self.duration_s}")
+            raise ValueError(f"duration_s: must be finite and positive, got {self.duration_s}")
         if us_from_s(self.duration_s) == 0:
             raise ValueError(
-                f"duration_s must be at least 1 us once rounded to whole microseconds,"
+                f"duration_s: must be at least 1 us once rounded to whole microseconds,"
                 f" got {self.duration_s}"
             )
         for name in ("forward_delay_us", "reverse_delay_us", "feedback_interval_us"):
@@ -70,12 +75,6 @@ class Scenario:
                 raise ValueError(f"{name}: must be positive")
         if self.dejitter_us < 0:
             raise ValueError("dejitter_us: must be non-negative")
-        self.aqm.validate()
-        self.source.validate()
-        if self.gcc_params is not None:
-            self.gcc_params.validate()
-        if self.scalable_params is not None:
-            self.scalable_params.validate()
 
 
 @dataclass
@@ -106,7 +105,7 @@ _CHUNK_BYTES = 1 << 16
 class TimelineRows:
     """Timeline rows ``(t_us, event, value)``, kept as the timeline CSV's
     lines in an unnamed temporary file that closes when the rows are freed.
-    It counts, iterates and compares as the list of triples it stands for.
+    ``len`` counts the rows and ``chunks`` reads their text back.
 
     ``record`` takes a ``(t_us, event name, value)`` tuple. It is a plain
     list append, so recording costs what a list of tuples costs; ``pack``
@@ -156,28 +155,6 @@ class TimelineRows:
     def __len__(self) -> int:
         return self._count + len(self._pending)
 
-    def __iter__(self) -> Iterator[tuple[SimTime, str, int]]:
-        cut = b""  # the start of a row that a chunk ended inside
-        # BytesIO shares its chunk, and chain drops each one before reading
-        # the next, so one chunk at a time is held.
-        for line in chain.from_iterable(map(io.BytesIO, self.chunks())):
-            if not line.endswith(b"\n"):
-                cut = line
-                continue
-            if cut:
-                line, cut = cut + line, b""
-            t, event, value = line.split(b",")
-            yield int(t), event.decode(), int(value)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TimelineRows):
-            return NotImplemented
-        # With as many rows on each side, one text cannot be a proper prefix
-        # of the other, so equal chunks mean equal texts.
-        return len(self) == len(other) and all(map(eq, self.chunks(), other.chunks()))
-
-    __hash__ = None  # mutable
-
 
 @dataclass
 class TimelineLog:
@@ -195,9 +172,12 @@ class TimelineLog:
     def to_csv(self, path: str) -> None:
         if self.rows is None:
             raise ValueError("run was executed without timeline recording")
-        with open(path, "wb") as fh:
-            fh.write(b"t_us,event,value\n")
-            fh.writelines(self.rows.chunks())
+        try:
+            with open(path, "wb") as fh:
+                fh.write(b"t_us,event,value\n")
+                fh.writelines(self.rows.chunks())
+        except OSError as exc:
+            raise OSError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 # Heap event kinds, dispatched by integer for speed. Deliveries are not heap
@@ -213,7 +193,6 @@ _PLAYOUT = 7
 
 class _Engine:
     def __init__(self, scenario: Scenario, timeline: bool) -> None:
-        scenario.validate()
         self.sc = scenario
         self.end_us = us_from_s(scenario.duration_s)
         self.rows = TimelineRows() if timeline else None
@@ -433,8 +412,8 @@ class _Engine:
 def run_scenario(scenario: Scenario, timeline: bool = False):
     """Execute one scenario. Returns (MetricsReport, TimelineLog).
 
-    Identical scenario + seed gives bit-identical results; invalid
-    configuration is rejected before any event executes.
+    Identical scenario + seed gives bit-identical results. The scenario
+    was checked when it was built, so no event runs on an invalid one.
     """
     engine = _Engine(scenario, timeline)
     log = engine.run()

@@ -374,7 +374,7 @@ class TestCriterion9Determinism:
             for seed in (21, 22):
                 scenario = preset_scenario(case, kind, seed=seed, duration_s=30.0)
                 _, log = run_scenario(scenario, timeline=True)
-                logs.append(log.rows)
+                logs.append(b"".join(log.rows.chunks()))
             changed.append(logs[0] != logs[1])
         report_line(9, "seed changes timeline", all(changed), "case4a/b/c")
         assert all(changed)

@@ -155,7 +155,8 @@ class TestRun:
         else:
             argv = ["--scenario", "case1", "--controller", "gcc", "--duration", str(duration)]
         assert run_cli("run", *argv) == 1
-        assert capsys.readouterr().err.startswith("l4sim: error: duration_s must be at least 1 us")
+        err = capsys.readouterr().err
+        assert err.startswith("l4sim: error: duration_s: must be at least 1 us")
 
     def test_run_that_delivers_nothing_names_fields(self, tmp_path, capsys):
         # A 1e-9 Mbps link serializes no packet in 2 s. Such a run used to
@@ -300,6 +301,69 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "l4sim: error: --workers must be at most the CPU count, 2, got 5000" in err
         assert not out.exists()
+
+
+class TestInputsCheckedBeforeAnyRun:
+    """`compare` builds every job's scenario before its first run, so a bad
+    input fails with the flag or field it came from, and no worker process
+    starts."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--cases", ",", "--cases: expected at least one value"),
+            ("--cases", "case1,case99", "--cases: unknown preset 'case99'; choose one of case1,"),
+            ("--controllers", ",", "--controllers: expected at least one value"),
+            ("--duration", "-1", "duration_s: must be finite and positive, got -1.0"),
+            ("--duration", "1e-9", "duration_s: must be at least 1 us"),
+        ],
+    )
+    def test_bad_input_fails_before_any_run(
+        self, tmp_path, monkeypatch, capsys, flag, value, message
+    ):
+        import concurrent.futures
+
+        from l4sim import harness
+
+        def started(*args, **kwargs):
+            raise AssertionError("a process pool or a run was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", started)
+        monkeypatch.setattr(harness, "run_scenario", started)
+        args = {"--cases": "case1,case3", "--controllers": "gcc,l4s-gcc", "--duration": "2"}
+        args[flag] = value
+        out = tmp_path / "table.csv"
+        argv = [item for pair in args.items() for item in pair]
+        code = run_cli("compare", *argv, "--seeds", "2", "--workers", "2", "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"l4sim: error: {message}")
+        assert not out.exists()
+
+
+class TestUnwritableOutput:
+    """Every output file that cannot be written is reported the same way."""
+
+    RUN = ("run", "--scenario", "case1", "--controller", "gcc", "--duration", "1")
+    COMPARE = ("compare", "--cases", "case1", "--controllers", "gcc", "--seeds", "1",
+               "--duration", "1")  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (RUN, "--out"),
+            (RUN, "--timeline"),
+            (COMPARE + ("--format", "csv"), "--out"),
+            (COMPARE + ("--format", "table"), "--out"),
+        ],
+        ids=["metrics", "timeline", "comparison-csv", "comparison-table"],
+    )
+    def test_names_the_path(self, tmp_path, capsys, argv, flag):
+        path = str(tmp_path / "missing" / "out.csv")
+        assert run_cli(*argv, flag, path) == 1
+        assert capsys.readouterr().err.startswith(
+            f"l4sim: error: cannot write output file {path!r}: [Errno 2] No such file"
+        )
 
 
 class TestNormalizeTrace:

@@ -265,7 +265,7 @@ def outputs(engine_class, scenario):
     engine = engine_class(scenario, timeline=True)
     calls = log_calls(engine)
     log = engine.run()
-    return list(log.rows), compute_metrics(log, scenario), log.audit, calls
+    return b"".join(log.rows.chunks()), compute_metrics(log, scenario), log.audit, calls
 
 
 # Scenarios on which a loop with one of the faults DECISIONS.md entry 9

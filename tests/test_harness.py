@@ -202,9 +202,12 @@ class TestRunComparison:
     def test_failed_run_identifies_triple(self, monkeypatch):
         # Two CPUs whatever the host, so that workers=2 reaches the pool.
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # A valid scenario whose run fails: it ends before any packet
+        # arrives (DECISIONS.md entry 12).
+        message = "case=case1 controller=gcc seed=2: duration_s: no packet was delivered"
         for workers in (1, 2):  # serial and worker-pool paths
-            with pytest.raises(RuntimeError, match="case=case9 controller=gcc seed=1: unknown"):
-                run_comparison(["case9"], [ControllerKind.GCC], seeds=[1], workers=workers)
+            with pytest.raises(RuntimeError, match=message):
+                run_comparison(["case1"], [ControllerKind.GCC], [2], 0.001, workers=workers)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):

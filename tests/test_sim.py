@@ -2,13 +2,13 @@ import gc
 import tracemalloc
 import weakref
 from collections import Counter, deque
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
 from l4sim import sim
-from l4sim.aqm import DualPi2
-from l4sim.cc import ControllerKind
+from l4sim.aqm import DropTailConfig, DualPi2, DualPi2Config
+from l4sim.cc import ControllerKind, GccParams, ScalableParams
 from l4sim.core import EcnCodepoint
 from l4sim.harness import preset_scenario
 from l4sim.media import Receiver, SourceConfig
@@ -24,6 +24,24 @@ from l4sim.sim import (
 
 def short(case, kind, seed=1, duration=15.0):
     return preset_scenario(case, kind, seed=seed, duration_s=duration)
+
+
+def text(rows):
+    """The rows' CSV text, header excluded."""
+    return b"".join(rows.chunks())
+
+
+def csv_text(triples):
+    """The CSV text that rows of these triples are kept as."""
+    return "".join(f"{t},{event},{value}\n" for t, event, value in triples).encode()
+
+
+def parse(rows):
+    """The rows as ``(t_us, event, value)`` triples, parsed from their text."""
+    return [
+        (int(t), event, int(value))
+        for t, event, value in (line.split(",") for line in text(rows).decode().splitlines())
+    ]
 
 
 class TestStreamSeed:
@@ -42,17 +60,17 @@ class TestDeterminism:
         m1, log1 = run_scenario(short("case4a", ControllerKind.L4S_GCC), timeline=True)
         m2, log2 = run_scenario(short("case4a", ControllerKind.L4S_GCC), timeline=True)
         assert m1 == m2
-        assert log1.rows == log2.rows
+        assert text(log1.rows) == text(log2.rows)
         assert log1.rtt_samples_us == log2.rtt_samples_us
 
     def test_seed_changes_timeline(self):
         _, log1 = run_scenario(short("case4a", ControllerKind.GCC, seed=1), timeline=True)
         _, log2 = run_scenario(short("case4a", ControllerKind.GCC, seed=2), timeline=True)
-        assert log1.rows != log2.rows
+        assert text(log1.rows) != text(log2.rows)
 
     def test_event_times_non_decreasing(self):
         _, log = run_scenario(short("case2", ControllerKind.GCC), timeline=True)
-        times = [t for t, _, _ in log.rows]
+        times = [t for t, _, _ in parse(log.rows)]
         assert times == sorted(times)
 
 
@@ -145,20 +163,46 @@ class TestDegeneratePath:
 class TestValidation:
     def test_bad_duration_rejected_before_running(self):
         scenario = short("case1", ControllerKind.GCC)
-        scenario.duration_s = 0
-        with pytest.raises(ValueError):
-            run_scenario(scenario)
+        with pytest.raises(ValueError, match="duration_s: must be finite and positive, got 0"):
+            replace(scenario, duration_s=0)
+        with pytest.raises(ValueError, match="duration_s: must be finite and positive"):
+            Scenario(duration_s=-1.0)
 
     def test_bad_source_rejected(self):
         scenario = short("case1", ControllerKind.GCC)
-        scenario.source = SourceConfig(min_bitrate_bps=2_000_000, max_bitrate_bps=1_000_000)
-        with pytest.raises(ValueError):
-            run_scenario(scenario)
+        with pytest.raises(ValueError, match="min <= start <= max"):
+            replace(scenario, source=replace(scenario.source, min_bitrate_bps=2_000_000))
+        with pytest.raises(ValueError, match="min <= start <= max"):
+            SourceConfig(min_bitrate_bps=2_000_000, max_bitrate_bps=1_000_000)
 
     def test_jitter_without_delay_model_conflicts(self):
         scenario = short("case4a", ControllerKind.GCC)
         assert scenario.jitter is not None
         scenario.validate()  # jitter replaces the fixed forward delay
+
+    # Each config class with a field, a value its check refuses, and the
+    # message that names the field.
+    BAD_VALUES = [
+        (DualPi2Config, "target_delay_us", 0, "target_delay_us: must be positive"),
+        (DropTailConfig, "queue_limit_bytes", 0, "queue_limit_bytes: must be positive"),
+        (SourceConfig, "fps", 0, "fps: must be from 1 to 1000"),
+        (GccParams, "window", 1, "window: must hold at least 2 points"),
+        (ScalableParams, "ewma_gain", 0.0, r"ewma_gain: must be in \(0, 1\]"),
+        (Scenario, "feedback_interval_us", 0, "feedback_interval_us: must be positive"),
+    ]
+
+    @pytest.mark.parametrize(
+        "cls, name, bad, message", BAD_VALUES, ids=[c.__name__ for c, *_ in BAD_VALUES]
+    )
+    def test_configs_are_immutable_and_checked_when_built(self, cls, name, bad, message):
+        config = cls()
+        with pytest.raises(ValueError, match=message):
+            cls(**{name: bad})
+        with pytest.raises(ValueError, match=message):
+            replace(config, **{name: bad})
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, bad)
+        assert config == cls()  # the refused assignment changed nothing
 
 
 class TestTimelineLog:
@@ -177,7 +221,7 @@ class TestTimelineLog:
             ),
         )
         metrics, log = run_scenario(scenario, timeline=True)
-        events = [e for _, e, _ in log.rows]
+        events = [e for _, e, _ in parse(log.rows)]
         assert events.count("send") == 1
         assert events.count("deliver") == 1
         path = tmp_path / "timeline.csv"
@@ -207,23 +251,17 @@ class TestTimelineRows:
         # Packed after every row, every 97 rows, and only when read: packed
         # and pending rows read alike, whatever the pack points.
         logs = {every: TimelineRows() for every in (1, 97, None)}
-        other = TimelineRows()
         for i, triple in enumerate(triples, 1):
-            for every, log in [*logs.items(), (None, other)]:
+            for every, log in logs.items():
                 log.record(triple)
                 if every and i % every == 0:
                     log.pack()
-        rows, same, unpacked = logs.values()
-        assert list(rows) == list(same) == list(unpacked) == triples
-        assert len(rows) == len(same) == len(unpacked) == len(triples)
-        assert rows == same == unpacked
-        assert rows == other
-        other.record((18, "deliver", 1))
-        assert rows != other
-        last_differs = TimelineRows()
-        for triple in triples[:-1] + [(17, "send", 4)]:
-            last_differs.record(triple)
-        assert rows != last_differs
+        for log in logs.values():
+            assert len(log) == len(triples)
+            chunks = list(log.chunks())
+            assert len(chunks) > 2 and all(len(chunk) <= 65_536 for chunk in chunks)
+            assert b"".join(chunks) == csv_text(triples)
+            assert parse(log) == triples
 
     def test_reads_between_packs_leave_recording_intact(self):
         # Rows of growing width, several 64 KiB chunks in all. Every read
@@ -241,11 +279,11 @@ class TestTimelineRows:
                 rows.pack()  # otherwise the read packs the pending rows
             recorded = upto
             assert len(rows) == upto
-            assert list(rows) == triples[:upto]
-            assert rows == rows  # two reads of one file, interleaved
-            next(iter(rows))  # a read left after its first chunk
-        assert rows == whole
-        assert list(rows) == triples
+            assert text(rows) == csv_text(triples[:upto])
+            # two reads of one file, interleaved
+            assert all(a == b for a, b in zip(rows.chunks(), rows.chunks()))
+            next(rows.chunks())  # a read left after its first chunk
+        assert text(rows) == text(whole) == csv_text(triples)
 
 
 class TestBoundedState:
@@ -305,7 +343,7 @@ class TestBoundedState:
             try:
                 _, log = run_scenario(scenario, timeline=timeline)
                 if timeline:
-                    deque(log.rows, maxlen=0)  # read every row back
+                    deque(log.rows.chunks(), maxlen=0)  # read every row back
                 return tracemalloc.get_traced_memory()[1], log
             finally:
                 tracemalloc.stop()
