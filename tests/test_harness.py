@@ -426,6 +426,18 @@ class TestScenarioFromDict:
                 {"capacity": dict(SQUARE, half_period_s=0)},
                 "link.capacity.half_period_s: must be positive",
             ),
+            ("feedback_interval_ms", 0, "^feedback_interval_ms: must be positive$"),
+            ("dejitter_ms", -1, "^dejitter_ms: must be non-negative$"),
+            (
+                "link",
+                dict(VALID_SCENARIO["link"], reverse_delay_ms=0),
+                "^link.reverse_delay_ms: must be positive$",
+            ),
+            (
+                "link",
+                dict(VALID_SCENARIO["link"], reverse_delay_ms="x"),
+                "^link.reverse_delay_ms: expected a number",
+            ),
         ],
     )  # fmt: skip
     def test_invalid_value_names_field_path(self, section, value, where):
