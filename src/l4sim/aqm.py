@@ -48,6 +48,9 @@ class DualPi2Config:
         for name in ("target_delay_us", "t_update_us", "l4s_step_threshold_us", "time_shift_us"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be non-negative, got {getattr(self, name)}")
         if self.coupling_k < 1:
             raise ValueError("coupling_k: must be >= 1")
         if self.queue_limit_bytes <= 0:

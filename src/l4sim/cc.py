@@ -19,12 +19,13 @@ target bitrate.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
 
-from .core import FeedbackReport, SimTime
+from .core import EcnCodepoint, FeedbackReport, SimTime
 
 
 class ControllerKind(Enum):
@@ -53,6 +54,9 @@ SLOPE_COUNT_CAP = 60
 # sawtooth average.
 RECEIVE_WINDOW_INITIAL_US = 500_000
 RECEIVE_WINDOW_US = 150_000
+# Each delay delta refits the whole trendline window, so its size bounds the
+# work per delta: 50 times the stock 20 points.
+MAX_WINDOW = 1_000
 
 
 @dataclass(frozen=True)
@@ -83,22 +87,29 @@ class GccParams:
             raise ValueError("gamma_min_ms must be below gamma_max_ms")
         if self.window < 2:
             raise ValueError(f"window: must hold at least 2 points, got {self.window}")
+        if self.window > MAX_WINDOW:
+            raise ValueError(f"window: must hold at most {MAX_WINDOW} points, got {self.window}")
+        if not self.eta_increase > 0.0:
+            raise ValueError(f"eta_increase: must be positive, got {self.eta_increase}")
 
     @classmethod
     def sensitive(cls) -> "GccParams":
-        """Earlier congestion detection, harder reaction.
+        """The sensitive preset: the stock parameters with `SENSITIVE_GCC`."""
+        return cls(**SENSITIVE_GCC)
 
-        The threshold floor drops with the initial threshold, and adaptation
-        freezes on large spikes; without those the adaptive threshold bottoms
-        out at the stock floor and the preset would detect nothing the stock
-        parameters miss."""
-        return cls(
-            gamma_init_ms=6.0,
-            gamma_min_ms=2.5,
-            overuse_time_ms=5.0,
-            decrease_factor=0.80,
-            adapt_skip=True,
-        )
+
+# The sensitive preset's departures from the stock GCC parameters: earlier
+# congestion detection, harder reaction. The threshold floor drops with the
+# initial threshold, and adaptation freezes on large spikes; without those the
+# adaptive threshold bottoms out at the stock floor and the preset would
+# detect nothing the stock parameters miss.
+SENSITIVE_GCC = {
+    "gamma_init_ms": 6.0,
+    "gamma_min_ms": 2.5,
+    "overuse_time_ms": 5.0,
+    "decrease_factor": 0.80,
+    "adapt_skip": True,
+}
 
 
 @dataclass(frozen=True)
@@ -367,7 +378,10 @@ class GccController:
             if receive_bps > 0.0:
                 target = p.decrease_factor * receive_bps
         elif signal is Signal.NORMAL:
-            target *= p.eta_increase**dt_s
+            try:
+                target *= p.eta_increase**dt_s
+            except OverflowError:  # infinite, as a product beyond float range is; clamped below
+                target = math.inf
             if loss_rate < p.loss_low:
                 target *= 1.05
 
@@ -444,10 +458,18 @@ class L4sGccController:
 Controller = GccController | L4sCcController | L4sGccController
 
 
-def default_gcc_params(kind: ControllerKind) -> GccParams:
-    """The GCC parameters a controller kind runs with when none are given:
-    the sensitive preset for `sensitive-gcc`, the stock ones otherwise."""
-    return GccParams.sensitive() if kind is ControllerKind.SENSITIVE_GCC else GccParams()
+def gcc_departures(kind: ControllerKind) -> dict:
+    """The GCC parameters a controller kind runs with in place of the stock
+    ones: the sensitive preset's for `sensitive-gcc`, none for the others."""
+    return SENSITIVE_GCC if kind is ControllerKind.SENSITIVE_GCC else {}
+
+
+def ecn_mode_for(kind: ControllerKind) -> EcnCodepoint:
+    """The codepoint a controller kind's media is sent with: ECT(1) for the
+    controllers that read CE marks, Not-ECT for the others."""
+    if kind in (ControllerKind.L4S_CC, ControllerKind.L4S_GCC):
+        return EcnCodepoint.ECT1
+    return EcnCodepoint.NOT_ECT
 
 
 def make_controller(
@@ -457,13 +479,11 @@ def make_controller(
     scalable_params: Optional[ScalableParams] = None,
 ) -> Controller:
     if kind in (ControllerKind.GCC, ControllerKind.SENSITIVE_GCC):
-        return GccController(gcc_params or default_gcc_params(kind), bounds)
+        return GccController(gcc_params or GccParams(**gcc_departures(kind)), bounds)
     if kind is ControllerKind.L4S_CC:
         return L4sCcController(scalable_params or ScalableParams(), bounds)
     if kind is ControllerKind.L4S_GCC:
         return L4sGccController(
-            gcc_params or default_gcc_params(kind),
-            scalable_params or ScalableParams(),
-            bounds,
+            gcc_params or GccParams(), scalable_params or ScalableParams(), bounds
         )
     raise ValueError(f"unknown controller kind {kind!r}")

@@ -100,7 +100,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario = preset_scenario(args.scenario, args.controller, **overrides)
     else:
         with open(args.scenario, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # a parse error, or bytes that are not UTF-8
+                raise ScenarioError(f"{args.scenario}: not valid JSON: {exc}") from exc
         # Overrides go into the file's own keys, so that what derives from
         # them (source ECN mode, GCC parameter base) follows the override.
         # --controller alone supplies the object a file leaves out.
@@ -123,8 +126,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     cases = [c.strip() for c in args.cases.split(",") if c.strip()]
-    if args.seeds < 1:
-        raise ValueError("--seeds must be at least 1")
     seeds = list(range(1, args.seeds + 1))
     rows = run_comparison(
         cases, args.controllers, seeds, duration_s=args.duration, workers=args.workers

@@ -6,12 +6,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from typing import Iterable, Sequence, get_type_hints
 
 from .aqm import DropTailConfig, DualPi2Config
-from .cc import ControllerKind, ScalableParams, default_gcc_params
+from .cc import ControllerKind, GccParams, ScalableParams, ecn_mode_for, gcc_departures
 from .core import US_PER_MS, US_PER_S, EcnCodepoint
 from .media import SourceConfig
 from .netem import (
@@ -100,15 +100,6 @@ def compute_metrics(log: TimelineLog, scenario: Scenario) -> MetricsReport:
         mark_count=log.mark_count,
         drop_count=log.audit.dropped,
     )
-
-
-def _source_for(kind: ControllerKind) -> SourceConfig:
-    ecn = (
-        EcnCodepoint.ECT1
-        if kind in (ControllerKind.L4S_CC, ControllerKind.L4S_GCC)
-        else EcnCodepoint.NOT_ECT
-    )
-    return SourceConfig(ecn_mode=ecn)
 
 
 def preset_scenario(
@@ -201,10 +192,10 @@ def run_comparison(
         if not values:
             raise ValueError(f"{flag}: expected at least one value")
     if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+        raise ValueError(f"--workers: must be at least 1, got {workers}")
     cpus = os.cpu_count() or 1
     if workers > cpus:
-        raise ValueError(f"--workers must be at most the CPU count, {cpus}, got {workers}")
+        raise ValueError(f"--workers: must be at most the CPU count, {cpus}, got {workers}")
     for case in cases:
         if case not in PRESETS:
             choices = ", ".join(PRESET_CASES)
@@ -250,10 +241,6 @@ def table_csv_lines(rows: Sequence[ComparisonRow]) -> list[str]:
         means = [repr(row.means[name]) for name in METRIC_FIELDS]
         lines.append(",".join([row.case, row.controller, str(row.seed_count), *means]))
     return lines
-
-
-def emit_table_csv(rows: Sequence[ComparisonRow], path: str) -> None:
-    write_lines(path, table_csv_lines(rows))
 
 
 def format_table_text(rows: Sequence[ComparisonRow]) -> str:
@@ -378,15 +365,14 @@ _type_hints = cache(get_type_hints)
 
 
 def _build(
-    start, spec: dict, path: str, keys: Sequence[str], given_paths: dict[str, str] | None = None,
+    cls, spec: dict, path: str, keys: Sequence[str], given_paths: dict[str, str] | None = None,
     **given,
 ):  # fmt: skip
-    """`start` with each of `keys` present in `spec` overriding its field,
-    range-checked by the class as it is built. `start` is an instance whose
-    values stand for absent keys, or a class whose keys are all required (an
-    absent key reads as null). `given_paths` maps a `given` field to the
+    """One `cls`, made from `given` and each of `keys` present in `spec`, and
+    range-checked by the class as it is made. A key overrides a given value,
+    and an absent key keeps the class default; for a field with no default,
+    an absent key reads as null. `given_paths` maps a `given` field to the
     file key it came from, for its error messages."""
-    cls = start if isinstance(start, type) else type(start)
     hints = _type_hints(cls)
     values = dict(given)
     key_paths = dict(given_paths or {})  # field -> the file key that sets it
@@ -396,17 +382,16 @@ def _build(
             if key.endswith(suffix) and key[: -len(suffix)] + "_us" in hints:
                 name, scale = key[: -len(suffix)] + "_us", us_per_unit
         key_paths[name] = _join(path, key)
-        if start is cls or key in spec:
+        if key in spec or not hasattr(cls, name):  # a field's default is its class attribute
             values[name] = _number(spec.get(key), key_paths[name], hints[name] is int, scale)
     try:
-        config = cls(**values) if start is cls else replace(start, **values)
+        return cls(**values)
     except ValueError as exc:
         # "<field>: <problem>" names one field; any other message the object.
         name, colon, problem = str(exc).partition(": ")
         if colon and name in hints:
             raise ScenarioError(f"{key_paths.get(name, _join(path, name))}: {problem}") from exc
         raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from exc
-    return config
 
 
 def _capacity(spec) -> CapacityPattern:
@@ -446,34 +431,37 @@ def scenario_from_dict(data: dict) -> Scenario:
     _object(data, "", _SCENARIO_KEYS + ("link", "aqm", "controller", "source"))
     link = _object(data.get("link"), "link", ("capacity", "forward_delay", "reverse_delay_ms"))
     delay = _forward_delay(link["forward_delay"]) if "forward_delay" in link else {}
+    if "reverse_delay_ms" in link:
+        reverse = _number(link["reverse_delay_ms"], "link.reverse_delay_ms", True, US_PER_MS)
+        delay["reverse_delay_us"] = reverse
     capacity = _capacity(link.get("capacity"))
-    linked = _build(
-        Scenario(), link, "link", ("reverse_delay_ms",),
-        given_paths={"forward_delay_us": "link.forward_delay.delay_ms"},
-        capacity=capacity, **delay,
-    )  # fmt: skip
     ctl = data.get("controller")
     kind = ControllerKind(_kind(ctl, "controller", _CONTROLLER_KEYS))
 
-    def params(start, keys):  # None, the controller's own default, unless a key is set
-        return _build(start, ctl, "controller", keys) if ctl.keys() & set(keys) else None
+    def params(cls, keys, **given):  # None, the controller's own default, unless a key is set
+        return _build(cls, ctl, "controller", keys, **given) if ctl.keys() & set(keys) else None
 
     aqm = data.get("aqm", {})
     aqm_kind = _kind(aqm, "aqm", _AQM_KEYS, default="dualpi2")
-    aqm_start = DualPi2Config() if aqm_kind == "dualpi2" else DropTailConfig()
     source = _object(data.get("source", {}), "source", _SOURCE_KEYS + ("ecn_mode",))
     ecn = source.get("ecn_mode")  # absent: the mode follows the controller kind
-    source_start = (
-        _source_for(kind) if ecn is None
-        else SourceConfig(ecn_mode=_choice(ecn, "source.ecn_mode", _ECN_MODES))
-    )  # fmt: skip
+    ecn = ecn_mode_for(kind) if ecn is None else _choice(ecn, "source.ecn_mode", _ECN_MODES)
     return _build(
-        linked, data, "", _SCENARIO_KEYS,
-        aqm=_build(aqm_start, aqm, "aqm", _AQM_KEYS[aqm_kind]),
+        Scenario, data, "", _SCENARIO_KEYS,
+        given_paths={
+            "forward_delay_us": "link.forward_delay.delay_ms",
+            "reverse_delay_us": "link.reverse_delay_ms",
+        },
+        capacity=capacity,
+        **delay,
+        aqm=_build(
+            DualPi2Config if aqm_kind == "dualpi2" else DropTailConfig,
+            aqm, "aqm", _AQM_KEYS[aqm_kind],
+        ),
         controller=kind,
-        gcc_params=params(default_gcc_params(kind), _GCC_KEYS),
-        scalable_params=params(ScalableParams(), _SCALABLE_KEYS),
-        source=_build(source_start, source, "source", _SOURCE_KEYS),
+        gcc_params=params(GccParams, _GCC_KEYS, **gcc_departures(kind)),
+        scalable_params=params(ScalableParams, _SCALABLE_KEYS),
+        source=_build(SourceConfig, source, "source", _SOURCE_KEYS, ecn_mode=ecn),
     )  # fmt: skip
 
 

@@ -411,6 +411,13 @@ class TestGccRateUpdate:
         # targets are integer bits/s
         assert grown == int(2_000_000 * 1.08**0.1 * 1.05)
 
+    def test_increase_beyond_float_range_saturates_at_the_cap(self):
+        controller = gcc(GccParams(eta_increase=1e300))
+        controller._last_rate_update_us = 0
+        # 1e300 ** 1.5 is beyond float range
+        target = controller.apply_rate_update(Signal.NORMAL, self.neutral_report(), 1_500_000)
+        assert target == BOUNDS.max_bps
+
     def test_target_capped_by_receive_rate(self):
         controller = gcc()
         controller.target_bps = 4_000_000

@@ -67,6 +67,36 @@ class TestRun:
         assert run_cli("run", "--scenario", str(path)) == 1
         assert "oops" in capsys.readouterr().err
 
+    def test_file_that_is_not_json_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr().err == (
+            f"l4sim: error: {path}: not valid JSON: Expecting property name enclosed in double"
+            " quotes: line 1 column 2 (char 1)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"aqm": {"alpha": -5, "beta": -50}}, "aqm.alpha: must be non-negative, got -5.0"),
+            (
+                {"controller": {"kind": "l4s-gcc", "eta_increase": -1.08}},
+                "controller.eta_increase: must be positive, got -1.08",
+            ),
+        ],
+    )
+    def test_gain_out_of_range_fails_with_one_line(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "duration_s": 5,
+            "link": {"capacity": {"kind": "constant", "mbps": 3}},
+            "controller": {"kind": "l4s-gcc"},
+            **edit,
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr().err == f"l4sim: error: {message}\n"
+
     def test_overrides_apply_before_file_defaults_are_derived(self, tmp_path):
         # The source ECN mode derives from the controller kind, so a gcc file
         # run as l4s-cc must match the same file written for l4s-cc.
@@ -270,6 +300,7 @@ class TestCompare:
         assert run_cli(
             "compare", "--cases", "case1", "--controllers", "gcc", "--seeds", "0"
         ) == 1
+        assert capsys.readouterr().err == "l4sim: error: --seeds: expected at least one value\n"
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_fewer_than_one_worker_fails(self, tmp_path, capsys, workers):
@@ -279,7 +310,8 @@ class TestCompare:
             "--workers", workers, "--out", str(out),
         )  # fmt: skip
         assert code == 1
-        assert f"l4sim: error: workers must be at least 1, got {workers}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"l4sim: error: --workers: must be at least 1, got {workers}\n" in err
         assert not out.exists()
 
     def test_more_workers_than_cpus_fails_before_any_process_starts(
@@ -299,7 +331,7 @@ class TestCompare:
         )  # fmt: skip
         assert code == 1
         err = capsys.readouterr().err
-        assert "l4sim: error: --workers must be at most the CPU count, 2, got 5000" in err
+        assert "l4sim: error: --workers: must be at most the CPU count, 2, got 5000\n" in err
         assert not out.exists()
 
 

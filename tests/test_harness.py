@@ -10,21 +10,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from l4sim.aqm import DropTailConfig, DualPi2Config
 from l4sim.cc import ControllerKind, GccParams, ScalableParams
 from l4sim.media import SourceConfig
 from l4sim.harness import (
     PRESET_CASES,
+    MetricsReport,
     ScenarioError,
     compute_metrics,
     emit_metrics_csv,
-    emit_table_csv,
     format_table_text,
     preset_scenario,
     run_comparison,
     scenario_from_dict,
+    table_csv_lines,
+    write_lines,
 )
 from l4sim.netem import Constant, SquareWave, TracePattern, JitterProfile, load_trace_csv
 from l4sim.sim import RunAudit, Scenario, TimelineLog, run_scenario
@@ -215,7 +217,7 @@ class TestRunComparison:
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_rejected(self, workers):
-        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        with pytest.raises(ValueError, match=f"^--workers: must be at least 1, got {workers}$"):
             run_comparison(["case1"], [ControllerKind.GCC], seeds=[1], workers=workers)
 
     def test_pool_starts_at_most_one_process_per_job(self, monkeypatch):
@@ -237,7 +239,7 @@ class TestEmission:
     def test_csv_layout(self, tmp_path):
         rows = self.make_rows()
         path = tmp_path / "out.csv"
-        emit_table_csv(rows, str(path))
+        write_lines(str(path), table_csv_lines(rows))
         lines = path.read_text().splitlines()
         assert lines[0] == (
             "case,controller,seed_count,rtt_max_ms,rtt_min_ms,rtt_avg_ms,"
@@ -249,8 +251,8 @@ class TestEmission:
     def test_emissions_byte_identical(self, tmp_path):
         rows = self.make_rows()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_table_csv(rows, str(a))
-        emit_table_csv(rows, str(b))
+        write_lines(str(a), table_csv_lines(rows))
+        write_lines(str(b), table_csv_lines(rows))
         assert a.read_bytes() == b.read_bytes()
 
     def test_metrics_csv(self, tmp_path):
@@ -264,7 +266,7 @@ class TestEmission:
     def test_unwritable_path_raises_with_path(self):
         rows = self.make_rows()
         with pytest.raises(OSError, match="/definitely/not/here"):
-            emit_table_csv(rows, "/definitely/not/here/out.csv")
+            write_lines("/definitely/not/here/out.csv", table_csv_lines(rows))
 
     def test_text_table_mentions_rows(self):
         text = format_table_text(self.make_rows())
@@ -438,11 +440,68 @@ class TestScenarioFromDict:
                 dict(VALID_SCENARIO["link"], reverse_delay_ms="x"),
                 "^link.reverse_delay_ms: expected a number",
             ),
+            (
+                "controller",
+                {"kind": "gcc", "eta_increase": -1.08},
+                "^controller.eta_increase: must be positive, got -1.08$",
+            ),
+            (
+                "controller",
+                {"kind": "gcc", "window": 1001},
+                "^controller.window: must hold at most 1000 points, got 1001$",
+            ),
+            ("aqm", {"alpha": -5}, "^aqm.alpha: must be non-negative, got -5.0$"),
+            ("aqm", {"beta": -50}, "^aqm.beta: must be non-negative, got -50.0$"),
         ],
     )  # fmt: skip
     def test_invalid_value_names_field_path(self, section, value, where):
         with pytest.raises(ScenarioError, match=where):
             scenario_from_dict(dict(VALID_SCENARIO, **{section: value}))
+
+
+CONFIG_CLASSES = (Scenario, DualPi2Config, DropTailConfig, SourceConfig, GccParams,
+                  ScalableParams, Constant, SquareWave, TracePattern, JitterProfile)  # fmt: skip
+
+
+def configs_made(monkeypatch, data):
+    """How many of each config class building `data` makes, by class name."""
+    made = Counter()
+    for cls in CONFIG_CLASSES:
+
+        def counted(self, _check=cls.__post_init__, _name=cls.__name__):
+            made[_name] += 1
+            _check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    scenario_from_dict(data)
+    return made
+
+
+class TestOneObjectPerConfig:
+    def test_a_file_setting_every_section_makes_each_config_once(self, monkeypatch):
+        data = {
+            "seed": 2,
+            "duration_s": 10,
+            "link": {
+                "capacity": {"kind": "constant", "mbps": 4},
+                "forward_delay": {"kind": "fixed", "delay_ms": 8},
+                "reverse_delay_ms": 7,
+            },
+            "aqm": {"kind": "dualpi2", "alpha": 0.2},
+            "controller": {"kind": "l4s-gcc", "window": 30, "ewma_gain": 0.125},
+            "source": {"fps": 25, "ecn_mode": "ect1"},
+            "feedback_interval_ms": 50,
+            "dejitter_ms": 10,
+        }
+        assert configs_made(monkeypatch, data) == Counter(
+            Scenario=1, DualPi2Config=1, SourceConfig=1, GccParams=1, ScalableParams=1, Constant=1
+        )
+
+    def test_a_preset_makes_only_the_configs_it_holds(self, monkeypatch):
+        data = minimal_file("case4c", ControllerKind.SENSITIVE_GCC, seed=1, duration_s=10)
+        assert configs_made(monkeypatch, data) == Counter(
+            Scenario=1, DualPi2Config=1, SourceConfig=1, Constant=1, JitterProfile=1
+        )
 
 
 BUNDLED_TRACE = resources.files("l4sim").joinpath("data/case3_trace.csv")
@@ -590,3 +649,47 @@ def test_any_edit_of_a_valid_file_builds_or_raises_scenario_error(edits):
         if isinstance(section, dict):
             section[key] = value
     _builds_or_rejects(data)
+
+
+_GAIN_KEYS = [("aqm", "alpha"), ("aqm", "beta")] + [
+    ("controller", key) for key in sorted(_GCC_FILE_KEYS | _SCALABLE_FILE_KEYS)
+]
+_INTEGER_GAIN_KEYS = {"window", "additive_step_bps"}
+
+
+def _gain(section, key):
+    values = (
+        st.integers(-(10**300), 10**300) if key in _INTEGER_GAIN_KEYS
+        else st.floats(-1e300, 1e300)
+    )  # fmt: skip
+    return st.tuples(st.just(section), st.just(key), values)
+
+
+@given(st.one_of(*(_gain(*k) for k in _GAIN_KEYS)), st.integers(1, 1_500))
+@settings(deadline=None)
+@example(("controller", "eta_increase", -1.08), 100)
+@example(("controller", "eta_increase", 1e300), 1_500)
+def test_any_gain_runs_cleanly_or_names_its_key(gain, feedback_interval_ms):
+    """A gain either runs to a clean audit or is rejected with its key's
+    path. Feedback up to 1.5 s apart makes rate updates more than 1 s apart."""
+    section, key, value = gain
+    data = {
+        "duration_s": 3,
+        "link": {"capacity": {"kind": "constant", "mbps": 3}},
+        "aqm": {},
+        "controller": {"kind": "l4s-gcc"},
+        "feedback_interval_ms": feedback_interval_ms,
+    }
+    data[section][key] = value
+    try:
+        scenario = scenario_from_dict(data)
+    except ScenarioError as exc:
+        # A cross-field check names the section, then the fields it compares.
+        message = str(exc)
+        assert message.startswith(f"{section}.{key}: ") or (
+            message.startswith(f"{section}: ") and key in message
+        ), message
+        return
+    metrics, log = run_scenario(scenario)
+    assert isinstance(metrics, MetricsReport)
+    assert log.audit.errors() == []
