@@ -463,8 +463,8 @@ CONFIG_CLASSES = (Scenario, DualPi2Config, DropTailConfig, SourceConfig, GccPara
                   ScalableParams, Constant, SquareWave, TracePattern, JitterProfile)  # fmt: skip
 
 
-def configs_made(monkeypatch, data):
-    """How many of each config class building `data` makes, by class name."""
+def configs_made(monkeypatch, build):
+    """How many of each config class `build()` makes, by class name."""
     made = Counter()
     for cls in CONFIG_CLASSES:
 
@@ -473,7 +473,7 @@ def configs_made(monkeypatch, data):
             _check(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    scenario_from_dict(data)
+    build()
     return made
 
 
@@ -493,13 +493,15 @@ class TestOneObjectPerConfig:
             "feedback_interval_ms": 50,
             "dejitter_ms": 10,
         }
-        assert configs_made(monkeypatch, data) == Counter(
+        assert configs_made(monkeypatch, lambda: scenario_from_dict(data)) == Counter(
             Scenario=1, DualPi2Config=1, SourceConfig=1, GccParams=1, ScalableParams=1, Constant=1
         )
 
     def test_a_preset_makes_only_the_configs_it_holds(self, monkeypatch):
-        data = minimal_file("case4c", ControllerKind.SENSITIVE_GCC, seed=1, duration_s=10)
-        assert configs_made(monkeypatch, data) == Counter(
+        made = configs_made(
+            monkeypatch, lambda: preset_scenario("case4c", ControllerKind.SENSITIVE_GCC)
+        )
+        assert made == Counter(
             Scenario=1, DualPi2Config=1, SourceConfig=1, Constant=1, JitterProfile=1
         )
 
