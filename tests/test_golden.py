@@ -14,10 +14,12 @@ further groups lock the branches they miss: case3 runs behind a 6 kB queue
 queue discipline with mixed traffic (coupled marks, classic random drops,
 the time-shifted scheduler with both queues occupied). A group of longer runs
 reaches what no 10 s run does: case2 across the square wave's capacity steps
-at 10 s and 20 s, and case3 `gcc` long enough for classic random drops and
-their repairs, at two seeds that differ there. A last group locks the two
-output formats of `l4sim compare`, at two seeds and at four. One more test
-re-checks some of these with Python 3.12's float `sum` emulated.
+at 10 s and 20 s, case3 `gcc` long enough for classic random drops and their
+repairs, at two seeds that differ there, and the three trendline controllers
+on case4c's jitter for 120 s at seed 2, where every `rate` row of the
+timeline follows the delay fit. A last group locks the two output formats of
+`l4sim compare`, at two seeds and at four. One more test re-checks some of
+these with Python 3.12's float `sum` emulated.
 """
 
 import dataclasses
@@ -123,6 +125,9 @@ LONG_RUNS = (
     ("case2", ControllerKind.L4S_GCC, 1, 30.0),
     ("case3", ControllerKind.GCC, 1, 120.0),
     ("case3", ControllerKind.GCC, 2, 120.0),
+    ("case4c", ControllerKind.GCC, 2, 120.0),
+    ("case4c", ControllerKind.SENSITIVE_GCC, 2, 120.0),
+    ("case4c", ControllerKind.L4S_GCC, 2, 120.0),
 )
 
 
