@@ -102,7 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         with open(args.scenario, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except ValueError as exc:  # a parse error, or bytes that are not UTF-8
+            except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep
                 raise ScenarioError(f"{args.scenario}: not valid JSON: {exc}") from exc
         # Overrides go into the file's own keys, so that what derives from
         # them (source ECN mode, GCC parameter base) follows the override.

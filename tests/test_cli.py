@@ -76,6 +76,14 @@ class TestRun:
             " quotes: line 1 column 2 (char 1)\n"
         )
 
+    def test_file_nested_beyond_the_parser_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert run_cli("run", "--scenario", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"l4sim: error: {path}: not valid JSON: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "edit, message",
         [
