@@ -54,9 +54,13 @@ SLOPE_COUNT_CAP = 60
 # sawtooth average.
 RECEIVE_WINDOW_INITIAL_US = 500_000
 RECEIVE_WINDOW_US = 150_000
-# Each delay delta refits the whole trendline window, so its size bounds the
-# work per delta: 50 times the stock 20 points.
+# Every few delay deltas the trendline recomputes its sums from the whole
+# window, so the window's size bounds the work of that step: 50 times the
+# stock 20 points.
 MAX_WINDOW = 1_000
+# Points a trendline adds between two recomputes of its origin and sums; each
+# recompute ends the rounding drift of the additions and removals before it.
+TRENDLINE_RECOMPUTE_EVERY = 5
 
 
 @dataclass(frozen=True)
@@ -91,11 +95,6 @@ class GccParams:
             raise ValueError(f"window: must hold at most {MAX_WINDOW} points, got {self.window}")
         if not self.eta_increase > 0.0:
             raise ValueError(f"eta_increase: must be positive, got {self.eta_increase}")
-
-    @classmethod
-    def sensitive(cls) -> "GccParams":
-        """The sensitive preset: the stock parameters with `SENSITIVE_GCC`."""
-        return cls(**SENSITIVE_GCC)
 
 
 # The sensitive preset's departures from the stock GCC parameters: earlier
@@ -193,6 +192,71 @@ def trendline_slope(times_ms: Sequence[float], values_ms: Sequence[float]) -> fl
     if den == 0.0:
         return 0.0
     return num / den
+
+
+class Trendline:
+    """Least-squares slope over the last `size` (time, value) points.
+
+    It keeps four running sums, Σdt, Σdv, Σdt² and Σdt·dv, of the points'
+    offsets from an origin: a point adds its terms when it enters the window
+    and subtracts the same terms when it leaves. Every
+    `TRENDLINE_RECOMPUTE_EVERY` additions, from the first, the origin moves
+    to the window's means and the sums are recomputed from the points in
+    `trendline_slope`'s order, so at those steps the slope is its result bit
+    for bit (DECISIONS.md entry 13).
+    """
+
+    __slots__ = ("_times", "_values", "_size", "_until_recompute", "_fit")
+
+    def __init__(self, size: int) -> None:
+        self._times: deque[float] = deque(maxlen=size)
+        self._values: deque[float] = deque(maxlen=size)
+        self._size = size
+        self._until_recompute = 0
+        self._fit = (0.0,) * 6  # the origin t0, v0, then Σdt, Σdv, Σdt², Σdt·dv
+
+    def add(self, t_ms: float, v_ms: float) -> float:
+        """Add a point, drop the oldest one from a full window, and return the
+        slope over the window (0 while it is degenerate)."""
+        times, values = self._times, self._values
+        left = self._until_recompute
+        if left:
+            self._until_recompute = left - 1
+            t0, v0, st, sv, stt, stv = self._fit
+            dt, dv = t_ms - t0, v_ms - v0
+            if len(times) == self._size:
+                old_dt, old_dv = times[0] - t0, values[0] - v0
+            else:
+                old_dt = old_dv = 0.0
+            st += dt - old_dt
+            sv += dv - old_dv
+            stt += dt * dt - old_dt * old_dt
+            stv += dt * dv - old_dt * old_dv
+            times.append(t_ms)
+            values.append(v_ms)
+            self._fit = (t0, v0, st, sv, stt, stv)
+            n = len(times)
+            den = stt - st * st / n
+            return (stv - st * sv / n) / den if den > 0.0 else 0.0
+        self._until_recompute = TRENDLINE_RECOMPUTE_EVERY - 1
+        times.append(t_ms)
+        values.append(v_ms)
+        n = len(times)
+        t0 = v0 = 0.0
+        for t, v in zip(times, values):  # left to right, as `sum` added before 3.12
+            t0 += t
+            v0 += v
+        t0 /= n
+        v0 /= n
+        st = sv = stt = stv = 0.0
+        for t, v in zip(times, values):
+            dt, dv = t - t0, v - v0
+            st += dt
+            sv += dv
+            stt += dt * dt
+            stv += dt * dv
+        self._fit = (t0, v0, st, sv, stt, stv)
+        return stv / stt if stt != 0.0 else 0.0
 
 
 class OveruseDetector:
@@ -322,9 +386,8 @@ class GccController:
         self.detector = OveruseDetector(params)
         self._acc_delay_ms = 0.0
         self._smoothed_ms = 0.0
-        # trendline window: arrival ms and smoothed accumulated delay ms
-        self._times_ms: deque[float] = deque(maxlen=params.window)
-        self._smoothed_window_ms: deque[float] = deque(maxlen=params.window)
+        # slope of the smoothed accumulated delay (ms) against arrival (ms)
+        self._trendline = Trendline(params.window)
         self._num_deltas = 0
         self._last_rate_update_us: SimTime = 0
         self.receive_tracker = ReceiveRateTracker()
@@ -341,8 +404,8 @@ class GccController:
         the rate controller even when later groups in the same report have
         already relaxed."""
         detect = self.detector.update
+        fit = self._trendline.add
         gain = self.params.threshold_gain
-        times_ms, smoothed_window_ms = self._times_ms, self._smoothed_window_ms
         acc_ms, smoothed_ms, num_deltas = self._acc_delay_ms, self._smoothed_ms, self._num_deltas
         signal = self.detector.state
         saw_overuse = False
@@ -350,10 +413,8 @@ class GccController:
             acc_ms += delta_us / 1_000.0
             smoothed_ms = SMOOTHING * smoothed_ms + _NEW_WEIGHT * acc_ms
             now_ms = arrival_us / 1_000.0
-            times_ms.append(now_ms)
-            smoothed_window_ms.append(smoothed_ms)
             num_deltas += 1
-            slope = trendline_slope(times_ms, smoothed_window_ms)
+            slope = fit(now_ms, smoothed_ms)
             count = num_deltas if num_deltas < SLOPE_COUNT_CAP else SLOPE_COUNT_CAP
             signal = detect(slope * count * gain, now_ms)
             if signal is Signal.OVERUSE:

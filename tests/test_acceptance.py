@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from l4sim.aqm import DualPi2, DualPi2Config
-from l4sim.cc import ControllerKind, trendline_slope
+from l4sim.cc import ControllerKind, Trendline, trendline_slope
 from l4sim.core import EcnCodepoint, Packet
 from l4sim.harness import emit_metrics_csv, preset_scenario
 from l4sim.media import SourceConfig
@@ -307,6 +307,7 @@ class TestCriterion6DualQueueOracle:
 class TestCriterion7TrendlineOracle:
     def test_thousand_random_windows(self):
         rng = random.Random(7)
+        lead_rng = random.Random(8)  # the points that slide out first
         worst = 0.0
         for _ in range(1_000):
             n = rng.randrange(2, 21)
@@ -319,6 +320,14 @@ class TestCriterion7TrendlineOracle:
             oracle = float(np.polyfit(times, values, 1)[0])
             worst = max(worst, abs(mine - oracle))
             assert abs(mine - oracle) <= 1e-9
+            # The simulator's fit, over a stream that ends with this window.
+            fit = Trendline(n)
+            leads = sorted(base - lead_rng.uniform(0, 500.0) for _ in range(lead_rng.randrange(10)))
+            for t in leads:
+                fit.add(t, lead_rng.uniform(-50.0, 50.0))
+            sliding = [fit.add(t, v) for t, v in zip(times, values)][-1]
+            worst = max(worst, abs(sliding - oracle))
+            assert abs(sliding - oracle) <= 1e-9
         report_line(7, "trendline least-squares oracle", True, f"max deviation {worst:.2e}")
 
 

@@ -1,12 +1,22 @@
 import copy
+import dataclasses
 import random
+from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from l4sim import cc
 from l4sim.cc import (
+    _NEW_WEIGHT,
+    MAX_WINDOW,
     RECEIVE_WINDOW_INITIAL_US,
+    SENSITIVE_GCC,
+    SLOPE_COUNT_CAP,
+    SMOOTHING,
+    TRENDLINE_RECOMPUTE_EVERY,
     RECEIVE_WINDOW_US,
     ControllerKind,
     GccController,
@@ -18,12 +28,16 @@ from l4sim.cc import (
     ReceiveRateTracker,
     ScalableParams,
     Signal,
+    Trendline,
     ce_fraction,
+    gcc_departures,
     group_delay_gradients,
     make_controller,
     trendline_slope,
 )
 from l4sim.core import FeedbackReport
+from l4sim.harness import PRESET_CASES, compute_metrics, preset_scenario
+from l4sim.sim import _Engine
 
 BOUNDS = RateBounds(min_bps=150_000, max_bps=5_000_000, start_bps=1_000_000)
 
@@ -194,6 +208,129 @@ class TestTrendlineSlope:
         assert abs(Fraction(trendline_slope(times, values)) - slope) <= bound
 
 
+def in_order_sum(values):
+    """The builtin `sum` of floats as it was before Python 3.12: left to
+    right, with no compensation."""
+    total = 0
+    for x in values:
+        total = total + x
+    return total
+
+
+def two_pass_slope(times, values):
+    """`trendline_slope` with its means summed left to right, whichever
+    algorithm the builtin `sum` uses: the recompute steps of `Trendline`."""
+    with mock.patch.object(cc, "sum", in_order_sum, create=True):
+        return trendline_slope(times, values)
+
+
+def sliding_oracle(window, origin, since_recompute):
+    """The exact least-squares slope of the window, and a bound on how far a
+    `Trendline` step that recomputed nothing can lie from it.
+
+    `origin` is the float (t0, v0) of the last recompute; `since_recompute`
+    lists every point whose terms entered a running sum since then: the
+    recompute's window, each point added after it and each point dropped
+    after it. The bound follows the float algorithm:
+    - the terms dt = t - t0 and dv = v - v0 take one rounding each, dt*dt
+      and dt*dv three; a dropped point subtracts the very float it added,
+      as the origin has not moved;
+    - so each running sum is a sum of the terms in `since_recompute`, in
+      some order, whose L - 1 roundings and the terms' own k lie within
+      gamma_{L-1+k} of the terms' exact magnitudes;
+    - the corrections Σdt·Σdv/n and Σdt²/n take two roundings each, with
+      the sums' errors carried through the product, and their differences
+      with Σdt·dv and Σdt² one more;
+    - any rounding that underflows adds up to `UNDERFLOW` instead, and the
+      final division adds one rounding, as in `least_squares_oracle`.
+    The sums about any origin give the exact slope, so the float origin
+    costs nothing.
+    """
+    n = len(window)
+    t0, v0 = (Fraction(x) for x in origin)
+    dts = [Fraction(t) - t0 for t, _ in window]
+    dvs = [Fraction(v) - v0 for _, v in window]
+    a, b = sum(dts), sum(dvs)
+    c = sum(d * d for d in dts)
+    d = sum(x * y for x, y in zip(dts, dvs))
+    num, den = d - a * b / n, c - a * a / n
+    slope = num / den
+    seq_t = [abs(Fraction(t) - t0) for t, _ in since_recompute]
+    seq_v = [abs(Fraction(v) - v0) for _, v in since_recompute]
+    length = len(since_recompute)
+    flush = 8 * length * UNDERFLOW
+
+    def sum_error(k, magnitudes):
+        return gamma(length - 1 + k) * sum(magnitudes) + flush
+
+    e_a, e_b = sum_error(1, seq_t), sum_error(1, seq_v)
+    e_c = sum_error(3, (x * x for x in seq_t))
+    e_d = sum_error(3, (x * y for x, y in zip(seq_t, seq_v)))
+
+    def difference_error(total, e_total, x, e_x, y, e_y):
+        """Error of fl(total - fl(fl(x*y)/n)) from total - x*y/n."""
+        mx, my = abs(x) + e_x, abs(y) + e_y
+        product = mx * my / n
+        e_product = (mx * my - abs(x * y)) / n + gamma(2) * product + 2 * UNDERFLOW
+        rounded = abs(total) + e_total + (1 + gamma(2)) * product + 2 * UNDERFLOW
+        return e_total + e_product + UNIT_ROUNDOFF * rounded
+
+    e_num = difference_error(d, e_d, a, e_a, b, e_b)
+    e_den = difference_error(c, e_c, a, e_a, a, e_a)
+    assert e_den < den
+    quotient = (e_num + abs(slope) * e_den) / (den - e_den)
+    return slope, quotient * (1 + UNIT_ROUNDOFF) + UNIT_ROUNDOFF * abs(slope) + UNDERFLOW
+
+
+class TestTrendline:
+    """`Trendline` against the two-pass fit: equal bit for bit at every
+    recompute step, and within the sliding bound of the exact slope at every
+    other step, from the first point to windows that slide."""
+
+    @given(
+        data=st.lists(
+            st.tuples(st.integers(0, 10**6), st.floats(-1e4, 1e4)),
+            min_size=2,
+            max_size=40,
+            unique_by=lambda p: p[0],
+        ),
+        size=st.one_of(st.integers(2, 12), st.integers(2, MAX_WINDOW)),
+    )
+    @example(data=[(0, 7716.0), (1, 7716.0)], size=2)  # np.polyfit gave -1.72e-9, not 0
+    @example(data=[(0, 0.0), (1, 4054.0)], size=2)  # a slope of about 4e6
+    @settings(max_examples=150)
+    def test_every_window_within_its_bound(self, data, size):
+        data.sort()
+        points = [(t / 1000.0, v) for t, v in data]
+        trendline = Trendline(size)
+        window: list[tuple[float, float]] = []
+        since_recompute: list[tuple[float, float]] = []
+        origin = (0.0, 0.0)
+        for i, point in enumerate(points):
+            slope = trendline.add(*point)
+            window.append(point)
+            dropped = window.pop(0) if len(window) > size else None
+            times, values = [t for t, _ in window], [v for _, v in window]
+            if i % TRENDLINE_RECOMPUTE_EVERY == 0:
+                assert slope == two_pass_slope(times, values)
+                since_recompute = list(window)
+                n = len(window)
+                origin = (in_order_sum(times) / n, in_order_sum(values) / n)
+                continue
+            since_recompute.append(point)
+            if dropped is not None:
+                since_recompute.append(dropped)
+            exact, bound = sliding_oracle(window, origin, since_recompute)
+            assert abs(Fraction(slope) - exact) <= bound
+
+    def test_short_flat_and_timeless_windows_are_zero(self):
+        trendline = Trendline(3)
+        assert trendline.add(1.0, 5.0) == 0.0
+        assert [trendline.add(float(t), 5.0) for t in range(2, 12)] == [0.0] * 10
+        trendline = Trendline(2)
+        assert [trendline.add(3.0, v) for v in (1.0, 5.0)] == [0.0, 0.0]
+
+
 class TestOveruseDetector:
     def test_zero_slope_is_normal(self):
         detector = OveruseDetector(GccParams())
@@ -278,7 +415,7 @@ class TestDetectorComparisons:
 
     @given(
         params=st.sampled_from(
-            (GccParams(), GccParams.sensitive(), ZERO_FLOOR, NEGATIVE_ZERO_FLOOR)
+            (GccParams(), GccParams(**SENSITIVE_GCC), ZERO_FLOOR, NEGATIVE_ZERO_FLOOR)
         ),
         steps=st.lists(
             st.tuples(
@@ -582,3 +719,96 @@ class TestMakeController:
             make_controller(ControllerKind.L4S_GCC, BOUNDS),
             L4sGccController,
         )
+
+
+class TwoPassGccController(GccController):
+    """The controller as it was before `Trendline`: the window in two deques
+    and a two-pass `trendline_slope` over them at every delay delta. Its
+    `process_delay_signal` is that version's, verbatim."""
+
+    def __init__(self, params: GccParams, bounds: RateBounds) -> None:
+        super().__init__(params, bounds)
+        self._times_ms: deque[float] = deque(maxlen=params.window)
+        self._smoothed_window_ms: deque[float] = deque(maxlen=params.window)
+
+    def process_delay_signal(self, report: FeedbackReport) -> Signal:
+        """Run grouping, trendline, and detector over one report.
+
+        An overuse trigger anywhere in the report wins: congestion must reach
+        the rate controller even when later groups in the same report have
+        already relaxed."""
+        detect = self.detector.update
+        gain = self.params.threshold_gain
+        times_ms, smoothed_window_ms = self._times_ms, self._smoothed_window_ms
+        acc_ms, smoothed_ms, num_deltas = self._acc_delay_ms, self._smoothed_ms, self._num_deltas
+        signal = self.detector.state
+        saw_overuse = False
+        for arrival_us, delta_us in group_delay_gradients(report):
+            acc_ms += delta_us / 1_000.0
+            smoothed_ms = SMOOTHING * smoothed_ms + _NEW_WEIGHT * acc_ms
+            now_ms = arrival_us / 1_000.0
+            times_ms.append(now_ms)
+            smoothed_window_ms.append(smoothed_ms)
+            num_deltas += 1
+            slope = trendline_slope(times_ms, smoothed_window_ms)
+            count = num_deltas if num_deltas < SLOPE_COUNT_CAP else SLOPE_COUNT_CAP
+            signal = detect(slope * count * gain, now_ms)
+            if signal is Signal.OVERUSE:
+                saw_overuse = True
+        self._acc_delay_ms, self._smoothed_ms, self._num_deltas = acc_ms, smoothed_ms, num_deltas
+        return Signal.OVERUSE if saw_overuse else signal
+
+
+def run_with_log(scenario, two_pass: bool):
+    """Run the scenario, with the two-pass delay signal if asked, and return
+    each report's signal and target, the timeline rows, metrics and audit."""
+    engine = _Engine(scenario, timeline=True)
+    controller = engine.controller
+    gcc = controller.gcc if isinstance(controller, L4sGccController) else controller
+    if two_pass:
+        gcc = TwoPassGccController(gcc.params, gcc.bounds)
+        if isinstance(controller, L4sGccController):
+            controller.gcc = gcc
+        else:
+            engine.controller = controller = gcc
+    signals, targets = [], []
+    process, update = gcc.process_delay_signal, controller.update
+
+    def logged_process(report):
+        signals.append(process(report))
+        return signals[-1]
+
+    def logged_update(report, now):
+        targets.append(update(report, now))
+        return targets[-1]
+
+    gcc.process_delay_signal, controller.update = logged_process, logged_update
+    log = engine.run()
+    return signals, targets, b"".join(log.rows.chunks()), compute_metrics(log, scenario), log.audit
+
+
+TRENDLINE_KINDS = (ControllerKind.GCC, ControllerKind.SENSITIVE_GCC, ControllerKind.L4S_GCC)
+
+
+class TestTwoPassDifferential:
+    """The controllers with `Trendline` against the two-pass delay signal
+    they replaced, on short preset runs with drawn seeds and windows: every
+    signal, target and output must be equal."""
+
+    @given(
+        case=st.sampled_from(PRESET_CASES),
+        kind=st.sampled_from(TRENDLINE_KINDS),
+        seed=st.integers(0, 2**32),
+        duration_s=st.sampled_from((1.0, 2.0, 3.0)),
+        window=st.one_of(st.integers(2, 30), st.integers(2, MAX_WINDOW)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_two_pass_signal(self, case, kind, seed, duration_s, window):
+        scenario = preset_scenario(case, kind, seed=seed, duration_s=duration_s)
+        params = GccParams(window=window, **gcc_departures(kind))
+        scenario = dataclasses.replace(scenario, gcc_params=params)
+        signals, targets, *outputs = run_with_log(scenario, two_pass=False)
+        ref_signals, ref_targets, *ref_outputs = run_with_log(scenario, two_pass=True)
+        assert signals and signals == ref_signals
+        assert targets == ref_targets
+        assert outputs == ref_outputs

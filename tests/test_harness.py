@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from l4sim.aqm import DropTailConfig, DualPi2Config
-from l4sim.cc import ControllerKind, GccParams, ScalableParams
+from l4sim.cc import SENSITIVE_GCC, ControllerKind, GccParams, ScalableParams
 from l4sim.media import SourceConfig
 from l4sim.harness import (
     PRESET_CASES,
@@ -349,7 +349,7 @@ class TestScenarioFromDict:
     def test_sensitive_gcc_overrides_start_from_sensitive_params(self):
         spec = dict(VALID_SCENARIO, controller={"kind": "sensitive-gcc", "decrease_factor": 0.7})
         scenario = scenario_from_dict(spec)
-        assert scenario.gcc_params == replace(GccParams.sensitive(), decrease_factor=0.7)
+        assert scenario.gcc_params == replace(GccParams(**SENSITIVE_GCC), decrease_factor=0.7)
 
     def test_absent_keys_keep_dataclass_defaults(self):
         spec = dict(VALID_SCENARIO, controller={"kind": "l4s-cc", "ewma_gain": 0.125})
