@@ -10,14 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from l4sim import cc
 from l4sim.cc import (
-    _NEW_WEIGHT,
     MAX_WINDOW,
     RECEIVE_WINDOW_INITIAL_US,
+    RECEIVE_WINDOW_US,
     SENSITIVE_GCC,
     SLOPE_COUNT_CAP,
     SMOOTHING,
     TRENDLINE_RECOMPUTE_EVERY,
-    RECEIVE_WINDOW_US,
+    _NEW_WEIGHT,
     ControllerKind,
     GccController,
     GccParams,
@@ -232,12 +232,12 @@ def sliding_oracle(window, origin, since_recompute):
     lists every point whose terms entered a running sum since then: the
     recompute's window, each point added after it and each point dropped
     after it. The bound follows the float algorithm:
-    - the terms dt = t - t0 and dv = v - v0 take one rounding each, dt*dt
-      and dt*dv three; a dropped point subtracts the very float it added,
-      as the origin has not moved;
-    - so each running sum is a sum of the terms in `since_recompute`, in
-      some order, whose L - 1 roundings and the terms' own k lie within
-      gamma_{L-1+k} of the terms' exact magnitudes;
+    - the terms dt = t - t0 and dv = v - v0 lie within gamma_1 of their
+      exact values, dt*dt and dt*dv within gamma_3 (k = 1 or 3); a dropped
+      point subtracts the very float it added, as the origin has not moved;
+    - so each running sum is a sum of the L terms in `since_recompute`, in
+      some order, and its L - 1 roundings with the terms' own lie within
+      gamma_{L-1+k} times the sum of the terms' exact magnitudes;
     - the corrections Σdt·Σdv/n and Σdt²/n take two roundings each, with
       the sums' errors carried through the product, and their differences
       with Σdt·dv and Σdt² one more;
@@ -310,8 +310,8 @@ class TestTrendline:
             slope = trendline.add(*point)
             window.append(point)
             dropped = window.pop(0) if len(window) > size else None
-            times, values = [t for t, _ in window], [v for _, v in window]
             if i % TRENDLINE_RECOMPUTE_EVERY == 0:
+                times, values = [t for t, _ in window], [v for _, v in window]
                 assert slope == two_pass_slope(times, values)
                 since_recompute = list(window)
                 n = len(window)

@@ -322,10 +322,10 @@ def compensated_sum(values, start=0):
 
 
 def test_digests_hold_under_compensated_float_sum(monkeypatch):
-    # The trendline means and the comparison's mean and stdev sum floats
-    # with the builtin, whose algorithm changed in Python 3.12. These runs
-    # change no digest under it; a change that makes one depend on the
-    # summation algorithm fails here (ROADMAP item 6).
+    # The builtin `sum` adds floats with a new algorithm from Python 3.12
+    # on. No output path calls it on floats (DECISIONS.md entry 14), so
+    # these runs change no digest under it; a change that makes one depend
+    # on the summation algorithm fails here.
     assert compensated_sum([1e16, 1.0, -1e16]) == 1.0
     if sys.version_info < (3, 12):
         assert sum([1e16, 1.0, -1e16]) == 0.0  # the patch changes something
