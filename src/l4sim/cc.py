@@ -206,12 +206,11 @@ class Trendline:
     for bit (DECISIONS.md entry 13).
     """
 
-    __slots__ = ("_times", "_values", "_size", "_until_recompute", "_fit")
+    __slots__ = ("_times", "_values", "_until_recompute", "_fit")
 
     def __init__(self, size: int) -> None:
         self._times: deque[float] = deque(maxlen=size)
         self._values: deque[float] = deque(maxlen=size)
-        self._size = size
         self._until_recompute = 0
         self._fit = (0.0,) * 6  # the origin t0, v0, then Σdt, Σdv, Σdt², Σdt·dv
 
@@ -224,7 +223,7 @@ class Trendline:
             self._until_recompute = left - 1
             t0, v0, st, sv, stt, stv = self._fit
             dt, dv = t_ms - t0, v_ms - v0
-            if len(times) == self._size:
+            if len(times) == times.maxlen:
                 old_dt, old_dv = times[0] - t0, values[0] - v0
             else:
                 old_dt = old_dv = 0.0

@@ -36,7 +36,7 @@ from l4sim.cc import (
     trendline_slope,
 )
 from l4sim.core import FeedbackReport
-from l4sim.harness import PRESET_CASES, compute_metrics, preset_scenario
+from l4sim.harness import PRESET_CASES, _sum_in_order, compute_metrics, preset_scenario
 from l4sim.sim import _Engine
 
 BOUNDS = RateBounds(min_bps=150_000, max_bps=5_000_000, start_bps=1_000_000)
@@ -208,19 +208,10 @@ class TestTrendlineSlope:
         assert abs(Fraction(trendline_slope(times, values)) - slope) <= bound
 
 
-def in_order_sum(values):
-    """The builtin `sum` of floats as it was before Python 3.12: left to
-    right, with no compensation."""
-    total = 0
-    for x in values:
-        total = total + x
-    return total
-
-
 def two_pass_slope(times, values):
     """`trendline_slope` with its means summed left to right, whichever
     algorithm the builtin `sum` uses: the recompute steps of `Trendline`."""
-    with mock.patch.object(cc, "sum", in_order_sum, create=True):
+    with mock.patch.object(cc, "sum", _sum_in_order, create=True):
         return trendline_slope(times, values)
 
 
@@ -315,7 +306,7 @@ class TestTrendline:
                 assert slope == two_pass_slope(times, values)
                 since_recompute = list(window)
                 n = len(window)
-                origin = (in_order_sum(times) / n, in_order_sum(values) / n)
+                origin = (_sum_in_order(times) / n, _sum_in_order(values) / n)
                 continue
             since_recompute.append(point)
             if dropped is not None:
