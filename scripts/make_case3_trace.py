@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from l4sim.netem import normalize_trace, write_trace_csv  # noqa: E402
+from l4sim.netem import TRACE_MAX_MBPS, normalize_trace, write_trace_csv  # noqa: E402
 
 ANCHORS = [
     (0.0, 3.2),
@@ -68,7 +68,7 @@ def main() -> None:
         rate = interpolate(t) + rng.gauss(0.0, NOISE_STDEV)
         samples.append((int(round(t * 1_000_000)), max(0.15, rate)))
         t += STEP_S
-    normalized = normalize_trace(samples, max_mbps=5.0)
+    normalized = normalize_trace(samples, max_mbps=TRACE_MAX_MBPS)
     write_trace_csv(args.out, normalized)
     rates = [r for _, r in normalized]
     print(

@@ -538,12 +538,12 @@ def make_controller(
     gcc_params: Optional[GccParams] = None,
     scalable_params: Optional[ScalableParams] = None,
 ) -> Controller:
-    if kind in (ControllerKind.GCC, ControllerKind.SENSITIVE_GCC):
-        return GccController(gcc_params or GccParams(**gcc_departures(kind)), bounds)
+    """The controller of `kind`; a parameter left as None is the kind's own."""
     if kind is ControllerKind.L4S_CC:
         return L4sCcController(scalable_params or ScalableParams(), bounds)
+    gcc = gcc_params or GccParams(**gcc_departures(kind))
+    if kind in (ControllerKind.GCC, ControllerKind.SENSITIVE_GCC):
+        return GccController(gcc, bounds)
     if kind is ControllerKind.L4S_GCC:
-        return L4sGccController(
-            gcc_params or GccParams(), scalable_params or ScalableParams(), bounds
-        )
+        return L4sGccController(gcc, scalable_params or ScalableParams(), bounds)
     raise ValueError(f"unknown controller kind {kind!r}")

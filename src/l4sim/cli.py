@@ -25,7 +25,7 @@ from .harness import (
     table_csv_lines,
     write_lines,
 )
-from .netem import load_trace_csv, normalize_trace, write_trace_csv
+from .netem import TRACE_MAX_MBPS, load_trace_csv, normalize_trace, write_trace_csv
 from .sim import Scenario, run_scenario
 
 
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     norm_p = sub.add_parser("normalize-trace", help="min-max scale a trace CSV")
     norm_p.add_argument("--in", dest="infile", required=True)
     norm_p.add_argument("--out", dest="outfile", required=True)
-    norm_p.add_argument("--max-mbps", type=float, default=5.0)
+    norm_p.add_argument("--max-mbps", type=float, default=TRACE_MAX_MBPS)
     return parser
 
 
@@ -104,9 +104,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 data = json.load(fh)
             except (ValueError, RecursionError) as exc:  # bad syntax or UTF-8, too deep
                 raise ScenarioError(f"{args.scenario}: not valid JSON: {exc}") from exc
-        # Overrides go into the file's own keys, so that what derives from
-        # them (source ECN mode, GCC parameter base) follows the override.
-        # --controller alone supplies the object a file leaves out.
+        # Overrides go into the file's own keys, so that the builder checks
+        # them and starts a file's GCC keys from the overriding kind's
+        # parameters. --controller alone supplies the object a file leaves out.
         if isinstance(data, dict):
             controller = data.get("controller", {})
             if args.controller is not None and isinstance(controller, dict):

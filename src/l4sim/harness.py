@@ -11,8 +11,8 @@ from functools import cache
 from typing import Iterable, Sequence, get_type_hints
 
 from .aqm import DropTailConfig, DualPi2Config
-from .cc import ControllerKind, GccParams, ScalableParams, ecn_mode_for, gcc_departures
-from .core import US_PER_MS, US_PER_S, EcnCodepoint
+from .cc import ControllerKind, GccParams, ScalableParams, gcc_departures
+from .core import US_PER_MS, US_PER_S, EcnCodepoint, SimTime
 from .media import SourceConfig
 from .netem import (
     CapacityPattern,
@@ -408,12 +408,11 @@ def _capacity(spec) -> CapacityPattern:
         raise ScenarioError(f"{path}.path: {exc}") from exc
 
 
-def _forward_delay(spec) -> dict:
-    """The `Scenario` fields that `link.forward_delay` sets."""
+def _forward_delay(spec) -> SimTime | JitterProfile:
+    """The forward delay that `link.forward_delay` sets."""
     path = "link.forward_delay"
     if _kind(spec, path, _DELAY_KEYS) == "fixed":
-        delay = _number(spec.get("delay_ms"), f"{path}.delay_ms", True, US_PER_MS)
-        return {"forward_delay_us": delay}
+        return _number(spec.get("delay_ms"), f"{path}.delay_ms", True, US_PER_MS)
     entries, path = spec.get("entries"), f"{path}.entries"
     if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
         raise ScenarioError(f"{path}: expected [delay_ms, probability] pairs")
@@ -421,7 +420,7 @@ def _forward_delay(spec) -> dict:
         (_number(d, f"{path}[{i}]", True, US_PER_MS), _number(p, f"{path}[{i}]", False))
         for i, (d, p) in enumerate(entries)
     )
-    return {"jitter": _build(JitterProfile, {}, path, (), entries=pairs)}
+    return _build(JitterProfile, {}, path, (), entries=pairs)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -430,7 +429,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     rejected with a field-path message."""
     _object(data, "", _SCENARIO_KEYS + ("link", "aqm", "controller", "source"))
     link = _object(data.get("link"), "link", ("capacity", "forward_delay", "reverse_delay_ms"))
-    delay = _forward_delay(link["forward_delay"]) if "forward_delay" in link else {}
+    delay = {}
+    if "forward_delay" in link:
+        delay["forward_delay"] = _forward_delay(link["forward_delay"])
     if "reverse_delay_ms" in link:
         reverse = _number(link["reverse_delay_ms"], "link.reverse_delay_ms", True, US_PER_MS)
         delay["reverse_delay_us"] = reverse
@@ -444,12 +445,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     aqm = data.get("aqm", {})
     aqm_kind = _kind(aqm, "aqm", _AQM_KEYS, default="dualpi2")
     source = _object(data.get("source", {}), "source", _SOURCE_KEYS + ("ecn_mode",))
-    ecn = source.get("ecn_mode")  # absent: the mode follows the controller kind
-    ecn = ecn_mode_for(kind) if ecn is None else _choice(ecn, "source.ecn_mode", _ECN_MODES)
+    ecn = source.get("ecn_mode")  # absent: None, the controller kind's codepoint
+    ecn = None if ecn is None else _choice(ecn, "source.ecn_mode", _ECN_MODES)
     return _build(
         Scenario, data, "", _SCENARIO_KEYS,
         given_paths={
-            "forward_delay_us": "link.forward_delay.delay_ms",
+            "forward_delay": "link.forward_delay.delay_ms",
             "reverse_delay_us": "link.reverse_delay_ms",
         },
         capacity=capacity,

@@ -44,7 +44,8 @@ class SourceConfig:
     min_bitrate_bps: int = 150_000
     max_bitrate_bps: int = 5_000_000
     start_bitrate_bps: int = 1_000_000
-    ecn_mode: EcnCodepoint = EcnCodepoint.ECT1
+    # None: the controller kind's codepoint (`cc.ecn_mode_for`), set when the run starts.
+    ecn_mode: EcnCodepoint | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.fps <= MAX_FPS:
@@ -58,25 +59,26 @@ class SourceConfig:
             raise ValueError(f"min_bitrate_bps: must be positive, got {self.min_bitrate_bps}")
         if not self.min_bitrate_bps <= self.start_bitrate_bps <= self.max_bitrate_bps:
             raise ValueError("bitrates must satisfy min <= start <= max")
-        if self.ecn_mode not in (EcnCodepoint.ECT1, EcnCodepoint.NOT_ECT):
-            raise ValueError("source ecn_mode must be ECT1 or NOT_ECT")
+        if self.ecn_mode not in (None, EcnCodepoint.ECT1, EcnCodepoint.NOT_ECT):
+            raise ValueError("source ecn_mode must be ECT1, NOT_ECT or None")
 
 
 class MediaSource:
     """Frame source with even intra-frame pacing and one-shot loss repair.
+    Every packet, repairs too, carries the codepoint `ecn`.
 
-    It keeps each seq's size and frame for repair and receive-rate lookups
-    until a feedback report shows every seq below it arrived
-    (``forget_below``), so the record holds only unacknowledged packets.
+    It keeps each seq's size and frame for repair until a feedback report
+    shows every seq below it arrived (``forget_below``), so the record holds
+    only unacknowledged packets.
     """
 
-    def __init__(self, config: SourceConfig) -> None:
+    def __init__(self, config: SourceConfig, ecn: EcnCodepoint) -> None:
         self.config = config
+        self.ecn = ecn
         self.next_seq = 0
         self.next_frame = 0
         # (size, frame_id, frame_packet_count) of each seq from _oldest up to
-        # next_seq, at index seq - _oldest, kept for repair and receive-rate
-        # accounting.
+        # next_seq, at index seq - _oldest, read by `make_retransmit`.
         self._sent: list[tuple[int, int, int]] = []
         self._oldest = 0
 
@@ -96,7 +98,7 @@ class MediaSource:
         frame_id = self.next_frame
         self.next_frame += 1
         interval = US_PER_S // cfg.fps
-        ecn = cfg.ecn_mode
+        ecn = self.ecn
         record = self._sent.append
         seq = self.next_seq
         self.next_seq += n_packets
@@ -125,7 +127,7 @@ class MediaSource:
         return Packet(
             seq=seq,
             size_bytes=size,
-            ecn=self.config.ecn_mode,
+            ecn=self.ecn,
             sent_at=now,
             frame_id=frame_id,
             frame_packet_count=count,

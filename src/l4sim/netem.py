@@ -19,6 +19,8 @@ from .core import SimTime, US_PER_S
 # Traces normalized onto [0, max] may contain zero-rate samples; a literal
 # zero would freeze queued bytes forever, so link construction floors them.
 TRACE_FLOOR_MBPS = 0.1
+# The rate a trace's highest sample is scaled to by default.
+TRACE_MAX_MBPS = 5.0
 
 
 @dataclass(frozen=True)
@@ -161,9 +163,9 @@ def sample_jitter(profile: JitterProfile, rng: random.Random) -> SimTime:
 class ForwardLink:
     """Serialization plus propagation for the media direction.
 
+    Each packet's forward delay is fixed or drawn from a jitter profile.
     Delivery times are clamped monotone so the receiver never sees
-    reordering, even under jitter: its loss detection reads any sequence gap
-    as a loss.
+    reordering: its loss detection reads any sequence gap as a loss.
 
     The link keeps the capacity segment it last looked up, so
     `capacity_segment` runs once per capacity step rather than once per
@@ -174,13 +176,12 @@ class ForwardLink:
     def __init__(
         self,
         capacity: CapacityPattern,
-        base_delay_us: SimTime,
-        jitter: JitterProfile | None,
+        forward_delay: SimTime | JitterProfile,
         rng: random.Random,
     ) -> None:
         self.capacity = capacity
-        self.base_delay_us = base_delay_us
-        self.jitter = jitter
+        self.forward_delay = forward_delay
+        self._jitter = forward_delay if isinstance(forward_delay, JitterProfile) else None
         self._rng = rng
         self._last_delivery: SimTime = 0
         # Rate in bits/s over [_segment_start, _segment_end); empty at first.
@@ -204,10 +205,10 @@ class ForwardLink:
     def deliver(self, wire_exit: SimTime) -> SimTime:
         """Delivery time of a packet whose last bit leaves the link at
         `wire_exit`: one propagation delay (or jitter draw) later."""
-        if self.jitter is not None:
-            raw = wire_exit + sample_jitter(self.jitter, self._rng)
+        if self._jitter is not None:
+            raw = wire_exit + sample_jitter(self._jitter, self._rng)
         else:
-            raw = wire_exit + self.base_delay_us
+            raw = wire_exit + self.forward_delay
         prev = self._last_delivery
         when = raw if raw > prev else prev
         self._last_delivery = when
@@ -215,7 +216,7 @@ class ForwardLink:
 
 
 def normalize_trace(
-    samples: Sequence[tuple[SimTime, float]], max_mbps: float = 5.0
+    samples: Sequence[tuple[SimTime, float]], max_mbps: float = TRACE_MAX_MBPS
 ) -> list[tuple[SimTime, float]]:
     """Min-max scale trace rates onto [0, max_mbps]; timestamps unchanged.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
-from .cc import ControllerKind, GccParams, RateBounds, ScalableParams, make_controller
+from .cc import ControllerKind, GccParams, RateBounds, ScalableParams, ecn_mode_for, make_controller
 from .core import Packet, SimTime, us_from_s
 from .media import MediaSource, Receiver, SourceConfig
 from .netem import CapacityPattern, Constant, ForwardLink, JitterProfile
@@ -46,8 +46,7 @@ class Scenario:
     seed: int = 1
     duration_s: float = 120.0
     capacity: CapacityPattern = field(default_factory=lambda: Constant(3.0))
-    forward_delay_us: SimTime = 6_000
-    jitter: JitterProfile | None = None
+    forward_delay: SimTime | JitterProfile = 6_000  # fixed, in us, or drawn per packet
     reverse_delay_us: SimTime = 6_000
     aqm: DualPi2Config | DropTailConfig = field(default_factory=DualPi2Config)
     controller: ControllerKind = ControllerKind.GCC
@@ -70,8 +69,9 @@ class Scenario:
                 f"duration_s: must be at least 1 us once rounded to whole microseconds,"
                 f" got {self.duration_s}"
             )
-        for name in ("forward_delay_us", "reverse_delay_us", "feedback_interval_us"):
-            if getattr(self, name) <= 0:
+        for name in ("forward_delay", "reverse_delay_us", "feedback_interval_us"):
+            value = getattr(self, name)  # a jitter profile checked its own delays
+            if not isinstance(value, JitterProfile) and value <= 0:
                 raise ValueError(f"{name}: must be positive")
         if self.dejitter_us < 0:
             raise ValueError("dejitter_us: must be non-negative")
@@ -220,10 +220,10 @@ class _Engine:
             self.aqm = DropTail(scenario.aqm, aqm_observer)
             self._pi2_period = 0
 
-        self.link = ForwardLink(
-            scenario.capacity, scenario.forward_delay_us, scenario.jitter, jitter_rng
-        )
-        self.source = MediaSource(scenario.source)
+        self.link = ForwardLink(scenario.capacity, scenario.forward_delay, jitter_rng)
+        ecn = scenario.source.ecn_mode  # None: the controller kind's codepoint
+        ecn = ecn_mode_for(scenario.controller) if ecn is None else ecn
+        self.source = MediaSource(scenario.source, ecn)
         self.receiver = Receiver(
             scenario.source.fps,
             scenario.reverse_delay_us,

@@ -400,11 +400,10 @@ class TestCriterion10DegeneratePath:
                 min_bitrate_bps=1_000_000,
                 max_bitrate_bps=1_000_000,
                 start_bitrate_bps=1_000_000,
-                ecn_mode=EcnCodepoint.NOT_ECT,
             ),
         )
         metrics, log = run_scenario(scenario)
-        base = scenario.forward_delay_us + scenario.reverse_delay_us
+        base = scenario.forward_delay + scenario.reverse_delay_us
         frame_bytes = round(1_000_000 / 30 / 8)
         sizes = {1200, frame_bytes - (frame_bytes // 1200) * 1200} - {0}
         expected = {base + round(size * 8 * 1e6 / 5e6) for size in sizes}

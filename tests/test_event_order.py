@@ -191,7 +191,7 @@ def queues(draw):
 def sources(draw):
     fps = draw(st.sampled_from((20, 25, 40, 50)))
     mtu = draw(st.sampled_from((250, 500, 1_000, 1_250)))
-    ecn = draw(st.sampled_from((EcnCodepoint.ECT1, EcnCodepoint.NOT_ECT)))
+    ecn = draw(st.sampled_from((None, EcnCodepoint.ECT1, EcnCodepoint.NOT_ECT)))
     if draw(st.booleans()):
         # A fixed rate of whole packets per frame: sends and service ends
         # then fall on one coarse grid and often coincide.
@@ -207,8 +207,7 @@ def scenarios(draw):
         seed=draw(st.integers(0, 2**32)),
         duration_s=draw(st.sampled_from((1.0, 2.0, 3.0))),
         capacity=draw(capacities()),
-        forward_delay_us=draw(ms_grid),
-        jitter=draw(st.none() | jitters()),
+        forward_delay=draw(ms_grid | jitters()),
         reverse_delay_us=draw(ms_grid),
         aqm=draw(queues()),
         controller=draw(st.sampled_from(list(ControllerKind))),
@@ -274,7 +273,7 @@ GRID_BASE = Scenario(
     seed=0,
     duration_s=1.0,
     capacity=Constant(0.5),
-    forward_delay_us=1_000,
+    forward_delay=1_000,
     reverse_delay_us=1_000,
     aqm=DropTailConfig(queue_limit_bytes=1_500),
     controller=ControllerKind.GCC,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from l4sim.aqm import DropTailConfig, DualPi2Config
 from l4sim.cc import SENSITIVE_GCC, ControllerKind, GccParams, ScalableParams
@@ -28,8 +28,16 @@ from l4sim.harness import (
     table_csv_lines,
     write_lines,
 )
-from l4sim.netem import Constant, SquareWave, TracePattern, JitterProfile, load_trace_csv
-from l4sim.sim import RunAudit, Scenario, TimelineLog, run_scenario
+from l4sim.core import EcnCodepoint
+from l4sim.netem import (
+    Constant,
+    JitterProfile,
+    SquareWave,
+    TracePattern,
+    load_trace_csv,
+    trace_pattern,
+)
+from l4sim.sim import RunAudit, Scenario, TimelineLog, _Engine, run_scenario
 
 
 def fake_process_pools(monkeypatch, cpus):
@@ -55,6 +63,21 @@ def fake_process_pools(monkeypatch, cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return made
+
+
+def sent_codepoints(scenario):
+    """The codepoints of the packets a run of `scenario` sends."""
+    engine = _Engine(scenario, timeline=False)
+    seen = set()
+    enqueue = engine.aqm.enqueue
+
+    def logged(packet, now):
+        seen.add(packet.ecn)
+        return enqueue(packet, now)
+
+    engine.aqm.enqueue = logged
+    engine.run()
+    return seen
 
 
 def make_log(rtt_samples, stalled_us=0, played_bytes=0, duration_us=100_000_000):
@@ -138,21 +161,37 @@ class TestPresets:
         ):
             scenario = preset_scenario(case, ControllerKind.GCC)
             assert scenario.capacity == Constant(5.0)
-            entries = scenario.jitter.entries
+            entries = scenario.forward_delay.entries
             assert tuple(d // 1000 for d, _ in entries) == delays
             assert tuple(p for _, p in entries) == (0.85, 0.10, 0.04, 0.01)
 
     def test_ecn_mode_follows_controller(self):
-        from l4sim.core import EcnCodepoint
+        """A run sends ECT(1) under the controllers that read CE marks and
+        Not-ECT under the others, whether its scenario is a preset, built in
+        Python, or another kind's preset with the controller replaced; a
+        codepoint the scenario sets is sent under every kind."""
+        l4s = {ControllerKind.L4S_CC, ControllerKind.L4S_GCC}
+        for kind in ControllerKind:
+            other = ControllerKind.GCC if kind in l4s else ControllerKind.L4S_GCC
+            own = EcnCodepoint.ECT1 if kind in l4s else EcnCodepoint.NOT_ECT
+            preset = preset_scenario("case1", kind, duration_s=1.0)
+            for scenario in (
+                preset,
+                Scenario(capacity=Constant(3.0), controller=kind, duration_s=1.0),
+                replace(preset_scenario("case1", other, duration_s=1.0), controller=kind),
+            ):
+                assert sent_codepoints(scenario) == {own}, scenario
+            for ecn in (EcnCodepoint.ECT1, EcnCodepoint.NOT_ECT):
+                scenario = replace(preset, source=SourceConfig(ecn_mode=ecn))
+                assert sent_codepoints(scenario) == {ecn}, scenario
 
-        assert (
-            preset_scenario("case1", ControllerKind.GCC).source.ecn_mode
-            is EcnCodepoint.NOT_ECT
-        )
-        assert (
-            preset_scenario("case1", ControllerKind.L4S_GCC).source.ecn_mode
-            is EcnCodepoint.ECT1
-        )
+    def test_python_construction_runs_as_its_preset(self):
+        # The classic flow sends Not-ECT, so the L queue's step never marks it.
+        built = Scenario(capacity=Constant(3.0), controller=ControllerKind.GCC, duration_s=30.0)
+        metrics, _ = run_scenario(built)
+        assert metrics.mark_count == 0
+        preset = preset_scenario("case1", ControllerKind.GCC, duration_s=30.0)
+        assert metrics == run_scenario(preset)[0]
 
     def test_bundled_trace_is_normalized(self):
         samples = load_trace_csv(str(BUNDLED_TRACE))
@@ -329,7 +368,7 @@ class TestScenarioFromDict:
             },
         }
         scenario = scenario_from_dict(spec)
-        assert isinstance(scenario.jitter, JitterProfile)
+        assert isinstance(scenario.forward_delay, JitterProfile)
 
     def test_negative_duration(self):
         bad = dict(VALID_SCENARIO, duration_s=-5)
@@ -514,33 +553,28 @@ _JITTER_ENTRIES = {
 }
 
 
-def minimal_file(case, kind, seed, duration_s):
-    """The smallest scenario file describing a preset."""
+def python_preset(case, kind, seed, duration_s):
+    """The smallest Python construction of a preset: every setting it does
+    not name keeps the `Scenario` default, as an absent file key does."""
     if case == "case1":
-        link = {"capacity": {"kind": "constant", "mbps": 3}}
+        link = {"capacity": Constant(3.0)}
     elif case == "case2":
-        link = {
-            "capacity": {"kind": "square", "low_mbps": 2.5, "high_mbps": 4, "half_period_s": 10}
-        }
+        link = {"capacity": SquareWave(2.5, 4.0, 10_000_000)}
     elif case == "case3":
-        link = {"capacity": {"kind": "trace", "path": str(BUNDLED_TRACE)}}
+        link = {"capacity": trace_pattern(load_trace_csv(str(BUNDLED_TRACE)))}
     else:
-        link = {
-            "capacity": {"kind": "constant", "mbps": 5},
-            "forward_delay": {"kind": "jitter", "entries": _JITTER_ENTRIES[case]},
-        }
-    return {
-        "seed": seed,
-        "duration_s": duration_s,
-        "link": link,
-        "controller": {"kind": kind.value},
-    }
+        entries = tuple((ms * 1_000, p) for ms, p in _JITTER_ENTRIES[case])
+        link = {"capacity": Constant(5.0), "forward_delay": JitterProfile(entries)}
+    return Scenario(seed=seed, duration_s=duration_s, controller=kind, **link)
 
 
+# The name is kept from when this compared a hand-written minimal file, so
+# that its test ids stay stable; it now checks a second construction path,
+# Python, against the scenario-file builder that makes the presets.
 @pytest.mark.parametrize("case", PRESET_CASES)
 @pytest.mark.parametrize("kind", list(ControllerKind))
 def test_minimal_file_equals_preset(case, kind):
-    scenario = scenario_from_dict(minimal_file(case, kind, seed=5, duration_s=30))
+    scenario = python_preset(case, kind, seed=5, duration_s=30.0)
     assert scenario == preset_scenario(case, kind, seed=5, duration_s=30.0)
 
 
@@ -693,5 +727,74 @@ def test_any_gain_runs_cleanly_or_names_its_key(gain, feedback_interval_ms):
         ), message
         return
     metrics, log = run_scenario(scenario)
+    assert isinstance(metrics, MetricsReport)
+    assert log.audit.errors() == []
+
+
+# Delays in milliseconds: zero, negative and positive ones in whole
+# milliseconds and microseconds, fractions of a microsecond, and any finite
+# float, most of which outlast a 1 s session.
+_DELAY_MS = (
+    st.integers(-5, 2_000)
+    | st.integers(-5_000, 2_000_000).map(lambda us: us / 1_000)
+    | st.floats(-10.0, 2_000.0)
+    | st.floats(-1e300, 1e300)
+)
+
+
+@st.composite
+def _link_delays(draw):
+    """One of `link.forward_delay` (fixed or jitter) and
+    `link.reverse_delay_ms`, with the path its errors must start with."""
+    key = draw(st.sampled_from(("fixed", "jitter", "reverse")))
+    if key == "reverse":
+        return "reverse_delay_ms", draw(_DELAY_MS), "link.reverse_delay_ms"
+    if key == "fixed":
+        delay = {"kind": "fixed", "delay_ms": draw(_DELAY_MS)}
+        return "forward_delay", delay, "link.forward_delay.delay_ms"
+    delays = draw(st.lists(_DELAY_MS, max_size=5))
+    # Weights that sum to 1, or any finite ones.
+    weights = draw(
+        st.lists(st.integers(1, 20), min_size=len(delays), max_size=len(delays)).map(
+            lambda ws: [w / sum(ws) for w in ws]
+        )
+        | st.lists(st.floats(-2.0, 2.0), min_size=len(delays), max_size=len(delays))
+    )
+    entries = [[d, w] for d, w in zip(delays, weights)]
+    return "forward_delay", {"kind": "jitter", "entries": entries}, "link.forward_delay.entries"
+
+
+@given(_link_delays(), st.sampled_from(list(ControllerKind)))
+@settings(max_examples=200, deadline=None)
+@example(("forward_delay", {"kind": "fixed", "delay_ms": 0}, "link.forward_delay.delay_ms"),
+         ControllerKind.GCC)
+@example(("forward_delay", {"kind": "fixed", "delay_ms": 2_000}, "link.forward_delay.delay_ms"),
+         ControllerKind.GCC)
+@example(("forward_delay", {"kind": "jitter", "entries": [[10, 0.5], [5_000, 0.5]]},
+          "link.forward_delay.entries"), ControllerKind.L4S_GCC)
+@example(("reverse_delay_ms", 1e300, "link.reverse_delay_ms"), ControllerKind.L4S_CC)
+def test_any_link_delay_runs_cleanly_or_names_its_key(delay, kind):
+    """A link delay either runs 1 s to a clean audit, is rejected with its
+    key's path, or delivers no packet in the session, which is an input
+    error that names `duration_s` (DECISIONS.md entry 12)."""
+    key, value, path = delay
+    data = {
+        "duration_s": 1,
+        "link": {"capacity": {"kind": "constant", "mbps": 3}, key: value},
+        "controller": {"kind": kind.value},
+    }
+    try:
+        scenario = scenario_from_dict(data)
+    except ScenarioError as exc:
+        assert str(exc).startswith(path), str(exc)
+        event("rejected")
+        return
+    try:
+        metrics, log = run_scenario(scenario)
+    except ValueError as exc:
+        assert str(exc).startswith("duration_s: no packet was delivered in 1 s"), str(exc)
+        event("no packet delivered")
+        return
+    event("ran")
     assert isinstance(metrics, MetricsReport)
     assert log.audit.errors() == []

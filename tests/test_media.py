@@ -12,8 +12,8 @@ FRAME_US = US // 30
 OPEN_FRAME = {"frame_id": 0, "frame_packet_count": 1_000}
 
 
-def make_source(**overrides):
-    return MediaSource(SourceConfig(**overrides))
+def make_source(ecn=EcnCodepoint.ECT1, **overrides):
+    return MediaSource(SourceConfig(**overrides), ecn)
 
 
 def make_receiver(**kwargs):
@@ -48,7 +48,7 @@ class TestEncodeTick:
     def test_ecn_mode_applied(self):
         packets = make_source().encode_tick(1_000_000, 0)
         assert all(p.ecn is EcnCodepoint.ECT1 for p in packets)
-        classic = make_source(ecn_mode=EcnCodepoint.NOT_ECT).encode_tick(1_000_000, 0)
+        classic = make_source(ecn=EcnCodepoint.NOT_ECT).encode_tick(1_000_000, 0)
         assert all(p.ecn is EcnCodepoint.NOT_ECT for p in classic)
 
     def test_sequences_and_frame_metadata(self):

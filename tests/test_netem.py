@@ -217,14 +217,14 @@ class TestJitterTable:
 
 class TestDeliver:
     def test_serialization_plus_base_delay(self):
-        link = ForwardLink(Constant(3.0), 6_000, None, random.Random(0))
+        link = ForwardLink(Constant(3.0), 6_000, random.Random(0))
         # 1500 bytes at 3 Mbps = 4 ms serialization, plus 6 ms propagation
         wire_exit = link.serialization_us(1500, 0)
         assert wire_exit == 4_000
         assert link.deliver(wire_exit) == 4_000 + 6_000
 
     def test_monotone_clamp(self):
-        link = ForwardLink(Constant(3.0), 6_000, None, random.Random(0))
+        link = ForwardLink(Constant(3.0), 6_000, random.Random(0))
         first = link.deliver(0 + link.serialization_us(1500, 0))
         # a tiny packet sent right after would arrive earlier; it is clamped
         second = link.deliver(1 + link.serialization_us(10, 1))
@@ -234,7 +234,7 @@ class TestDeliver:
         # spaced far beyond the jitter spread, the clamp never binds and the
         # delivery delay distribution is the profile shifted by serialization
         rng = random.Random(5)
-        link = ForwardLink(Constant(5.0), 6_000, CASE4A, rng)
+        link = ForwardLink(Constant(5.0), CASE4A, rng)
         n = 200_000
         spacing = 50_000  # 50 ms >> max jitter
         counts = {}
@@ -248,7 +248,7 @@ class TestDeliver:
 
     def test_per_flow_delivery_never_decreases(self):
         rng = random.Random(11)
-        link = ForwardLink(Constant(1.0), 6_000, CASE4A, rng)
+        link = ForwardLink(Constant(1.0), CASE4A, rng)
         last = 0
         for i in range(5000):
             when = link.deliver(i * 100 + link.serialization_us(300, i * 100))
@@ -301,7 +301,7 @@ class TestSegmentCache:
         # The same sizes recur in every segment, so a serialization time
         # memoized at an earlier segment's rate would show.
         pattern, times = query
-        link = ForwardLink(pattern, 6_000, None, random.Random(0))
+        link = ForwardLink(pattern, 6_000, random.Random(0))
         for t in times:
             for size in sizes:
                 expected = round(size * 8 * US_PER_S / capacity_at(pattern, t))
@@ -324,13 +324,13 @@ class TestSegmentCache:
             return capacity_segment(pattern, t_us)
 
         monkeypatch.setattr(netem, "capacity_segment", counting)
-        link = ForwardLink(SquareWave(1.0, 2.0, 1_000_000), 6_000, None, random.Random(0))
+        link = ForwardLink(SquareWave(1.0, 2.0, 1_000_000), 6_000, random.Random(0))
         for t in range(0, 3_000_000, 1_000):
             link.serialization_us(1_200, t)
         assert calls == [0, 1_000_000, 2_000_000]
 
     def test_negative_time_rejected(self):
-        link = ForwardLink(Constant(1.0), 6_000, None, random.Random(0))
+        link = ForwardLink(Constant(1.0), 6_000, random.Random(0))
         link.serialization_us(1_200, 5)
         with pytest.raises(ValueError):
             link.serialization_us(1_200, -1)

@@ -9,7 +9,6 @@ import pytest
 from l4sim import sim
 from l4sim.aqm import DropTailConfig, DualPi2, DualPi2Config
 from l4sim.cc import ControllerKind, GccParams, ScalableParams
-from l4sim.core import EcnCodepoint
 from l4sim.harness import preset_scenario
 from l4sim.media import Receiver, SourceConfig
 from l4sim.netem import Constant, ForwardLink
@@ -145,7 +144,6 @@ class TestDegeneratePath:
                 min_bitrate_bps=1_000_000,
                 max_bitrate_bps=1_000_000,
                 start_bitrate_bps=1_000_000,
-                ecn_mode=EcnCodepoint.NOT_ECT,
             ),
         )
         metrics, log = run_scenario(scenario)
@@ -153,7 +151,7 @@ class TestDegeneratePath:
         assert metrics.mark_count == 0
         assert metrics.stalling_rate == 0.0
         # every sample is base RTT (12 ms) plus that packet's serialization
-        base = scenario.forward_delay_us + scenario.reverse_delay_us
+        base = scenario.forward_delay + scenario.reverse_delay_us
         sizes = {1200, 4167 - 3 * 1200}  # full MTU and the frame remainder
         expected = {base + round(size * 8 * 1e6 / 5e6) for size in sizes}
         for rtt in log.rtt_samples_us:
@@ -174,11 +172,6 @@ class TestValidation:
             replace(scenario, source=replace(scenario.source, min_bitrate_bps=2_000_000))
         with pytest.raises(ValueError, match="min <= start <= max"):
             SourceConfig(min_bitrate_bps=2_000_000, max_bitrate_bps=1_000_000)
-
-    def test_jitter_without_delay_model_conflicts(self):
-        scenario = short("case4a", ControllerKind.GCC)
-        assert scenario.jitter is not None
-        scenario.validate()  # jitter replaces the fixed forward delay
 
     # Each config class with a field, a value its check refuses, and the
     # message that names the field.
@@ -217,7 +210,6 @@ class TestTimelineLog:
                 min_bitrate_bps=150_000,
                 max_bitrate_bps=150_000,
                 start_bitrate_bps=150_000,
-                ecn_mode=EcnCodepoint.NOT_ECT,
             ),
         )
         metrics, log = run_scenario(scenario, timeline=True)
