@@ -23,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import EcnCodepoint, FeedbackReport, SimTime
 
@@ -39,6 +39,10 @@ class Signal(Enum):
     NORMAL = "normal"
     OVERUSE = "overuse"
     UNDERUSE = "underuse"
+
+
+# Members as plain names, as the ECN codepoints are read (DECISIONS.md entry 8).
+_NORMAL, _OVERUSE, _UNDERUSE = Signal.NORMAL, Signal.OVERUSE, Signal.UNDERUSE
 
 
 # Send-time span that groups packets into one burst for the delay gradient.
@@ -148,14 +152,15 @@ def ce_fraction(report: FeedbackReport) -> float:
     return report.ce_count / total
 
 
-def group_delay_gradients(report: FeedbackReport) -> Iterator[tuple[SimTime, float]]:
+def group_delay_gradients(report: FeedbackReport) -> list[tuple[SimTime, float]]:
     """Per consecutive pair of send-time bursts in the report: (the later
     burst's arrival time, the inter-burst delay delta in us). Queue growth
     shows up as positive deltas.
 
     A burst holds the packets sent within GROUP_SPAN_US of its first one and
     is represented by its last packet's (sent, arrival). One pass: a burst's
-    delta is yielded as soon as the next burst starts, or at the end."""
+    delta is added as soon as the next burst starts, or at the end."""
+    deltas: list[tuple[SimTime, float]] = []
     first_sent: SimTime | None = None
     prev: tuple[SimTime, SimTime] | None = None  # the burst before the current one
     sent = arrival = 0  # the current burst's last packet
@@ -164,12 +169,13 @@ def group_delay_gradients(report: FeedbackReport) -> Iterator[tuple[SimTime, flo
             first_sent = sample_sent
         elif sample_sent - first_sent > GROUP_SPAN_US:
             if prev is not None:
-                yield arrival, float((arrival - prev[1]) - (sent - prev[0]))
+                deltas.append((arrival, float((arrival - prev[1]) - (sent - prev[0]))))
             prev = (sent, arrival)
             first_sent = sample_sent
         sent, arrival = sample_sent, sample_arrival
     if prev is not None:
-        yield arrival, float((arrival - prev[1]) - (sent - prev[0]))
+        deltas.append((arrival, float((arrival - prev[1]) - (sent - prev[0]))))
+    return deltas
 
 
 def trendline_slope(times_ms: Sequence[float], values_ms: Sequence[float]) -> float:
@@ -275,7 +281,7 @@ class OveruseDetector:
     def __init__(self, params: GccParams) -> None:
         self._p = params
         self.gamma_ms = params.gamma_init_ms
-        self.state = Signal.NORMAL
+        self.state = _NORMAL
         self._time_over_ms = -1.0
         self._prev_slope = 0.0
         self._last_ms: float | None = None
@@ -302,14 +308,14 @@ class OveruseDetector:
             time_over = dt / 2.0 if time_over < 0.0 else time_over + dt
             if time_over >= p.overuse_time_ms and slope >= self._prev_slope:
                 time_over = 0.0
-                self.state = Signal.OVERUSE
+                self.state = _OVERUSE
             self._time_over_ms = time_over
         elif slope < -gamma:
             self._time_over_ms = -1.0
-            self.state = Signal.UNDERUSE
+            self.state = _UNDERUSE
         else:
             self._time_over_ms = -1.0
-            self.state = Signal.NORMAL
+            self.state = _NORMAL
         magnitude = -slope if slope < 0.0 else slope
         if not p.adapt_skip or magnitude - gamma <= self.MAX_ADAPT_OFFSET_MS:
             k = p.k_up if magnitude > gamma else p.k_down
@@ -332,12 +338,13 @@ class ReceiveRateTracker:
     early estimates are not biased low.
 
     Arrivals come in delivery order, which the link keeps monotone, so the
-    window is pruned from the left and its byte total is kept as it changes
-    (an integer, so it equals a fresh sum).
+    newest arrival is the last one, the window is pruned from the left and
+    its byte total is kept as it changes (an integer, so it equals a fresh
+    sum). The window holds the reports' own (size, sent, arrival) samples.
     """
 
     def __init__(self) -> None:
-        self._samples: deque[tuple[SimTime, int]] = deque()  # (arrival, bytes)
+        self._samples: deque[tuple[int, SimTime, SimTime]] = deque()
         self._total_bytes = 0
         self._first_arrival: SimTime | None = None
         self._newest: SimTime = 0
@@ -350,20 +357,20 @@ class ReceiveRateTracker:
         return RECEIVE_WINDOW_US
 
     def extend(self, report: FeedbackReport) -> None:
+        arrivals = report.arrival_samples
+        if not arrivals:
+            return  # nothing enters, so the cutoff and the window stay
         samples = self._samples
-        append = samples.append
-        total, newest = self._total_bytes, self._newest
-        for size, _sent, arrival in report.arrival_samples:
-            append((arrival, size))
+        samples.extend(arrivals)
+        total = self._total_bytes
+        for size, _sent, _arrival in arrivals:
             total += size
-            if arrival > newest:
-                newest = arrival
-        if self._first_arrival is None and samples:
-            self._first_arrival = samples[0][0]
-        self._newest = newest
+        if self._first_arrival is None:
+            self._first_arrival = samples[0][2]
+        self._newest = newest = arrivals[-1][2]
         cutoff = newest - self._current_window()
-        while samples and samples[0][0] <= cutoff:
-            total -= samples.popleft()[1]
+        while samples[0][2] <= cutoff:
+            total -= samples.popleft()[0]
         self._total_bytes = total
 
     def rate_bps(self) -> float:
@@ -416,10 +423,10 @@ class GccController:
             slope = fit(now_ms, smoothed_ms)
             count = num_deltas if num_deltas < SLOPE_COUNT_CAP else SLOPE_COUNT_CAP
             signal = detect(slope * count * gain, now_ms)
-            if signal is Signal.OVERUSE:
+            if signal is _OVERUSE:
                 saw_overuse = True
         self._acc_delay_ms, self._smoothed_ms, self._num_deltas = acc_ms, smoothed_ms, num_deltas
-        return Signal.OVERUSE if saw_overuse else signal
+        return _OVERUSE if saw_overuse else signal
 
     def apply_rate_update(self, signal: Signal, report: FeedbackReport, now: SimTime) -> int:
         """Decrease on overuse, hold on underuse, increase otherwise, and
@@ -434,10 +441,10 @@ class GccController:
         receive_bps = self.receive_tracker.rate_bps()
         target = float(self.target_bps)
 
-        if signal is Signal.OVERUSE:
+        if signal is _OVERUSE:
             if receive_bps > 0.0:
                 target = p.decrease_factor * receive_bps
-        elif signal is Signal.NORMAL:
+        elif signal is _NORMAL:
             try:
                 target *= p.eta_increase**dt_s
             except OverflowError:  # infinite, as a product beyond float range is; clamped below
@@ -506,12 +513,12 @@ class L4sGccController:
         if f > 0.0:
             self.marks_seen = True
             before = self.gcc.target_bps
-            delay_decrease = self.gcc.apply_rate_update(Signal.OVERUSE, report, now)
+            delay_decrease = self.gcc.apply_rate_update(_OVERUSE, report, now)
             scalable_decrease = before * (1.0 - self.ce_ewma / 2.0)
             self.gcc.target_bps = self.bounds.clamp(min(delay_decrease, scalable_decrease))
             return self.gcc.target_bps
-        if self.marks_seen and signal is Signal.OVERUSE:
-            signal = Signal.UNDERUSE  # hold: marks own the decrease decision
+        if self.marks_seen and signal is _OVERUSE:
+            signal = _UNDERUSE  # hold: marks own the decrease decision
         return self.gcc.apply_rate_update(signal, report, now)
 
 

@@ -67,9 +67,10 @@ class MediaSource:
     """Frame source with even intra-frame pacing and one-shot loss repair.
     Every packet, repairs too, carries the codepoint `ecn`.
 
-    It keeps each seq's size and frame for repair until a feedback report
-    shows every seq below it arrived (``forget_below``), so the record holds
-    only unacknowledged packets.
+    It keeps each seq's packet for repair until a feedback report shows
+    every seq below it arrived (``forget_below``), so the record holds only
+    unacknowledged packets. A CE mark copies a packet (`apply_ce_mark`), so
+    a kept packet is the one `encode_tick` built.
     """
 
     def __init__(self, config: SourceConfig, ecn: EcnCodepoint) -> None:
@@ -77,9 +78,9 @@ class MediaSource:
         self.ecn = ecn
         self.next_seq = 0
         self.next_frame = 0
-        # (size, frame_id, frame_packet_count) of each seq from _oldest up to
-        # next_seq, at index seq - _oldest, read by `make_retransmit`.
-        self._sent: list[tuple[int, int, int]] = []
+        # The packet of each seq from _oldest up to next_seq, at index
+        # seq - _oldest, read by `make_retransmit`.
+        self._sent: list[Packet] = []
         self._oldest = 0
 
     def encode_tick(self, target_bps: int, now: SimTime) -> list[Packet]:
@@ -99,7 +100,6 @@ class MediaSource:
         self.next_frame += 1
         interval = US_PER_S // cfg.fps
         ecn = self.ecn
-        record = self._sent.append
         seq = self.next_seq
         self.next_seq += n_packets
         packets: list[Packet] = []
@@ -108,8 +108,8 @@ class MediaSource:
             packets.append(
                 Packet(seq, size, ecn, now + (i * interval) // n_packets, frame_id, n_packets)
             )
-            record((size, frame_id, n_packets))
             seq += 1
+        self._sent.extend(packets)
         return packets
 
     def make_retransmit(self, seq: int, now: SimTime) -> Packet:
@@ -121,17 +121,11 @@ class MediaSource:
         if index < 0:
             raise KeyError(seq)
         try:
-            size, frame_id, count = self._sent[index]
+            sent = self._sent[index]
         except IndexError:
             raise KeyError(seq) from None
         return Packet(
-            seq=seq,
-            size_bytes=size,
-            ecn=self.ecn,
-            sent_at=now,
-            frame_id=frame_id,
-            frame_packet_count=count,
-            is_retransmit=True,
+            seq, sent.size_bytes, self.ecn, now, sent.frame_id, sent.frame_packet_count, True
         )
 
     def forget_below(self, seq: int) -> None:
@@ -162,7 +156,9 @@ class Receiver:
     State is bounded by what is in flight: arrivals are a watermark (every
     seq below it arrived) plus the set of seqs that arrived above it, a frame
     is dropped once played, and the run's RTTs are an exact count per integer
-    microsecond value (``rtt_samples_us``), not a list of every sample.
+    microsecond value (``rtt_samples_us``), not a list of every sample. The
+    count takes an interval's RTTs when its report is built, so it is
+    complete after ``finalize``.
     """
 
     # Fraction of a frame interval clawed back per smoothly played frame:
@@ -188,8 +184,9 @@ class Receiver:
         self._highest_seq = -1
         self._frames: dict[int, _FrameState] = {}
 
-        # Interval accumulators, reset at every feedback emission.
-        self._received = 0
+        # Interval accumulators, reset at every feedback emission. `_rtts`
+        # holds each delivery's RTT (us); its length is the received count.
+        self._rtts: list[int] = []
         self._ect1 = 0
         self._ce = 0
         self._samples: list[tuple[int, SimTime, SimTime]] = []  # (size, sent, arrival)
@@ -237,7 +234,7 @@ class Receiver:
         if self._outstanding_lost:
             self._outstanding_lost.pop(seq, None)
 
-        self._received += 1
+        self._rtts.append((now - packet.sent_at) + self.reverse_delay_us)
         ecn = packet.ecn
         if ecn is _ECT1:
             self._ect1 += 1
@@ -245,7 +242,6 @@ class Receiver:
             self._ce += 1
         if not packet.is_retransmit:
             self._samples.append((packet.size_bytes, packet.sent_at, now))
-        self.rtt_samples_us[(now - packet.sent_at) + self.reverse_delay_us] += 1
 
         if seq > self._highest_seq:
             # In-order links: any gap below the new highest is a loss.
@@ -312,15 +308,16 @@ class Receiver:
         lost.sort()
         for seq in lost:
             self._outstanding_lost[seq] = now
+        self.rtt_samples_us.update(self._rtts)  # one C-level count (DECISIONS.md entry 4)
         report = FeedbackReport(
-            received_count=self._received,
+            received_count=len(self._rtts),
             lost_seqs=lost,
             ect1_count=self._ect1,
             ce_count=self._ce,
             arrival_samples=self._samples,
             received_below=self._watermark,
         )
-        self._received = 0
+        self._rtts = []
         self._ect1 = 0
         self._ce = 0
         self._samples = []
@@ -328,8 +325,10 @@ class Receiver:
         return report
 
     def finalize(self, end: SimTime) -> None:
-        """Close out a run: a stall still open at session end accrues up to
-        the end time."""
+        """Close out a run: the RTTs of the open interval join the count, and
+        a stall still open at session end accrues up to the end time."""
+        self.rtt_samples_us.update(self._rtts)
+        self._rtts = []
         if self.stalled_since is not None:
             self.stalled_total_us += end - self.stalled_since
             self.stalled_since = None

@@ -1,7 +1,9 @@
-import pytest
-from hypothesis import given, settings, strategies as st
+from collections import Counter
 
-from l4sim.core import EcnCodepoint, Packet
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from l4sim.core import EcnCodepoint, Packet, apply_ce_mark
 from l4sim.media import MediaSource, Receiver, SourceConfig
 from l4sim.sim import Scenario
 
@@ -408,6 +410,27 @@ class TestReceiverWatermark:
         source.forget_below(2)  # an older watermark forgets nothing more
         assert source.make_retransmit(4, 0).size_bytes == packets[4].size_bytes
 
+    def test_repair_copies_its_sent_packet(self):
+        # The source keeps the packets it built; a repair takes size, frame
+        # and count from the kept one, and a CE mark on the way, which
+        # copies the packet, leaves the kept one as it was sent.
+        source = make_source()
+        first = source.encode_tick(3_000_000, 0)  # seqs 0..10
+        second = source.encode_tick(1_000_000, FRAME_US)
+        apply_ce_mark(first[6])
+        source.forget_below(5)
+        for packet in first[5:] + second:
+            repair = source.make_retransmit(packet.seq, 2 * FRAME_US)
+            assert repair is not packet
+            assert (repair.seq, repair.size_bytes, repair.frame_id, repair.frame_packet_count) == (
+                packet.seq, packet.size_bytes, packet.frame_id, packet.frame_packet_count
+            )  # fmt: skip
+            assert (repair.ecn, repair.sent_at, repair.is_retransmit) == (
+                EcnCodepoint.ECT1, 2 * FRAME_US, True
+            )  # fmt: skip
+        assert first[-1].size_bytes != first[5].size_bytes  # the sizes tell packets apart
+        assert second[0].frame_packet_count != first[5].frame_packet_count
+
     @given(
         steps=st.lists(
             st.one_of(
@@ -438,6 +461,52 @@ class TestReceiverWatermark:
                     source.make_retransmit(seq, 0)
         with pytest.raises(KeyError):
             source.forget_below(source.next_seq + 1)  # no report covers an unsent seq
+
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.none(),  # build a feedback report
+                # (seq, retransmit, one-way delay in us)
+                st.tuples(st.integers(0, 40), st.booleans(), st.integers(1, 40_000)),
+            ),
+            max_size=120,
+        )
+    )
+    @example(steps=[(0, False, 10_000)])  # only `finalize` counts this delivery
+    @example(steps=[(0, False, 10_000), None, (1, False, 9_000), (1, True, 5_000)])
+    @settings(max_examples=200, deadline=None)
+    def test_rtt_tally_matches_a_per_delivery_count(self, steps):
+        # Duplicates and repairs in any order, reports at any point: each
+        # report counts the first arrivals of its interval, and after
+        # `finalize` the tally holds one RTT per first arrival, in the
+        # order the values first occurred.
+        receiver = make_receiver()
+        seen, received, rtts = set(), 0, Counter()
+        now = 100_000
+        for step in steps:
+            now += 1_000
+            if step is None:
+                assert receiver.build_feedback(now).received_count == received
+                received = 0
+                continue
+            seq, retransmit, delay = step
+            packet = Packet(
+                seq=seq,
+                size_bytes=100,
+                ecn=EcnCodepoint.ECT1,
+                sent_at=now - delay,
+                frame_id=seq // self.FRAME_PACKETS,
+                frame_packet_count=self.FRAME_PACKETS,
+                is_retransmit=retransmit,
+            )
+            receiver.on_packet(packet, now)
+            if seq not in seen:
+                seen.add(seq)
+                received += 1
+                rtts[delay + receiver.reverse_delay_us] += 1
+        receiver.finalize(now)
+        assert receiver.rtt_samples_us == rtts
+        assert list(receiver.rtt_samples_us) == list(rtts)
 
     def test_played_frames_are_dropped(self):
         receiver = make_receiver()

@@ -9,7 +9,7 @@ import pytest
 from l4sim import sim
 from l4sim.aqm import DropTailConfig, DualPi2, DualPi2Config
 from l4sim.cc import ControllerKind, GccParams, ScalableParams
-from l4sim.harness import preset_scenario
+from l4sim.harness import PRESET_CASES, preset_scenario
 from l4sim.media import Receiver, SourceConfig
 from l4sim.netem import Constant, ForwardLink
 from l4sim.sim import (
@@ -131,6 +131,28 @@ class TestEntryPointBoundaries:
         audit = log.audit
         assert audit.dropped == 0 and audit.in_transit > 0
         assert len(calls) == audit.delivered + audit.in_transit
+
+
+class TestArrivalOrder:
+    @pytest.mark.parametrize("kind", list(ControllerKind))
+    @pytest.mark.parametrize("case", PRESET_CASES)
+    def test_report_arrivals_never_decrease(self, case, kind):
+        # The receive-rate window takes its newest arrival from the last
+        # sample of a report, which holds while arrivals never go back in
+        # time, within a report and from one report to the next.
+        engine = _Engine(short(case, kind, duration=2.0), timeline=False)
+        build = engine.receiver.build_feedback
+        arrivals = []
+
+        def recording_build(now):
+            report = build(now)
+            arrivals.extend(arrival for _size, _sent, arrival in report.arrival_samples)
+            return report
+
+        engine.receiver.build_feedback = recording_build
+        engine.run()
+        assert len(arrivals) > 100
+        assert all(a <= b for a, b in zip(arrivals, arrivals[1:]))
 
 
 class TestDegeneratePath:
