@@ -15,6 +15,7 @@ import itertools
 import math
 import os
 import random
+import sys
 import tempfile
 import weakref
 from collections import Counter, deque
@@ -23,7 +24,7 @@ from typing import Iterator
 
 from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
 from .cc import ControllerKind, GccParams, RateBounds, ScalableParams, ecn_mode_for, make_controller
-from .core import Packet, SimTime, us_from_s
+from .core import US_PER_S, Packet, SimTime, us_from_s
 from .media import MediaSource, Receiver, SourceConfig
 from .netem import CapacityPattern, Constant, ForwardLink, JitterProfile
 
@@ -64,6 +65,11 @@ class Scenario:
         Each config the scenario holds checked itself when it was built."""
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s: must be finite and positive, got {self.duration_s}")
+        if not math.isfinite(self.duration_s * US_PER_S):
+            raise ValueError(
+                f"duration_s: must be at most about {sys.float_info.max / US_PER_S:.2g} s, so that"
+                f" it is a finite number of microseconds, got {self.duration_s}"
+            )
         if us_from_s(self.duration_s) == 0:
             raise ValueError(
                 f"duration_s: must be at least 1 us once rounded to whole microseconds,"

@@ -163,6 +163,24 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("l4sim: error: duration_s")
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_duration_overflowing_microseconds_names_field(self, tmp_path, capsys, from_file):
+        # 1e308 s is finite but 1e308 * 1e6 us is not; both forms used to end
+        # in an OverflowError traceback.
+        if from_file:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({
+                "link": {"capacity": {"kind": "constant", "mbps": 3}},
+                "controller": {"kind": "gcc"},
+                "duration_s": 1e308,
+            }))  # fmt: skip
+            argv = ["--scenario", str(path)]
+        else:
+            argv = ["--scenario", "case1", "--controller", "gcc", "--duration", "1e308"]
+        assert run_cli("run", *argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("l4sim: error: duration_s: must be at most about 1.8e+302 s")
+
     def test_frame_rate_beyond_the_bound_names_field(self, tmp_path, capsys):
         # 2 * 10**6 fps makes a zero-microsecond frame interval; a 2 s run
         # of it did not finish in 20 s before fps was bounded.

@@ -413,6 +413,7 @@ class TestScenarioFromDict:
             ("aqm", {"target_delay_ms": 0}, "aqm.target_delay_ms: must be positive"),
             ("duration_s", math.nan, "duration_s"),
             ("duration_s", math.inf, "duration_s"),
+            ("duration_s", 1e308, "^duration_s: must be at most about 1.8e"),
             ("seed", 1.5, "seed"),
             ("feedback_interval_ms", True, "feedback_interval_ms"),
             (

@@ -188,6 +188,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration_s: must be finite and positive"):
             Scenario(duration_s=-1.0)
 
+    @pytest.mark.parametrize("duration_s", [1e303, 1e308])
+    def test_duration_beyond_float_microseconds_rejected(self, duration_s):
+        # `duration_s * 1e6` is infinite, which `us_from_s` cannot round to
+        # an int: such a scenario raised OverflowError instead.
+        with pytest.raises(ValueError, match=r"^duration_s: must be at most about 1\.8e\+302 s"):
+            Scenario(duration_s=duration_s)
+        Scenario(duration_s=1e302)  # finite in microseconds: accepted
+
     def test_bad_source_rejected(self):
         scenario = short("case1", ControllerKind.GCC)
         with pytest.raises(ValueError, match="min <= start <= max"):
