@@ -4,9 +4,11 @@
 Each pair runs `perfbench/run.py --trace 0` once in each checkout, the
 parent first in even pairs and the change first in odd ones, so that a
 drift of the host's speed favours neither side. The script prints one JSON
-line, which also carries the Python version (`sys.version`): per
-end-to-end metric, each side's value in every pair with their median and
-quartiles, in how many pairs the change did better, and a verdict:
+line, which also carries the Python version (`sys.version`) and each
+side's commit (`git rev-parse HEAD` of its checkout, or null for a
+checkout that is not the top of a git work tree). Per end-to-end metric it
+gives each side's value in every pair with their median and quartiles, in
+how many pairs the change did better, and a verdict:
 
 - `gain`: the change did better in at least nine tenths of the pairs, and
   the medians differ, in its favour, by more than the distance between the
@@ -19,6 +21,8 @@ quartiles, in how many pairs the change did better, and a verdict:
 
 Example:
     python3 scripts/bench_pairs.py ../parent . --workload jitter-dense --seed 1 --pairs 10
+
+`--out PATH` also writes that line to PATH.
 
 The direction of each metric ("better": "higher" or "lower") and its bound
 come from BENCHMARK.json at the root of this checkout. Standard library only.
@@ -55,6 +59,26 @@ def bytecode_caches(*checkouts: Path) -> list[Path]:
     """The l4sim bytecode caches present in the given checkouts."""
     caches = (checkout / BYTECODE_CACHE for checkout in checkouts)
     return [cache for cache in caches if cache.exists()]
+
+
+def commit_of(checkout: Path) -> str | None:
+    """The commit checked out at `checkout`, or None when it is not the top
+    of a git work tree (an enclosing repository's commit is not its own)."""
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "--show-toplevel", "HEAD"],
+            cwd=checkout,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+    except OSError:  # no git on this host
+        return None
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or len(lines) != 2:
+        return None
+    top, commit = lines
+    return commit if Path(top).resolve() == checkout.resolve() else None
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -144,6 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, help="also write the JSON line to this file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -162,8 +187,15 @@ def main(argv: list[str] | None = None) -> int:
         pairs.append((result["parent"], result["change"]))
         print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr)
     summary = summarize(pairs, specs)
-    summary.update(workload=args.workload, seed=args.seed)
-    print(json.dumps(summary, sort_keys=True))
+    summary.update(
+        workload=args.workload,
+        seed=args.seed,
+        commits={side: commit_of(getattr(args, side)) for side in SIDES},
+    )
+    line = json.dumps(summary, sort_keys=True)
+    print(line)
+    if args.out is not None:
+        args.out.write_text(line + "\n", encoding="utf-8")
     return 0
 
 

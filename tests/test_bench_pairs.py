@@ -156,3 +156,44 @@ def test_runs_write_no_bytecode(tmp_path, monkeypatch):
     assert bench_pairs.run_once(tmp_path, "jitter-dense", 1)["correct"] is True
     assert seen["cwd"] == tmp_path
     assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+def test_out_writes_the_printed_line_with_each_sides_commit(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org"]
+    subprocess.run(["git", "init", "-q", str(parent)], check=True)
+    subprocess.run(
+        [*git, "-C", str(parent), "commit", "-q", "--allow-empty", "-m", "parent"], check=True
+    )
+    head = subprocess.run(
+        ["git", "-C", str(parent), "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+    ).stdout.strip()
+    (parent / "sub").mkdir()  # inside the parent's work tree, not its top
+    speeds = {parent: 100.0, change: 120.0}
+    runs = []
+
+    def fake_run_once(checkout, workload, seed):
+        runs.append((checkout, workload, seed))
+        value = speeds[checkout]
+        return {
+            "correct": True,
+            "metrics": {
+                name: {"value": value}
+                for name in ("sim_speed", "pkt_rate", "peak_rss_mb", "setup_s")
+            },
+        }
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "pairs.json"
+    argv = [str(parent), str(change), "--workload", "w", "--seed", "3", "--pairs", "2"]
+    assert bench_pairs.main(argv + ["--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == printed
+    summary = json.loads(printed)
+    assert summary["commits"] == {"parent": head, "change": None}
+    assert summary["workload"] == "w" and summary["seed"] == 3 and summary["pairs"] == 2
+    values = summary["metrics"]["sim_speed"]["values"]
+    assert values == {"parent": [100.0] * 2, "change": [120.0] * 2}
+    assert runs == [(parent, "w", 3), (change, "w", 3), (change, "w", 3), (parent, "w", 3)]
+    assert bench_pairs.commit_of(parent / "sub") is None
