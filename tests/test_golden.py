@@ -6,7 +6,9 @@ SHA-256 of the metrics CSV and the timeline CSV it writes (the files of
 `l4sim run --out` and `--timeline`), compared against the checked-in
 `golden_digests.json`. That file changes only with a deliberate change of
 simulated behaviour or output format; regenerate it by running this module
-as a script (`PYTHONPATH=src python tests/test_golden.py`).
+as a script (`PYTHONPATH=src python tests/test_golden.py`). The file also
+records the interpreter and platform it was written with, and a mismatch
+names them next to the running ones.
 
 The preset runs never fill a 375 kB queue and use one ECN mode each, so two
 further groups lock the branches they miss: case3 runs behind a 6 kB queue
@@ -26,6 +28,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import platform
 import random
 import sys
 import tempfile
@@ -76,17 +79,46 @@ def load_digests() -> dict:
         return json.load(fh)
 
 
+def interpreter() -> dict[str, str]:
+    """The running interpreter and platform, as `write_digests` records them."""
+    return {
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+        "platform": platform.platform(),
+    }
+
+
+def assert_golden(digests, group: str, key: str) -> None:
+    """`digests` equal the stored ones of `group`/`key`. A mismatch names the
+    interpreter the stored digests were written with and the running one."""
+    stored = load_digests()
+    running = interpreter()
+    assert digests == stored[group][key], (
+        f"{group}/{key} differs from its golden digest, recorded with"
+        f" {stored.get('python')} on {stored.get('platform')}; running"
+        f" {running['python']} on {running['platform']}"
+    )
+
+
 def test_digest_file_covers_the_matrix():
     stored = load_digests()
     assert stored["duration_s"] == DURATION_S
     assert set(stored["runs"]) == {run_key(*triple) for triple in MATRIX}
 
 
+def test_a_mismatch_names_the_recorded_and_the_running_interpreter():
+    stored = load_digests()
+    with pytest.raises(AssertionError) as mismatch:
+        assert_golden("0" * 64, "aqm_sequences", "droptail")
+    message = str(mismatch.value)
+    for name in (stored["python"], stored["platform"], *interpreter().values()):
+        assert name in message
+
+
 @pytest.mark.parametrize(
     "case, kind, seed", MATRIX, ids=[run_key(*triple) for triple in MATRIX]
 )
 def test_outputs_match_golden_digests(case, kind, seed):
-    assert run_digests(case, kind, seed) == load_digests()["runs"][run_key(case, kind, seed)]
+    assert_golden(run_digests(case, kind, seed), "runs", run_key(case, kind, seed))
 
 
 # -- small-queue runs: overflow drops and DropTail in the engine --------------
@@ -114,8 +146,7 @@ def small_queue_digests(kind: ControllerKind, aqm: str) -> dict[str, str]:
     "kind, aqm", SMALL_QUEUE_MATRIX, ids=[small_queue_key(*pair) for pair in SMALL_QUEUE_MATRIX]
 )
 def test_small_queue_outputs_match_golden_digests(kind, aqm):
-    stored = load_digests()["small_queue_runs"]
-    assert small_queue_digests(kind, aqm) == stored[small_queue_key(kind, aqm)]
+    assert_golden(small_queue_digests(kind, aqm), "small_queue_runs", small_queue_key(kind, aqm))
 
 
 # -- long runs: capacity steps, classic random drops and repairs --------------
@@ -143,10 +174,8 @@ def long_run_digests(case: str, kind: ControllerKind, seed: int, duration_s: flo
     "case, kind, seed, duration_s", LONG_RUNS, ids=[long_run_key(*run) for run in LONG_RUNS]
 )
 def test_long_run_outputs_match_golden_digests(case, kind, seed, duration_s):
-    stored = load_digests()["long_runs"]
-    assert long_run_digests(case, kind, seed, duration_s) == stored[
-        long_run_key(case, kind, seed, duration_s)
-    ]
+    digests = long_run_digests(case, kind, seed, duration_s)
+    assert_golden(digests, "long_runs", long_run_key(case, kind, seed, duration_s))
 
 
 def test_long_case3_seeds_differ():
@@ -249,7 +278,7 @@ def aqm_sequence(kind: str) -> tuple[str, Counter]:
 @pytest.mark.parametrize("kind", AQM_KINDS)
 def test_aqm_sequence_matches_golden_digest(kind):
     digest, _ = aqm_sequence(kind)
-    assert digest == load_digests()["aqm_sequences"][kind]
+    assert_golden(digest, "aqm_sequences", kind)
 
 
 def test_aqm_sequences_reach_every_branch():
@@ -291,12 +320,12 @@ def comparison_digest(fmt: str, seeds: int = COMPARISON_SEEDS) -> str:
 
 @pytest.mark.parametrize("fmt", COMPARISON_FORMATS)
 def test_comparison_matches_golden_digest(fmt):
-    assert comparison_digest(fmt) == load_digests()["comparison"][fmt]
+    assert_golden(comparison_digest(fmt), "comparison", fmt)
 
 
 @pytest.mark.parametrize("fmt", COMPARISON_FORMATS)
 def test_four_seed_comparison_matches_golden_digest(fmt):
-    assert comparison_digest(fmt, SUMMATION_SEEDS) == load_digests()["comparison_4_seeds"][fmt]
+    assert_golden(comparison_digest(fmt, SUMMATION_SEEDS), "comparison_4_seeds", fmt)
 
 
 # -- Python 3.12's float `sum` ---------------------------------------------------
@@ -331,17 +360,17 @@ def test_digests_hold_under_compensated_float_sum(monkeypatch):
         assert sum([1e16, 1.0, -1e16]) == 0.0  # the patch changes something
     monkeypatch.setattr(cc, "sum", compensated_sum, raising=False)
     monkeypatch.setattr(harness, "sum", compensated_sum, raising=False)
-    stored = load_digests()
     for case in PRESET_CASES:
         for kind in (ControllerKind.GCC, ControllerKind.SENSITIVE_GCC, ControllerKind.L4S_GCC):
-            assert run_digests(case, kind, 1) == stored["runs"][run_key(case, kind, 1)]
+            assert_golden(run_digests(case, kind, 1), "runs", run_key(case, kind, 1))
     for fmt in COMPARISON_FORMATS:
-        assert comparison_digest(fmt) == stored["comparison"][fmt]
-        assert comparison_digest(fmt, SUMMATION_SEEDS) == stored["comparison_4_seeds"][fmt]
+        assert_golden(comparison_digest(fmt), "comparison", fmt)
+        assert_golden(comparison_digest(fmt, SUMMATION_SEEDS), "comparison_4_seeds", fmt)
 
 
 def write_digests() -> None:
     data = {
+        **interpreter(),
         "duration_s": DURATION_S,
         "runs": {run_key(*triple): run_digests(*triple) for triple in MATRIX},
         "small_queue_runs": {
