@@ -350,8 +350,6 @@ class ReceiveRateTracker:
         self._newest: SimTime = 0
 
     def _current_window(self) -> SimTime:
-        if self._first_arrival is None:
-            return RECEIVE_WINDOW_INITIAL_US
         if self._newest - self._first_arrival < RECEIVE_WINDOW_INITIAL_US:
             return RECEIVE_WINDOW_INITIAL_US
         return RECEIVE_WINDOW_US
@@ -374,7 +372,7 @@ class ReceiveRateTracker:
         self._total_bytes = total
 
     def rate_bps(self) -> float:
-        if not self._samples or self._first_arrival is None:
+        if not self._samples:
             return 0.0
         window = self._current_window()
         span = min(window, self._newest - self._first_arrival)
@@ -523,6 +521,15 @@ class L4sGccController:
 
 
 Controller = GccController | L4sCcController | L4sGccController
+
+
+# The parameter sets each controller kind reads, by `make_controller`'s argument names.
+PARAMS_BY_KIND = {
+    ControllerKind.GCC: ("gcc_params",),
+    ControllerKind.SENSITIVE_GCC: ("gcc_params",),
+    ControllerKind.L4S_CC: ("scalable_params",),
+    ControllerKind.L4S_GCC: ("gcc_params", "scalable_params"),
+}
 
 
 def gcc_departures(kind: ControllerKind) -> dict:

@@ -14,6 +14,7 @@ import sys
 
 from .cc import ControllerKind
 from .harness import (
+    DEFAULT_DURATION_S,
     PRESET_CASES,
     ScenarioError,
     emit_metrics_csv,
@@ -68,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--duration",
         type=float,
         default=None,
-        help=f"session seconds, defaults to {Scenario.duration_s} for presets",
+        help=f"session seconds, defaults to {DEFAULT_DURATION_S} for presets",
     )
     run_p.add_argument("--timeline", default=None, help="write per-event timeline CSV here")
     run_p.add_argument("--out", default=None, help="write the metrics CSV here")
@@ -79,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--controllers", type=_controllers, required=True, help="comma-separated controller kinds"
     )
     cmp_p.add_argument("--seeds", type=int, default=5, help="number of seeds (1..n)")
-    cmp_p.add_argument("--duration", type=float, default=Scenario.duration_s)
+    cmp_p.add_argument("--duration", type=float, default=DEFAULT_DURATION_S)
     cmp_p.add_argument("--workers", type=int, default=1, help="parallel runs")
     cmp_p.add_argument("--format", choices=("csv", "table"), default="csv")
     cmp_p.add_argument("--out", default=None, help="write the table here")

@@ -17,10 +17,6 @@ US_PER_MS = 1_000
 US_PER_S = 1_000_000
 
 
-def us_from_s(s: float) -> SimTime:
-    return int(round(s * US_PER_S))
-
-
 class EcnCodepoint(IntEnum):
     """Two-bit ECN field of the IP header, by wire encoding."""
 

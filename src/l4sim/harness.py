@@ -11,7 +11,7 @@ from functools import cache
 from typing import Iterable, Sequence, get_type_hints
 
 from .aqm import DropTailConfig, DualPi2Config
-from .cc import ControllerKind, GccParams, ScalableParams, gcc_departures
+from .cc import PARAMS_BY_KIND, ControllerKind, GccParams, ScalableParams, gcc_departures
 from .core import US_PER_MS, US_PER_S, EcnCodepoint, SimTime
 from .media import SourceConfig
 from .netem import (
@@ -51,6 +51,8 @@ PRESETS = {
     "case4c": _jitter_case(10, 18, 26, 34),
 }
 PRESET_CASES = tuple(PRESETS)
+# The session length of a preset or a comparison run, in the seconds they take.
+DEFAULT_DURATION_S = Scenario.duration_us / US_PER_S
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,13 @@ def compute_metrics(log: TimelineLog, scenario: Scenario) -> MetricsReport:
     samples = log.rtt_samples_us
     count = samples.total()
     avg_capacity = average_capacity_bps(scenario.capacity, log.duration_us)
+    duration_s = log.duration_us / US_PER_S
     if not count:  # an input error, not a result (DECISIONS.md entry 12)
         raise ValueError(
-            f"duration_s: no packet was delivered in {scenario.duration_s:g} s; the session"
+            f"duration_s: no packet was delivered in {duration_s:g} s; the session"
             f" must outlast a packet's trip over link.capacity (mean {avg_capacity / 1e6:g}"
             " Mbps) and link.forward_delay"
         )
-    duration_s = log.duration_us / 1e6
     quality_bps = log.played_bytes * 8 / duration_s
     return MetricsReport(
         rtt_max_ms=max(samples) / 1_000.0,
@@ -106,7 +108,7 @@ def preset_scenario(
     case: str,
     controller: ControllerKind,
     seed: int = Scenario.seed,
-    duration_s: float = Scenario.duration_s,
+    duration_s: float = DEFAULT_DURATION_S,
 ) -> Scenario:
     """Build one of the named comparison scenarios: the scenario file whose
     link section is `PRESETS[case]`."""
@@ -178,7 +180,7 @@ def run_comparison(
     cases: Sequence[str],
     controllers: Sequence[ControllerKind],
     seeds: Sequence[int],
-    duration_s: float = Scenario.duration_s,
+    duration_s: float = DEFAULT_DURATION_S,
     workers: int = 1,
 ) -> tuple[ComparisonRow, ...]:
     """Run every (case, controller, seed) triple and aggregate mean/stdev
@@ -293,12 +295,11 @@ _GCC_KEYS = (
 )  # fmt: skip
 _SCALABLE_KEYS = ("ewma_gain", "additive_step_bps")
 _SOURCE_KEYS = ("fps", "mtu_bytes", "min_bitrate_bps", "max_bitrate_bps", "start_bitrate_bps")
-# The keys each controller kind reads; any other key is rejected.
+# The keys each controller kind reads, those of its parameter sets; any other is rejected.
+_PARAMS_KEYS = {"gcc_params": _GCC_KEYS, "scalable_params": _SCALABLE_KEYS}
 _CONTROLLER_KEYS = {
-    ControllerKind.GCC.value: _GCC_KEYS,
-    ControllerKind.SENSITIVE_GCC.value: _GCC_KEYS,
-    ControllerKind.L4S_CC.value: _SCALABLE_KEYS,
-    ControllerKind.L4S_GCC.value: _GCC_KEYS + _SCALABLE_KEYS,
+    kind.value: tuple(key for params in PARAMS_BY_KIND[kind] for key in _PARAMS_KEYS[params])
+    for kind in ControllerKind
 }
 _CAPACITY_KEYS = {
     "constant": ("mbps",), "square": ("low_mbps", "high_mbps", "half_period_s"), "trace": ("path",)

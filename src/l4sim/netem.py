@@ -292,8 +292,11 @@ def load_trace_csv(path: str) -> list[tuple[SimTime, float]]:
 
 
 def write_trace_csv(path: str, samples: Sequence[tuple[SimTime, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for t_us, mbps in samples:
-            writer.writerow([repr(t_us / US_PER_S), repr(mbps)])
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRACE_HEADER)
+            for t_us, mbps in samples:
+                writer.writerow([repr(t_us / US_PER_S), repr(mbps)])
+    except OSError as exc:
+        raise OSError(f"cannot write output file {path!r}: {exc}") from exc

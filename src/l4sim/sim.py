@@ -12,10 +12,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import math
 import os
 import random
-import sys
 import tempfile
 import weakref
 from collections import Counter, deque
@@ -23,8 +21,9 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
-from .cc import ControllerKind, GccParams, RateBounds, ScalableParams, ecn_mode_for, make_controller
-from .core import US_PER_S, Packet, SimTime, us_from_s
+from .cc import PARAMS_BY_KIND, ControllerKind, GccParams, RateBounds, ScalableParams
+from .cc import ecn_mode_for, make_controller
+from .core import Packet, SimTime
 from .media import MediaSource, Receiver, SourceConfig
 from .netem import CapacityPattern, Constant, ForwardLink, JitterProfile
 
@@ -45,7 +44,7 @@ class Scenario:
     is built, so a scenario that exists is valid."""
 
     seed: int = 1
-    duration_s: float = 120.0
+    duration_us: SimTime = 120_000_000
     capacity: CapacityPattern = field(default_factory=lambda: Constant(3.0))
     forward_delay: SimTime | JitterProfile = 6_000  # fixed, in us, or drawn per packet
     reverse_delay_us: SimTime = 6_000
@@ -63,24 +62,17 @@ class Scenario:
     def validate(self) -> None:
         """Range checks of the scenario's own fields, run by `__post_init__`.
         Each config the scenario holds checked itself when it was built."""
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s: must be finite and positive, got {self.duration_s}")
-        if not math.isfinite(self.duration_s * US_PER_S):
-            raise ValueError(
-                f"duration_s: must be at most about {sys.float_info.max / US_PER_S:.2g} s, so that"
-                f" it is a finite number of microseconds, got {self.duration_s}"
-            )
-        if us_from_s(self.duration_s) == 0:
-            raise ValueError(
-                f"duration_s: must be at least 1 us once rounded to whole microseconds,"
-                f" got {self.duration_s}"
-            )
-        for name in ("forward_delay", "reverse_delay_us", "feedback_interval_us"):
+        if not isinstance(self.duration_us, int):  # a float inf or nan would never end
+            raise ValueError(f"duration_us: expected an int, got {self.duration_us!r}")
+        for name in ("duration_us", "forward_delay", "reverse_delay_us", "feedback_interval_us"):
             value = getattr(self, name)  # a jitter profile checked its own delays
             if not isinstance(value, JitterProfile) and value <= 0:
                 raise ValueError(f"{name}: must be positive")
         if self.dejitter_us < 0:
             raise ValueError("dejitter_us: must be non-negative")
+        for name in ("gcc_params", "scalable_params"):
+            if getattr(self, name) is not None and name not in PARAMS_BY_KIND[self.controller]:
+                raise ValueError(f"{name}: not read by the {self.controller.value} controller")
 
 
 @dataclass
@@ -200,7 +192,7 @@ _PLAYOUT = 7
 class _Engine:
     def __init__(self, scenario: Scenario, timeline: bool) -> None:
         self.sc = scenario
-        self.end_us = us_from_s(scenario.duration_s)
+        self.end_us = scenario.duration_us
         self.rows = TimelineRows() if timeline else None
         aqm_observer = playout_observer = None
         if timeline:

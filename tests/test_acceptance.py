@@ -393,7 +393,7 @@ class TestCriterion10DegeneratePath:
     def test_uncongested_flow_is_clean(self):
         scenario = Scenario(
             seed=5,
-            duration_s=DURATION_S,
+            duration_us=round(DURATION_S * 1_000_000),
             capacity=Constant(5.0),
             controller=ControllerKind.GCC,
             source=SourceConfig(

@@ -4,10 +4,15 @@ import os
 import sys
 import tempfile
 
+from importlib import resources
+
 import pytest
 
 from l4sim.cli import main
 from l4sim.netem import load_trace_csv, write_trace_csv
+
+
+BUNDLED_TRACE = resources.files("l4sim").joinpath("data/case3_trace.csv")
 
 
 def run_cli(*argv):
@@ -165,7 +170,7 @@ class TestRun:
 
     @pytest.mark.parametrize("from_file", [False, True])
     def test_duration_overflowing_microseconds_names_field(self, tmp_path, capsys, from_file):
-        # 1e308 s is finite but 1e308 * 1e6 us is not; both forms used to end
+        # 1e308 s is finite but 1e308 * 1e6 us is not; both forms once ended
         # in an OverflowError traceback.
         if from_file:
             path = tmp_path / "scenario.json"
@@ -179,7 +184,7 @@ class TestRun:
             argv = ["--scenario", "case1", "--controller", "gcc", "--duration", "1e308"]
         assert run_cli("run", *argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("l4sim: error: duration_s: must be at most about 1.8e+302 s")
+        assert err == "l4sim: error: duration_s: expected a finite number, got 1e+308\n"
 
     def test_frame_rate_beyond_the_bound_names_field(self, tmp_path, capsys):
         # 2 * 10**6 fps makes a zero-microsecond frame interval; a 2 s run
@@ -199,7 +204,7 @@ class TestRun:
     def test_duration_rounding_to_zero_microseconds_names_field(
         self, tmp_path, capsys, duration, from_file
     ):
-        # Such a run used to end in "empty run: no RTT samples to aggregate".
+        # Such a run once ended in "empty run: no RTT samples to aggregate".
         if from_file:
             path = tmp_path / "scenario.json"
             path.write_text(json.dumps({
@@ -212,7 +217,31 @@ class TestRun:
             argv = ["--scenario", "case1", "--controller", "gcc", "--duration", str(duration)]
         assert run_cli("run", *argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("l4sim: error: duration_s: must be at least 1 us")
+        assert err == (
+            f"l4sim: error: duration_s: expected a whole number of microseconds, got {duration!r}\n"
+        )
+
+    @pytest.mark.parametrize("source", ["file", "preset", "compare"])
+    def test_duration_of_no_whole_microseconds_names_field(self, tmp_path, capsys, source):
+        # 1.0000004 s is 1,000,000.4 us: rejected, not rounded to 1 s.
+        if source == "file":
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({
+                "link": {"capacity": {"kind": "constant", "mbps": 3}},
+                "controller": {"kind": "gcc"},
+                "duration_s": 1.0000004,
+            }))  # fmt: skip
+            argv = ["run", "--scenario", str(path)]
+        elif source == "preset":
+            argv = ["run", "--scenario", "case1", "--controller", "gcc", "--duration", "1.0000004"]
+        else:
+            argv = ["compare", "--cases", "case1", "--controllers", "gcc", "--seeds", "1",
+                    "--duration", "1.0000004"]  # fmt: skip
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == (
+            "",
+            "l4sim: error: duration_s: expected a whole number of microseconds, got 1.0000004\n",
+        )
 
     def test_run_that_delivers_nothing_names_fields(self, tmp_path, capsys):
         # A 1e-9 Mbps link serializes no packet in 2 s. Such a run used to
@@ -372,8 +401,8 @@ class TestInputsCheckedBeforeAnyRun:
             ("--cases", ",", "--cases: expected at least one value"),
             ("--cases", "case1,case99", "--cases: unknown preset 'case99'; choose one of case1,"),
             ("--controllers", ",", "--controllers: expected at least one value"),
-            ("--duration", "-1", "duration_s: must be finite and positive, got -1.0"),
-            ("--duration", "1e-9", "duration_s: must be at least 1 us"),
+            ("--duration", "-1", "duration_s: must be positive"),
+            ("--duration", "1e-9", "duration_s: expected a whole number of microseconds, got 1e-09"),
         ],
     )
     def test_bad_input_fails_before_any_run(
@@ -405,6 +434,7 @@ class TestUnwritableOutput:
     RUN = ("run", "--scenario", "case1", "--controller", "gcc", "--duration", "1")
     COMPARE = ("compare", "--cases", "case1", "--controllers", "gcc", "--seeds", "1",
                "--duration", "1")  # fmt: skip
+    NORMALIZE = ("normalize-trace", "--in", str(BUNDLED_TRACE))
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -413,8 +443,9 @@ class TestUnwritableOutput:
             (RUN, "--timeline"),
             (COMPARE + ("--format", "csv"), "--out"),
             (COMPARE + ("--format", "table"), "--out"),
+            (NORMALIZE, "--out"),
         ],
-        ids=["metrics", "timeline", "comparison-csv", "comparison-table"],
+        ids=["metrics", "timeline", "comparison-csv", "comparison-table", "normalized-trace"],
     )
     def test_names_the_path(self, tmp_path, capsys, argv, flag):
         path = str(tmp_path / "missing" / "out.csv")
@@ -457,5 +488,7 @@ class TestNormalizeTrace:
     def test_degenerate_trace_fails(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         write_trace_csv(str(raw), [(0, 2.0), (1_000_000, 2.0)])
-        assert run_cli("normalize-trace", "--in", str(raw), "--out", "/tmp/x.csv") == 1
+        out = tmp_path / "norm.csv"
+        assert run_cli("normalize-trace", "--in", str(raw), "--out", str(out)) == 1
         assert "degenerate" in capsys.readouterr().err
+        assert not out.exists()

@@ -205,7 +205,7 @@ def sources(draw):
 def scenarios(draw):
     return Scenario(
         seed=draw(st.integers(0, 2**32)),
-        duration_s=draw(st.sampled_from((1.0, 2.0, 3.0))),
+        duration_us=draw(st.sampled_from((1_000_000, 2_000_000, 3_000_000))),
         capacity=draw(capacities()),
         forward_delay=draw(ms_grid | jitters()),
         reverse_delay_us=draw(ms_grid),
@@ -271,7 +271,7 @@ def outputs(engine_class, scenario):
 # lists differed from the heap-only loop, tried on every run.
 GRID_BASE = Scenario(
     seed=0,
-    duration_s=1.0,
+    duration_us=1_000_000,
     capacity=Constant(0.5),
     forward_delay=1_000,
     reverse_delay_us=1_000,
@@ -288,7 +288,7 @@ GRID_BASE = Scenario(
 # the first playout falls between two deliveries
 @example(replace(GRID_BASE, source=replace(GRID_BASE.source, fps=20)))
 # a send lands exactly at the end of the service it waits behind
-@example(replace(GRID_BASE, duration_s=2.0, capacity=Constant(2.0), reverse_delay_us=2_000))
+@example(replace(GRID_BASE, duration_us=2_000_000, capacity=Constant(2.0), reverse_delay_us=2_000))
 # a send and a PI update fall exactly at the end of a service
 @example(
     replace(

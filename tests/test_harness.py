@@ -177,7 +177,7 @@ class TestPresets:
             preset = preset_scenario("case1", kind, duration_s=1.0)
             for scenario in (
                 preset,
-                Scenario(capacity=Constant(3.0), controller=kind, duration_s=1.0),
+                Scenario(capacity=Constant(3.0), controller=kind, duration_us=1_000_000),
                 replace(preset_scenario("case1", other, duration_s=1.0), controller=kind),
             ):
                 assert sent_codepoints(scenario) == {own}, scenario
@@ -187,7 +187,9 @@ class TestPresets:
 
     def test_python_construction_runs_as_its_preset(self):
         # The classic flow sends Not-ECT, so the L queue's step never marks it.
-        built = Scenario(capacity=Constant(3.0), controller=ControllerKind.GCC, duration_s=30.0)
+        built = Scenario(
+            capacity=Constant(3.0), controller=ControllerKind.GCC, duration_us=30_000_000
+        )
         metrics, _ = run_scenario(built)
         assert metrics.mark_count == 0
         preset = preset_scenario("case1", ControllerKind.GCC, duration_s=30.0)
@@ -491,7 +493,7 @@ class TestScenarioFromDict:
             ),
             ("aqm", {"alpha": -5}, "^aqm.alpha: must be non-negative, got -5.0$"),
             ("aqm", {"beta": -50}, "^aqm.beta: must be non-negative, got -50.0$"),
-            ("duration_s", 1e308, "^duration_s: must be at most about 1.8e"),
+            ("duration_s", 1e308, r"^duration_s: expected a finite number, got 1e\+308$"),
         ],
     )  # fmt: skip
     def test_invalid_value_names_field_path(self, section, value, where):
@@ -554,7 +556,7 @@ _JITTER_ENTRIES = {
 }
 
 
-def python_preset(case, kind, seed, duration_s):
+def python_preset(case, kind, seed, duration_us):
     """The smallest Python construction of a preset: every setting it does
     not name keeps the `Scenario` default, as an absent file key does."""
     if case == "case1":
@@ -566,7 +568,7 @@ def python_preset(case, kind, seed, duration_s):
     else:
         entries = tuple((ms * 1_000, p) for ms, p in _JITTER_ENTRIES[case])
         link = {"capacity": Constant(5.0), "forward_delay": JitterProfile(entries)}
-    return Scenario(seed=seed, duration_s=duration_s, controller=kind, **link)
+    return Scenario(seed=seed, duration_us=duration_us, controller=kind, **link)
 
 
 # The name is kept from when this compared a hand-written minimal file, so
@@ -575,7 +577,7 @@ def python_preset(case, kind, seed, duration_s):
 @pytest.mark.parametrize("case", PRESET_CASES)
 @pytest.mark.parametrize("kind", list(ControllerKind))
 def test_minimal_file_equals_preset(case, kind):
-    scenario = python_preset(case, kind, seed=5, duration_s=30.0)
+    scenario = python_preset(case, kind, seed=5, duration_us=30_000_000)
     assert scenario == preset_scenario(case, kind, seed=5, duration_s=30.0)
 
 

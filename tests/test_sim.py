@@ -1,17 +1,18 @@
 import gc
+import math
 import tracemalloc
 import weakref
 from collections import Counter, deque
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 from l4sim import sim
 from l4sim.aqm import DropTailConfig, DualPi2, DualPi2Config
 from l4sim.cc import ControllerKind, GccParams, ScalableParams
-from l4sim.harness import PRESET_CASES, preset_scenario
+from l4sim.harness import PRESET_CASES, ScenarioError, preset_scenario
 from l4sim.media import Receiver, SourceConfig
-from l4sim.netem import Constant, ForwardLink
+from l4sim.netem import Constant, ForwardLink, SquareWave, TracePattern
 from l4sim.sim import (
     Scenario,
     TimelineRows,
@@ -159,7 +160,7 @@ class TestDegeneratePath:
     def test_uncongested_fixed_rate_flow(self):
         scenario = Scenario(
             seed=9,
-            duration_s=10.0,
+            duration_us=10_000_000,
             capacity=Constant(5.0),
             controller=ControllerKind.GCC,
             source=SourceConfig(
@@ -182,19 +183,58 @@ class TestDegeneratePath:
 
 class TestValidation:
     def test_bad_duration_rejected_before_running(self):
-        scenario = short("case1", ControllerKind.GCC)
-        with pytest.raises(ValueError, match="duration_s: must be finite and positive, got 0"):
-            replace(scenario, duration_s=0)
-        with pytest.raises(ValueError, match="duration_s: must be finite and positive"):
-            Scenario(duration_s=-1.0)
+        with pytest.raises(ScenarioError, match="^duration_s: must be positive$"):
+            short("case1", ControllerKind.GCC, duration=0)
+        with pytest.raises(ValueError, match="^duration_us: must be positive$"):
+            replace(short("case1", ControllerKind.GCC), duration_us=0)
 
-    @pytest.mark.parametrize("duration_s", [1e303, 1e308])
-    def test_duration_beyond_float_microseconds_rejected(self, duration_s):
-        # `duration_s * 1e6` is infinite, which `us_from_s` cannot round to
-        # an int: such a scenario raised OverflowError instead.
-        with pytest.raises(ValueError, match=r"^duration_s: must be at most about 1\.8e\+302 s"):
-            Scenario(duration_s=duration_s)
-        Scenario(duration_s=1e302)  # finite in microseconds: accepted
+    @pytest.mark.parametrize(
+        "duration_us, message",
+        [
+            (math.inf, "expected an int, got inf"),
+            (math.nan, "expected an int, got nan"),
+            (1.5, "expected an int, got 1.5"),
+            (1e6, "expected an int, got 1000000.0"),
+            (0, "must be positive"),
+            (-1, "must be positive"),
+        ],
+    )
+    def test_duration_us_must_be_a_positive_int(self, duration_us, message):
+        # A float inf or nan would make a run that never ends.
+        with pytest.raises(ValueError, match=f"^duration_us: {message}$"):
+            Scenario(duration_us=duration_us)
+
+    def test_every_time_field_is_whole_microseconds(self):
+        # One rule for every time: a `SimTime` field named `*_us`, which a
+        # scenario file's `_s` or `_ms` key sets where it enters.
+        for cls in (Scenario, DualPi2Config, Constant, SquareWave, TracePattern):
+            for f in fields(cls):
+                where = f"{cls.__name__}.{f.name}"
+                assert not f.name.endswith(("_s", "_ms")), where
+                assert f.name.endswith("_us") == (f.type == "SimTime"), where
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            (ControllerKind.GCC, {"scalable_params": ScalableParams(ewma_gain=1.0)}),
+            (ControllerKind.SENSITIVE_GCC, {"scalable_params": ScalableParams()}),
+            (ControllerKind.L4S_CC, {"gcc_params": GccParams(window=2)}),
+        ],
+        ids=["gcc", "sensitive-gcc", "l4s-cc"],
+    )
+    def test_params_the_kind_never_reads_rejected(self, kind, params):
+        (name,) = params
+        message = f"^{name}: not read by the {kind.value} controller$"
+        with pytest.raises(ValueError, match=message):
+            Scenario(controller=kind, **params)
+        with pytest.raises(ValueError, match=message):
+            replace(Scenario(controller=ControllerKind.L4S_GCC, **params), controller=kind)
+
+    def test_params_the_kind_reads_accepted(self):
+        both = {"gcc_params": GccParams(window=2), "scalable_params": ScalableParams()}
+        Scenario(controller=ControllerKind.L4S_GCC, **both)
+        Scenario(controller=ControllerKind.GCC, gcc_params=both["gcc_params"])
+        Scenario(controller=ControllerKind.L4S_CC, scalable_params=both["scalable_params"])
 
     def test_bad_source_rejected(self):
         scenario = short("case1", ControllerKind.GCC)
@@ -233,7 +273,7 @@ class TestTimelineLog:
         # one packet per frame, one frame inside the horizon
         scenario = Scenario(
             seed=1,
-            duration_s=0.02,
+            duration_us=20_000,
             capacity=Constant(5.0),
             controller=ControllerKind.GCC,
             source=SourceConfig(
