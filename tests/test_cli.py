@@ -3,7 +3,6 @@ import json
 import os
 import sys
 import tempfile
-
 from importlib import resources
 
 import pytest
@@ -170,7 +169,7 @@ class TestRun:
 
     @pytest.mark.parametrize("from_file", [False, True])
     def test_duration_overflowing_microseconds_names_field(self, tmp_path, capsys, from_file):
-        # 1e308 s is finite but 1e308 * 1e6 us is not; both forms once ended
+        # 1e308 s is finite but 1e308 * 1e6 us is not; both forms used to end
         # in an OverflowError traceback.
         if from_file:
             path = tmp_path / "scenario.json"
@@ -204,7 +203,7 @@ class TestRun:
     def test_duration_rounding_to_zero_microseconds_names_field(
         self, tmp_path, capsys, duration, from_file
     ):
-        # Such a run once ended in "empty run: no RTT samples to aggregate".
+        # Such a run used to end in "empty run: no RTT samples to aggregate".
         if from_file:
             path = tmp_path / "scenario.json"
             path.write_text(json.dumps({
