@@ -286,30 +286,37 @@ class ScenarioError(ValueError):
     """Invalid scenario configuration; the message names the field path."""
 
 
-# A `_ms` or `_s` file key sets the `_us` field of the same stem, if any.
-_US_PER_UNIT = {"_ms": US_PER_MS, "_s": US_PER_S}
-_SCENARIO_KEYS = ("seed", "duration_s", "feedback_interval_ms", "dejitter_ms")
-_GCC_KEYS = (
-    "window", "threshold_gain", "gamma_init_ms", "gamma_min_ms", "gamma_max_ms", "k_up",
-    "k_down", "overuse_time_ms", "eta_increase", "decrease_factor", "loss_high", "loss_low",
-)  # fmt: skip
-_SCALABLE_KEYS = ("ewma_gain", "additive_step_bps")
-_SOURCE_KEYS = ("fps", "mtu_bytes", "min_bitrate_bps", "max_bitrate_bps", "start_bitrate_bps")
+# A `_us` field's file key is spelled in milliseconds, or in seconds for these.
+_SECONDS_FIELDS = ("duration_us", "half_period_us")
+
+
+@cache
+def _file_keys(cls) -> dict[str, tuple[str, bool, int]]:
+    """The file keys of config class `cls`, one per number field in field
+    order: key -> (field, whether it holds an int, microseconds per unit)."""
+    keys = {}
+    for name, hint in get_type_hints(cls).items():
+        if hint not in (int, float):  # bools, unions and nested configs have their own sections
+            continue
+        key, unit = name, 1
+        if name in _SECONDS_FIELDS:
+            key, unit = name[:-3] + "_s", US_PER_S
+        elif name.endswith("_us"):
+            key, unit = name[:-3] + "_ms", US_PER_MS
+        keys[key] = (name, hint is int, unit)
+    return keys
+
+
+# Each kind of a section: its config class, or the keys it reads where no one class takes them.
+_CAPACITY_KINDS = {"constant": Constant, "square": SquareWave, "trace": ("path",)}
+_DELAY_KINDS = {"fixed": ("delay_ms",), "jitter": ("entries",)}
+_AQM_KINDS = {"dualpi2": DualPi2Config, "droptail": DropTailConfig}
+_PARAMS = {"gcc_params": GccParams, "scalable_params": ScalableParams}
 # The keys each controller kind reads, those of its parameter sets; any other is rejected.
-_PARAMS_KEYS = {"gcc_params": _GCC_KEYS, "scalable_params": _SCALABLE_KEYS}
 _CONTROLLER_KEYS = {
-    kind.value: tuple(key for params in PARAMS_BY_KIND[kind] for key in _PARAMS_KEYS[params])
+    kind.value: tuple(key for name in PARAMS_BY_KIND[kind] for key in _file_keys(_PARAMS[name]))
     for kind in ControllerKind
 }
-_CAPACITY_KEYS = {
-    "constant": ("mbps",), "square": ("low_mbps", "high_mbps", "half_period_s"), "trace": ("path",)
-}  # fmt: skip
-_DELAY_KEYS = {"fixed": ("delay_ms",), "jitter": ("entries",)}
-_AQM_KEYS = {
-    "dualpi2": ("target_delay_ms", "t_update_ms", "alpha", "beta", "coupling_k",
-                "l4s_step_threshold_ms", "queue_limit_bytes", "time_shift_ms"),
-    "droptail": ("queue_limit_bytes",),
-}  # fmt: skip
 _ECN_MODES = {"ect1": EcnCodepoint.ECT1, "not-ect": EcnCodepoint.NOT_ECT}
 
 
@@ -333,12 +340,13 @@ def _choice(value, path: str, choices: dict):
     return choices[value]
 
 
-def _kind(spec, path: str, keys_by_kind: dict, default: str | None = None) -> str:
+def _kind(spec, path: str, kinds: dict, default: str | None = None) -> str:
     """The `kind` of object `spec`, which may hold only that kind's keys."""
     if not isinstance(spec, dict):
         raise ScenarioError(f"{path}: expected an object, got {spec!r}")
     kind = spec.get("kind", default)
-    _object(spec, path, ("kind", *_choice(kind, _join(path, "kind"), keys_by_kind)))
+    keys = _choice(kind, _join(path, "kind"), kinds)
+    _object(spec, path, ("kind", *(_file_keys(keys) if isinstance(keys, type) else keys)))
     return kind
 
 
@@ -361,45 +369,33 @@ def _number(value, path: str, integral: bool, scale: int = 1) -> int | float:
     return round(scaled) if integral else scaled
 
 
-# `get_type_hints` evaluates every annotation of the class on each call.
-_type_hints = cache(get_type_hints)
-
-
-def _build(
-    cls, spec: dict, path: str, keys: Sequence[str], given_paths: dict[str, str] | None = None,
-    **given,
-):  # fmt: skip
-    """One `cls`, made from `given` and each of `keys` present in `spec`, and
-    range-checked by the class as it is made. A key overrides a given value,
-    and an absent key keeps the class default; for a field with no default,
-    an absent key reads as null. `given_paths` maps a `given` field to the
-    file key it came from, for its error messages."""
-    hints = _type_hints(cls)
+def _build(cls, spec: dict, path: str, given_paths: dict[str, str] | None = None, **given):
+    """One `cls`, made from `given` and each of its file keys present in
+    `spec`, and range-checked by the class as it is made. A key overrides a
+    given value, and an absent key keeps the class default; for a field with
+    no default, an absent key reads as null. `given_paths` maps a field to
+    the file key that sets it where that is not `path`'s, for its messages."""
     values = dict(given)
     key_paths = dict(given_paths or {})  # field -> the file key that sets it
-    for key in keys:
-        name, scale = key, 1
-        for suffix, us_per_unit in _US_PER_UNIT.items():
-            if key.endswith(suffix) and key[: -len(suffix)] + "_us" in hints:
-                name, scale = key[: -len(suffix)] + "_us", us_per_unit
-        key_paths[name] = _join(path, key)
+    for key, (name, integral, scale) in _file_keys(cls).items():
+        key_paths.setdefault(name, _join(path, key))
         if key in spec or not hasattr(cls, name):  # a field's default is its class attribute
-            values[name] = _number(spec.get(key), key_paths[name], hints[name] is int, scale)
+            values[name] = _number(spec.get(key), key_paths[name], integral, scale)
     try:
         return cls(**values)
     except ValueError as exc:
         # "<field>: <problem>" names one field; any other message the object.
         name, colon, problem = str(exc).partition(": ")
-        if colon and name in hints:
-            raise ScenarioError(f"{key_paths.get(name, _join(path, name))}: {problem}") from exc
+        if colon and name in key_paths:
+            raise ScenarioError(f"{key_paths[name]}: {problem}") from exc
         raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def _capacity(spec) -> CapacityPattern:
     path = "link.capacity"
-    kind = _kind(spec, path, _CAPACITY_KEYS)
+    kind = _kind(spec, path, _CAPACITY_KINDS)
     if kind != "trace":
-        return _build(Constant if kind == "constant" else SquareWave, spec, path, _CAPACITY_KEYS[kind])
+        return _build(_CAPACITY_KINDS[kind], spec, path)
     trace = spec.get("path")
     if not isinstance(trace, str):
         raise ScenarioError(f"{path}.path: expected a file path string, got {trace!r}")
@@ -412,7 +408,7 @@ def _capacity(spec) -> CapacityPattern:
 def _forward_delay(spec) -> SimTime | JitterProfile:
     """The forward delay that `link.forward_delay` sets."""
     path = "link.forward_delay"
-    if _kind(spec, path, _DELAY_KEYS) == "fixed":
+    if _kind(spec, path, _DELAY_KINDS) == "fixed":
         return _number(spec.get("delay_ms"), f"{path}.delay_ms", True, US_PER_MS)
     entries, path = spec.get("entries"), f"{path}.entries"
     if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
@@ -421,49 +417,45 @@ def _forward_delay(spec) -> SimTime | JitterProfile:
         (_number(d, f"{path}[{i}]", True, US_PER_MS), _number(p, f"{path}[{i}]", False))
         for i, (d, p) in enumerate(entries)
     )
-    return _build(JitterProfile, {}, path, (), entries=pairs)
+    return _build(JitterProfile, {}, path, entries=pairs)
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Build a Scenario from a JSON-compatible mapping. Absent keys keep the
     config dataclasses' defaults; unknown keys and invalid values are
     rejected with a field-path message."""
-    _object(data, "", _SCENARIO_KEYS + ("link", "aqm", "controller", "source"))
+    # `reverse_delay_ms` is the one `Scenario` key that another section, `link`, holds.
+    top = _file_keys(Scenario).keys() - {"reverse_delay_ms"}
+    _object(data, "", (*top, "link", "aqm", "controller", "source"))
     link = _object(data.get("link"), "link", ("capacity", "forward_delay", "reverse_delay_ms"))
     delay = {}
     if "forward_delay" in link:
         delay["forward_delay"] = _forward_delay(link["forward_delay"])
-    if "reverse_delay_ms" in link:
-        reverse = _number(link["reverse_delay_ms"], "link.reverse_delay_ms", True, US_PER_MS)
-        delay["reverse_delay_us"] = reverse
     capacity = _capacity(link.get("capacity"))
     ctl = data.get("controller")
     kind = ControllerKind(_kind(ctl, "controller", _CONTROLLER_KEYS))
 
-    def params(cls, keys, **given):  # None, the controller's own default, unless a key is set
-        return _build(cls, ctl, "controller", keys, **given) if ctl.keys() & set(keys) else None
+    def params(cls, **given):  # None, the controller's own default, unless a key is set
+        return _build(cls, ctl, "controller", **given) if ctl.keys() & _file_keys(cls) else None
 
     aqm = data.get("aqm", {})
-    aqm_kind = _kind(aqm, "aqm", _AQM_KEYS, default="dualpi2")
-    source = _object(data.get("source", {}), "source", _SOURCE_KEYS + ("ecn_mode",))
+    aqm_kind = _kind(aqm, "aqm", _AQM_KINDS, default="dualpi2")
+    source = _object(data.get("source", {}), "source", (*_file_keys(SourceConfig), "ecn_mode"))
     ecn = source.get("ecn_mode")  # absent: None, the controller kind's codepoint
     ecn = None if ecn is None else _choice(ecn, "source.ecn_mode", _ECN_MODES)
     return _build(
-        Scenario, data, "", _SCENARIO_KEYS,
+        Scenario, {**data, **link}, "",
         given_paths={
             "forward_delay": "link.forward_delay.delay_ms",
             "reverse_delay_us": "link.reverse_delay_ms",
         },
         capacity=capacity,
         **delay,
-        aqm=_build(
-            DualPi2Config if aqm_kind == "dualpi2" else DropTailConfig,
-            aqm, "aqm", _AQM_KEYS[aqm_kind],
-        ),
+        aqm=_build(_AQM_KINDS[aqm_kind], aqm, "aqm"),
         controller=kind,
-        gcc_params=params(GccParams, _GCC_KEYS, **gcc_departures(kind)),
-        scalable_params=params(ScalableParams, _SCALABLE_KEYS),
-        source=_build(SourceConfig, source, "source", _SOURCE_KEYS, ecn_mode=ecn),
+        gcc_params=params(GccParams, **gcc_departures(kind)),
+        scalable_params=params(ScalableParams),
+        source=_build(SourceConfig, source, "source", ecn_mode=ecn),
     )  # fmt: skip
 
 
