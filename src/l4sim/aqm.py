@@ -46,7 +46,10 @@ class DualPi2Config:
 
     def __post_init__(self) -> None:
         for name in ("target_delay_us", "t_update_us", "l4s_step_threshold_us", "time_shift_us"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if not isinstance(value, int):  # a float nan passes the sign check
+                raise ValueError(f"{name}: expected an int, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"{name}: must be positive")
         for name in ("alpha", "beta"):
             if getattr(self, name) < 0:

@@ -46,6 +46,8 @@ class SquareWave:
             raise ValueError(f"low_mbps: must be positive, got {self.low_mbps}")
         if self.high_mbps <= 0:
             raise ValueError(f"high_mbps: must be positive, got {self.high_mbps}")
+        if not isinstance(self.half_period_us, int):  # a float nan passes the sign check
+            raise ValueError(f"half_period_us: expected an int, got {self.half_period_us!r}")
         if self.half_period_us <= 0:
             raise ValueError("half_period_us: must be positive")
 
@@ -64,6 +66,8 @@ class TracePattern:
             raise ValueError("trace must start at t=0")
         prev = -1
         for t, mbps in self.samples:
+            if not isinstance(t, int):
+                raise ValueError(f"trace time must be an int, got {t!r}")
             if t <= prev:
                 raise ValueError("trace times must be strictly increasing")
             if mbps <= 0:
@@ -138,6 +142,8 @@ class JitterProfile:
         total = 0.0
         cumulative = []
         for delay, prob in self.entries:
+            if not isinstance(delay, int):  # a float nan passes the sign check
+                raise ValueError(f"jitter delay must be an int, got {delay!r}")
             if delay <= 0:
                 raise ValueError(f"jitter delay must be positive, got {delay}")
             if prob < 0:
@@ -199,7 +205,12 @@ class ForwardLink:
             self._serialization = {}
         us = self._serialization.get(size_bytes)
         if us is None:
-            us = self._serialization[size_bytes] = round(size_bytes * 8 * US_PER_S / self._rate)
+            bit_us = size_bytes * 8 * US_PER_S
+            us = bit_us / self._rate
+            if us == math.inf:  # a rate too small for a float quotient: divide exactly
+                num, den = self._rate.as_integer_ratio()
+                us = bit_us * den // num
+            us = self._serialization[size_bytes] = round(us)
         return us
 
     def deliver(self, wire_exit: SimTime) -> SimTime:
@@ -279,7 +290,12 @@ def load_trace_csv(path: str) -> list[tuple[SimTime, float]]:
                 raise ValueError(f"{path}:{lineno}: negative time {t_s}")
             if mbps < 0:
                 raise ValueError(f"{path}:{lineno}: negative rate {mbps}")
-            t_us = int(round(t_s * US_PER_S))
+            t_us = t_s * US_PER_S
+            if t_us == math.inf:
+                raise ValueError(
+                    f"{path}:{lineno}: time {t_s} s is not a finite number of microseconds"
+                )
+            t_us = round(t_us)
             if t_us <= prev_t:
                 raise ValueError(f"{path}:{lineno}: time {t_s} not strictly increasing")
             if prev_t == -1 and t_us != 0:

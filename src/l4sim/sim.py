@@ -17,7 +17,7 @@ import random
 import tempfile
 import weakref
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
@@ -62,8 +62,12 @@ class Scenario:
     def validate(self) -> None:
         """Range checks of the scenario's own fields, run by `__post_init__`.
         Each config the scenario holds checked itself when it was built."""
-        if not isinstance(self.duration_us, int):  # a float inf or nan would never end
-            raise ValueError(f"duration_us: expected an int, got {self.duration_us!r}")
+        # Every count and time is an int (or a forward-delay profile): a float
+        # inf or nan would pass each range check below.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith(("int", "SimTime")) and not isinstance(value, (int, JitterProfile)):
+                raise ValueError(f"{f.name}: expected an int, got {value!r}")
         for name in ("duration_us", "forward_delay", "reverse_delay_us", "feedback_interval_us"):
             value = getattr(self, name)  # a jitter profile checked its own delays
             if not isinstance(value, JitterProfile) and value <= 0:

@@ -273,6 +273,58 @@ class TestRun:
             f"l4sim: error: link.capacity.path: {trace}:3: non-finite "
         )
 
+    def test_trace_time_beyond_float_microseconds_names_field_and_line(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("t_s,mbps\n0,1\n1e303,4\n")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": {"kind": "trace", "path": str(trace)}},
+            "controller": {"kind": "gcc"},
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr() == ("", (
+            f"l4sim: error: link.capacity.path: {trace}:3: time 1e+303 s is not a finite"
+            " number of microseconds\n"
+        ))  # fmt: skip
+
+    @pytest.mark.parametrize(
+        "capacity",
+        [
+            {"kind": "constant", "mbps": 1e-310},
+            {"kind": "constant", "mbps": 5e-324},
+            {"kind": "square", "low_mbps": 1e-320, "high_mbps": 4, "half_period_s": 1},
+        ],
+        ids=["constant-1e-310", "constant-5e-324", "square-low-1e-320"],
+    )
+    def test_capacity_too_small_for_a_float_serialization_time(self, tmp_path, capsys, capacity):
+        # 1,200 bytes at these rates take longer than a float holds, in
+        # microseconds; a rate of 1e-300 Mbps already ended this way.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": capacity}, "controller": {"kind": "gcc"}, "duration_s": 2
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("l4sim: error: duration_s: no packet was delivered in 2 s;")
+
+    def test_tiny_high_rate_runs_as_a_larger_tiny_one(self, tmp_path):
+        # Packets sent in the first, low half period arrive; those of the
+        # 1e-320 Mbps half never do, as at 1e-300 Mbps.
+        outputs = []
+        for high in (1e-300, 1e-320):
+            path = tmp_path / f"{high}.json"
+            path.write_text(json.dumps({
+                "link": {"capacity": {"kind": "square", "low_mbps": 2.5, "high_mbps": high,
+                                      "half_period_s": 1}},
+                "controller": {"kind": "gcc"},
+                "duration_s": 3,
+            }))  # fmt: skip
+            out = tmp_path / f"{high}.csv"
+            assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 0
+            outputs.append(out.read_text())
+        assert outputs[0] == outputs[1]
+
     def test_missing_file(self, capsys):
         assert run_cli("run", "--scenario", "/nope/missing.json") == 1
         assert "error" in capsys.readouterr().err
@@ -470,6 +522,16 @@ class TestNormalizeTrace:
         out = tmp_path / "norm.csv"
         assert run_cli("normalize-trace", "--in", str(raw), "--out", str(out)) == 1
         assert f"{raw}:3: non-finite rate inf" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_time_beyond_float_microseconds_fails(self, tmp_path, capsys):
+        raw = tmp_path / "t.csv"
+        raw.write_text("t_s,mbps\n0,1\n1e303,4\n")
+        out = tmp_path / "norm.csv"
+        assert run_cli("normalize-trace", "--in", str(raw), "--out", str(out)) == 1
+        assert capsys.readouterr() == (
+            "", f"l4sim: error: {raw}:3: time 1e+303 s is not a finite number of microseconds\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("max_mbps", ["nan", "inf", "-1", "0"])

@@ -107,6 +107,12 @@ class TestCapacityAt:
         with pytest.raises(ValueError):
             TracePattern(((0, 0.0),))  # positive rates
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 1e6])
+    def test_trace_times_must_be_ints(self, t):
+        # A nan time passes the order check and breaks the lookup's bisect.
+        with pytest.raises(ValueError, match=f"^trace time must be an int, got {t!r}$"):
+            TracePattern(((0, 1.0), (t, 2.0)))
+
 
 class TestAverageCapacity:
     def test_constant(self):
@@ -156,6 +162,11 @@ class TestSampleJitter:
             JitterProfile(((0, 1.0),))  # delay must be positive
         with pytest.raises(ValueError):
             JitterProfile(())
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, 6000.5])
+    def test_delays_must_be_ints(self, delay):
+        with pytest.raises(ValueError, match=f"^jitter delay must be an int, got {delay!r}$"):
+            JitterProfile(((delay, 1.0),))
 
 
 def inverse_cdf_loop(profile, u):
@@ -335,6 +346,15 @@ class TestSegmentCache:
         with pytest.raises(ValueError):
             link.serialization_us(1_200, -1)
 
+    @pytest.mark.parametrize("mbps", [1e-310, 5e-324])
+    def test_rate_too_small_for_a_float_quotient_serializes_exactly(self, mbps):
+        # 9,600 bits over 1e-304 b/s is beyond float range: the time is the
+        # integer quotient of the bits and the rate's exact ratio.
+        rate = mbps * 1e6
+        num, den = rate.as_integer_ratio()
+        link = ForwardLink(Constant(mbps), 6_000, random.Random(0))
+        assert link.serialization_us(1_200, 0) == 1_200 * 8 * US_PER_S * den // num > 10**308
+
 
 class TestNormalizeTrace:
     def test_min_max_endpoints(self):
@@ -424,6 +444,13 @@ class TestTraceCsv:
         path.write_text(f"t_s,mbps\n0,1\n{row}\n")
         with pytest.raises(ValueError, match=rf"bad\.csv:3: non-finite {what}"):
             load_trace_csv(str(path))
+
+    def test_time_beyond_float_microseconds_line_numbered(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t_s,mbps\n0,1\n1e303,4\n")
+        with pytest.raises(ValueError) as exc:
+            load_trace_csv(str(path))
+        assert str(exc.value) == f"{path}:3: time 1e+303 s is not a finite number of microseconds"
 
     def test_must_start_at_zero(self, tmp_path):
         path = tmp_path / "bad.csv"

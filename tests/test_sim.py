@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 from collections import Counter, deque
@@ -20,6 +21,17 @@ from l4sim.sim import (
     run_scenario,
     stream_seed,
 )
+
+
+# Each config field that holds a count or a time in microseconds, with the
+# other fields its class needs: every int field of `Scenario`, its forward
+# delay when that is not a profile, and the times of the link and AQM.
+INT_FIELDS = [
+    *((Scenario, {}, f.name) for f in fields(Scenario) if f.type in ("int", "SimTime")),
+    (Scenario, {}, "forward_delay"),
+    *((DualPi2Config, {}, f.name) for f in fields(DualPi2Config) if f.type == "SimTime"),
+    (SquareWave, {"low_mbps": 2.5, "high_mbps": 4.0}, "half_period_us"),
+]
 
 
 def short(case, kind, seed=1, duration=15.0):
@@ -203,6 +215,17 @@ class TestValidation:
         # A float inf or nan would make a run that never ends.
         with pytest.raises(ValueError, match=f"^duration_us: {message}$"):
             Scenario(duration_us=duration_us)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 1.5, 1e6])
+    @pytest.mark.parametrize(
+        "cls, given, name", INT_FIELDS, ids=[f"{c.__name__}.{n}" for c, _, n in INT_FIELDS]
+    )
+    def test_every_count_and_time_must_be_an_int(self, cls, given, name, value):
+        # A float inf or nan passes a sign check: a nan feedback interval ran
+        # to a negative minimum RTT, and an inf duration would never end.
+        message = f"^{name}: expected an int, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            cls(**given, **{name: value})
 
     def test_every_time_field_is_whole_microseconds(self):
         # One rule for every time: a `SimTime` field named `*_us`, which a
