@@ -207,7 +207,7 @@ class ForwardLink:
         if us is None:
             bit_us = size_bytes * 8 * US_PER_S
             us = bit_us / self._rate
-            if us == math.inf:  # a rate too small for a float quotient: divide exactly
+            if us == math.inf:  # a rate too small for a float quotient: the exact one, rounded down
                 num, den = self._rate.as_integer_ratio()
                 us = bit_us * den // num
             us = self._serialization[size_bytes] = round(us)
