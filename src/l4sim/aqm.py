@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import EcnCodepoint, Packet, SimTime, apply_ce_mark
+from .core import Config, EcnCodepoint, Packet, SimTime, apply_ce_mark
 
 # Observer callback: (event, packet, now). Events: "overflow", "drop", "mark".
 AqmObserver = Callable[[str, Packet, SimTime], None]
@@ -32,7 +32,7 @@ _CE = EcnCodepoint.CE
 
 
 @dataclass(frozen=True)
-class DualPi2Config:
+class DualPi2Config(Config):
     """PI gains are per second of delay error per second; durations in us."""
 
     target_delay_us: SimTime = 15_000
@@ -44,12 +44,9 @@ class DualPi2Config:
     queue_limit_bytes: int = DEFAULT_QUEUE_LIMIT_BYTES
     time_shift_us: SimTime = 50_000
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         for name in ("target_delay_us", "t_update_us", "l4s_step_threshold_us", "time_shift_us"):
-            value = getattr(self, name)
-            if not isinstance(value, int):  # a float nan passes the sign check
-                raise ValueError(f"{name}: expected an int, got {value!r}")
-            if value <= 0:
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be positive")
         for name in ("alpha", "beta"):
             if getattr(self, name) < 0:
@@ -61,10 +58,10 @@ class DualPi2Config:
 
 
 @dataclass(frozen=True)
-class DropTailConfig:
+class DropTailConfig(Config):
     queue_limit_bytes: int = DEFAULT_QUEUE_LIMIT_BYTES
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if self.queue_limit_bytes <= 0:
             raise ValueError("queue_limit_bytes: must be positive")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .core import EcnCodepoint, FeedbackReport, SimTime
+from .core import Config, EcnCodepoint, FeedbackReport, SimTime
 
 
 class ControllerKind(Enum):
@@ -68,7 +68,7 @@ TRENDLINE_RECOMPUTE_EVERY = 5
 
 
 @dataclass(frozen=True)
-class GccParams:
+class GccParams(Config):
     window: int = 20
     threshold_gain: float = 4.0
     gamma_init_ms: float = 12.5
@@ -86,7 +86,7 @@ class GccParams:
     # stock controller lets the threshold chase every observation.
     adapt_skip: bool = False
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 0.0 < self.decrease_factor < 1.0:
             raise ValueError(f"decrease_factor: must be in (0, 1), got {self.decrease_factor}")
         if not self.loss_low < self.loss_high:
@@ -116,7 +116,7 @@ SENSITIVE_GCC = {
 
 
 @dataclass(frozen=True)
-class ScalableParams:
+class ScalableParams(Config):
     """Mark-fraction response: EWMA gain and additive recovery step.
 
     The step is deliberately small; mark-only control recovers linearly, and
@@ -126,7 +126,7 @@ class ScalableParams:
     ewma_gain: float = 1.0 / 16.0
     additive_step_bps: int = 5_000
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 0.0 < self.ewma_gain <= 1.0:
             raise ValueError(f"ewma_gain: must be in (0, 1], got {self.ewma_gain}")
         if self.additive_step_bps <= 0:

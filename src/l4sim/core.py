@@ -6,8 +6,11 @@ Everything here is a plain value type. Simulation state lives elsewhere.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cache
+from typing import get_type_hints
 
 # Simulation time is integer microseconds since run start. Integer arithmetic
 # keeps event ordering exact across platforms.
@@ -15,6 +18,33 @@ SimTime = int
 
 US_PER_MS = 1_000
 US_PER_S = 1_000_000
+
+
+@cache
+def number_fields(cls) -> dict[str, type]:
+    """The `int` and `float` fields of dataclass `cls`, in order, with their types."""
+    return {name: hint for name, hint in get_type_hints(cls).items() if hint in (int, float)}
+
+
+def check_number(name: str, value, hint: type) -> None:
+    """Raise `ValueError("<name>: ...")` unless `value` suits a field of type
+    `hint`: an `int`, or for a `float` a finite number (no nan, inf or int
+    beyond float range), and never a `bool`."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int and not (number and isinstance(value, int)):
+        raise ValueError(f"{name}: expected an int, got {value!r}")
+    if hint is float and not (number and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+
+
+class Config:
+    """Base of the frozen configs, which check themselves when built, so one that
+    exists is valid: each number field by its type, then the class's `validate`."""
+
+    def __post_init__(self) -> None:
+        for name, hint in number_fields(type(self)).items():
+            check_number(name, getattr(self, name), hint)
+        self.validate()
 
 
 class EcnCodepoint(IntEnum):

@@ -8,11 +8,11 @@ import math
 import os
 from dataclasses import dataclass, fields
 from functools import cache
-from typing import Iterable, Sequence, get_type_hints
+from typing import Iterable, Sequence
 
 from .aqm import DropTailConfig, DualPi2Config
 from .cc import PARAMS_BY_KIND, ControllerKind, GccParams, ScalableParams, gcc_departures
-from .core import US_PER_MS, US_PER_S, EcnCodepoint, SimTime
+from .core import US_PER_MS, US_PER_S, EcnCodepoint, SimTime, number_fields
 from .media import SourceConfig
 from .netem import (
     CapacityPattern,
@@ -295,9 +295,7 @@ def _file_keys(cls) -> dict[str, tuple[str, bool, int]]:
     """The file keys of config class `cls`, one per number field in field
     order: key -> (field, whether it holds an int, microseconds per unit)."""
     keys = {}
-    for name, hint in get_type_hints(cls).items():
-        if hint not in (int, float):  # bools, unions and nested configs have their own sections
-            continue
+    for name, hint in number_fields(cls).items():  # other fields have their own sections
         key, unit = name, 1
         if name in _SECONDS_FIELDS:
             key, unit = name[:-3] + "_s", US_PER_S
@@ -448,6 +446,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         given_paths={
             "forward_delay": "link.forward_delay.delay_ms",
             "reverse_delay_us": "link.reverse_delay_ms",
+            "capacity": "link.capacity",
         },
         capacity=capacity,
         **delay,

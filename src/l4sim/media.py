@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import EcnCodepoint, FeedbackReport, Packet, SimTime, US_PER_S
+from .core import Config, EcnCodepoint, FeedbackReport, Packet, SimTime, US_PER_S
 
 # Observer callback: (event, value_us, now). Events: "stall_begin", "stall_end".
 PlayoutObserver = Callable[[str, int, SimTime], None]
@@ -38,7 +38,7 @@ MAX_FPS = 1_000
 
 
 @dataclass(frozen=True)
-class SourceConfig:
+class SourceConfig(Config):
     fps: int = 30
     mtu_bytes: int = 1_200
     min_bitrate_bps: int = 150_000
@@ -47,7 +47,7 @@ class SourceConfig:
     # None: the controller kind's codepoint (`cc.ecn_mode_for`), set when the run starts.
     ecn_mode: EcnCodepoint | None = None
 
-    def __post_init__(self) -> None:
+    def validate(self) -> None:
         if not 0 < self.fps <= MAX_FPS:
             raise ValueError(
                 f"fps: must be from 1 to {MAX_FPS}, so that a frame interval is at"

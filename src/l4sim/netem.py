@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .core import SimTime, US_PER_S
+from .core import Config, SimTime, US_PER_S, check_number
 
 # Traces normalized onto [0, max] may contain zero-rate samples; a literal
 # zero would freeze queued bytes forever, so link construction floors them.
@@ -23,17 +23,23 @@ TRACE_FLOOR_MBPS = 0.1
 TRACE_MAX_MBPS = 5.0
 
 
+def _check_rate(name: str, mbps: float) -> None:
+    if mbps <= 0:
+        raise ValueError(f"{name}: must be positive, got {mbps}")
+    if mbps * 1e6 == math.inf:
+        raise ValueError(f"{name}: {mbps} Mbps is not a finite number of bits/s")
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(Config):
     mbps: float
 
-    def __post_init__(self) -> None:
-        if self.mbps <= 0:
-            raise ValueError(f"mbps: must be positive, got {self.mbps}")
+    def validate(self) -> None:
+        _check_rate("mbps", self.mbps)
 
 
 @dataclass(frozen=True)
-class SquareWave:
+class SquareWave(Config):
     """Alternating capacity: low on [0, half_period), high on the next
     half period, repeating."""
 
@@ -41,13 +47,9 @@ class SquareWave:
     high_mbps: float
     half_period_us: SimTime
 
-    def __post_init__(self) -> None:
-        if self.low_mbps <= 0:
-            raise ValueError(f"low_mbps: must be positive, got {self.low_mbps}")
-        if self.high_mbps <= 0:
-            raise ValueError(f"high_mbps: must be positive, got {self.high_mbps}")
-        if not isinstance(self.half_period_us, int):  # a float nan passes the sign check
-            raise ValueError(f"half_period_us: expected an int, got {self.half_period_us!r}")
+    def validate(self) -> None:
+        _check_rate("low_mbps", self.low_mbps)
+        _check_rate("high_mbps", self.high_mbps)
         if self.half_period_us <= 0:
             raise ValueError("half_period_us: must be positive")
 
@@ -70,6 +72,7 @@ class TracePattern:
                 raise ValueError(f"trace time must be an int, got {t!r}")
             if t <= prev:
                 raise ValueError("trace times must be strictly increasing")
+            check_number("samples", mbps, float)
             if mbps <= 0:
                 raise ValueError(f"trace rate must be positive, got {mbps} at t={t}")
             prev = t
@@ -146,6 +149,7 @@ class JitterProfile:
                 raise ValueError(f"jitter delay must be an int, got {delay!r}")
             if delay <= 0:
                 raise ValueError(f"jitter delay must be positive, got {delay}")
+            check_number("entries", prob, float)
             if prob < 0:
                 raise ValueError(f"jitter probability must be non-negative, got {prob}")
             total += prob
@@ -286,6 +290,8 @@ def load_trace_csv(path: str) -> list[tuple[SimTime, float]]:
                 raise ValueError(f"{path}:{lineno}: non-finite time {t_s}")
             if not math.isfinite(mbps):
                 raise ValueError(f"{path}:{lineno}: non-finite rate {mbps}")
+            if mbps * 1e6 == math.inf:
+                raise ValueError(f"{path}:{lineno}: {mbps} Mbps is not a finite number of bits/s")
             if t_s < 0:
                 raise ValueError(f"{path}:{lineno}: negative time {t_s}")
             if mbps < 0:

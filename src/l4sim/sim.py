@@ -12,20 +12,21 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 import os
 import random
 import tempfile
 import weakref
 from collections import Counter, deque
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
 from .cc import PARAMS_BY_KIND, ControllerKind, GccParams, RateBounds, ScalableParams
 from .cc import ecn_mode_for, make_controller
-from .core import Packet, SimTime
+from .core import Config, Packet, SimTime, check_number
 from .media import MediaSource, Receiver, SourceConfig
-from .netem import CapacityPattern, Constant, ForwardLink, JitterProfile
+from .netem import CapacityPattern, Constant, ForwardLink, JitterProfile, average_capacity_bps
 
 
 def stream_seed(seed: int, label: str) -> int:
@@ -37,11 +38,8 @@ def stream_seed(seed: int, label: str) -> int:
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """One simulated session: link, queue discipline, controller, source.
-
-    Like every config it holds, it is immutable and checks itself when it
-    is built, so a scenario that exists is valid."""
+class Scenario(Config):
+    """One simulated session: link, queue discipline, controller, source."""
 
     seed: int = 1
     duration_us: SimTime = 120_000_000
@@ -56,24 +54,18 @@ class Scenario:
     feedback_interval_us: SimTime = 100_000
     dejitter_us: SimTime = 15_000
 
-    def __post_init__(self) -> None:
-        self.validate()
-
     def validate(self) -> None:
-        """Range checks of the scenario's own fields, run by `__post_init__`.
-        Each config the scenario holds checked itself when it was built."""
-        # Every count and time is an int (or a forward-delay profile): a float
-        # inf or nan would pass each range check below.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith(("int", "SimTime")) and not isinstance(value, (int, JitterProfile)):
-                raise ValueError(f"{f.name}: expected an int, got {value!r}")
+        """Range checks of the scenario's own fields; each config it holds checked itself."""
+        if not isinstance(self.forward_delay, JitterProfile):  # a union: no number field
+            check_number("forward_delay", self.forward_delay, int)
         for name in ("duration_us", "forward_delay", "reverse_delay_us", "feedback_interval_us"):
             value = getattr(self, name)  # a jitter profile checked its own delays
             if not isinstance(value, JitterProfile) and value <= 0:
                 raise ValueError(f"{name}: must be positive")
         if self.dejitter_us < 0:
             raise ValueError("dejitter_us: must be non-negative")
+        if not math.isfinite(average_capacity_bps(self.capacity, self.duration_us)):
+            raise ValueError("capacity: its mean over the session is not a finite number of bits/s")
         for name in ("gcc_params", "scalable_params"):
             if getattr(self, name) is not None and name not in PARAMS_BY_KIND[self.controller]:
                 raise ValueError(f"{name}: not read by the {self.controller.value} controller")

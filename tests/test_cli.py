@@ -273,6 +273,48 @@ class TestRun:
             f"l4sim: error: link.capacity.path: {trace}:3: non-finite "
         )
 
+    @pytest.mark.parametrize(
+        "capacity, duration_s, message",
+        [
+            ({"kind": "constant", "mbps": 1e303}, 1,
+             "link.capacity.mbps: 1e+303 Mbps is not a finite number of bits/s"),
+            ({"kind": "square", "low_mbps": 2.5, "high_mbps": 1e303, "half_period_s": 10}, 1,
+             "link.capacity.high_mbps: 1e+303 Mbps is not a finite number of bits/s"),
+            # Each rate is finite in bits/s, but 20 s of both overflow the mean's sum.
+            ({"kind": "square", "low_mbps": 1e302, "high_mbps": 1e302, "half_period_s": 10}, 30,
+             "link.capacity: its mean over the session is not a finite number of bits/s"),
+        ],
+        ids=["constant", "square", "square-mean"],
+    )  # fmt: skip
+    def test_capacity_beyond_float_bits_per_second_names_field(
+        self, tmp_path, capsys, capacity, duration_s, message
+    ):
+        # Each of these ran to `bandwidth_utilization 0.0`: an infinite rate
+        # serializes in 0 us, and utilization divided by an infinite mean.
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": capacity},
+            "controller": {"kind": "gcc"},
+            "duration_s": duration_s,
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr() == ("", f"l4sim: error: {message}\n")
+
+    def test_trace_rate_beyond_float_bits_per_second_names_field_and_line(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("t_s,mbps\n0,1\n1,1e303\n")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": {"kind": "trace", "path": str(trace)}},
+            "controller": {"kind": "gcc"},
+            "duration_s": 1,
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr() == ("", (
+            f"l4sim: error: link.capacity.path: {trace}:3: 1e+303 Mbps is not a finite"
+            " number of bits/s\n"
+        ))  # fmt: skip
+
     def test_trace_time_beyond_float_microseconds_names_field_and_line(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         trace.write_text("t_s,mbps\n0,1\n1e303,4\n")

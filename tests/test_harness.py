@@ -17,6 +17,7 @@ from l4sim.cc import SENSITIVE_GCC, ControllerKind, GccParams, ScalableParams
 from l4sim.media import SourceConfig
 from l4sim.harness import (
     PRESET_CASES,
+    METRIC_FIELDS,
     MetricsReport,
     ScenarioError,
     compute_metrics,
@@ -800,4 +801,87 @@ def test_any_link_delay_runs_cleanly_or_names_its_key(delay, kind):
         return
     event("ran")
     assert isinstance(metrics, MetricsReport)
+    assert log.audit.errors() == []
+
+
+# Every other number key of a scenario file, with the section object it sits
+# in: the source, a constant and a square capacity (a 1 s session crosses
+# this square wave's steps), the rest of the AQM keys of both kinds, and the
+# top-level keys.
+_SQUARE_1S = {"kind": "square", "low_mbps": 2.5, "high_mbps": 4.0, "half_period_s": 0.25}
+_DUALPI2_KEYS = ("target_delay_ms", "t_update_ms", "coupling_k", "l4s_step_threshold_ms",
+                 "queue_limit_bytes", "time_shift_ms")  # fmt: skip
+_SOURCE_KEYS = ("fps", "mtu_bytes", "min_bitrate_bps", "max_bitrate_bps", "start_bitrate_bps")
+_OTHER_KEYS = [
+    *(("source", {}, key) for key in _SOURCE_KEYS),
+    ("link.capacity", {"kind": "constant", "mbps": 3}, "mbps"),
+    *(("link.capacity", _SQUARE_1S, key) for key in ("low_mbps", "high_mbps", "half_period_s")),
+    *(("aqm", {"kind": "dualpi2"}, key) for key in _DUALPI2_KEYS),
+    ("aqm", {"kind": "droptail"}, "queue_limit_bytes"),
+    *(("", None, key) for key in ("seed", "duration_s", "feedback_interval_ms", "dejitter_ms")),
+]
+_ANY_NUMBER = st.integers(-(10**300), 10**300) | st.floats()
+# A session of at most 1 s, or one that cannot be held in float microseconds.
+_DURATION_S = (
+    st.integers(max_value=1) | st.floats(max_value=1.0) | st.floats(min_value=1e303)
+    | st.just(math.nan)
+)  # fmt: skip
+
+
+def test_every_number_key_is_fuzzed_end_to_end():
+    fuzzed = {(path, key) for path, _, key in _OTHER_KEYS} | set(_GAIN_KEYS) | {
+        ("link", "reverse_delay_ms"), ("link.forward_delay", "delay_ms"),
+        ("link.forward_delay", "entries"),
+    }  # fmt: skip
+    not_numbers = {"kind", "link", "capacity", "forward_delay", "aqm", "controller", "source",
+                   "path", "ecn_mode"}  # fmt: skip
+    assert fuzzed == {
+        (path, key) for path, _, accepted in ACCEPTED_KEYS for key in accepted - not_numbers
+    }
+
+
+@st.composite
+def _other_key(draw):
+    path, spec, key = draw(st.sampled_from(_OTHER_KEYS))
+    return path, spec, key, draw(_DURATION_S if key == "duration_s" else _ANY_NUMBER)
+
+
+@given(_other_key(), st.sampled_from(list(ControllerKind)))
+@settings(max_examples=400, deadline=None)
+@example(("link.capacity", {"kind": "constant", "mbps": 3}, "mbps", 1e303), ControllerKind.GCC)
+@example(("link.capacity", _SQUARE_1S, "high_mbps", 1e303), ControllerKind.GCC)
+@example(("link.capacity", _SQUARE_1S, "low_mbps", 1e302), ControllerKind.L4S_GCC)
+@example(("source", {}, "mtu_bytes", 1), ControllerKind.L4S_GCC)
+@example(("aqm", {"kind": "droptail"}, "queue_limit_bytes", 1), ControllerKind.GCC)
+def test_any_other_key_runs_cleanly_or_names_its_key(drawn, kind):
+    """Any value of any other number key either runs 1 s to a clean audit,
+    is rejected with its key's path (or, for a check across fields, its
+    section's), or delivers no packet, which names `duration_s`."""
+    path, spec, key, value = drawn
+    data = {
+        "duration_s": 1,
+        "link": {"capacity": {"kind": "constant", "mbps": 3}},
+        "controller": {"kind": kind.value},
+    }
+    if spec is not None:
+        parent, _, name = path.rpartition(".")
+        _section(data, parent)[name] = copy.deepcopy(spec)
+    _section(data, path)[key] = value
+    try:
+        scenario = scenario_from_dict(data)
+    except ScenarioError as exc:
+        message = str(exc)
+        assert message.startswith(f"{path + '.' if path else ''}{key}: ") or (
+            path and message.startswith(f"{path}: ")
+        ), message
+        event("rejected")
+        return
+    try:
+        metrics, log = run_scenario(scenario)
+    except ValueError as exc:
+        assert str(exc).startswith("duration_s: no packet was delivered in "), str(exc)
+        event("no packet delivered")
+        return
+    event("ran")
+    assert all(math.isfinite(getattr(metrics, name)) for name in METRIC_FIELDS), metrics
     assert log.audit.errors() == []

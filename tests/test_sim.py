@@ -4,13 +4,14 @@ import re
 import tracemalloc
 import weakref
 from collections import Counter, deque
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
 
 from l4sim import sim
 from l4sim.aqm import DropTailConfig, DualPi2, DualPi2Config
 from l4sim.cc import ControllerKind, GccParams, ScalableParams
+from l4sim.core import Config, number_fields
 from l4sim.harness import PRESET_CASES, ScenarioError, preset_scenario
 from l4sim.media import Receiver, SourceConfig
 from l4sim.netem import Constant, ForwardLink, SquareWave, TracePattern
@@ -23,14 +24,27 @@ from l4sim.sim import (
 )
 
 
-# Each config field that holds a count or a time in microseconds, with the
-# other fields its class needs: every int field of `Scenario`, its forward
-# delay when that is not a profile, and the times of the link and AQM.
-INT_FIELDS = [
-    *((Scenario, {}, f.name) for f in fields(Scenario) if f.type in ("int", "SimTime")),
-    (Scenario, {}, "forward_delay"),
-    *((DualPi2Config, {}, f.name) for f in fields(DualPi2Config) if f.type == "SimTime"),
-    (SquareWave, {"low_mbps": 2.5, "high_mbps": 4.0}, "half_period_us"),
+# Each number field of every config class, with its type and the fields its
+# class requires, each given 1, which every config accepts; and `Scenario`'s
+# fixed forward delay, an `int` in a union with a jitter profile.
+def required_ones(cls):
+    return {f.name: 1 for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+
+
+NUMBER_FIELDS = [
+    *(
+        (cls, required_ones(cls), name, hint)
+        for cls in Config.__subclasses__()
+        for name, hint in number_fields(cls).items()
+    ),
+    (Scenario, {}, "forward_delay", int),
+]
+# Values no number field may hold: a float nan or inf passes every range
+# check, and a bool is an int to `isinstance`. An int field takes no fraction.
+BAD_NUMBERS = [
+    (cls, given, name, hint, value)
+    for cls, given, name, hint in NUMBER_FIELDS
+    for value in (math.inf, math.nan, -math.inf, True, *((1.5, 1e6) if hint is int else ()))
 ]
 
 
@@ -216,16 +230,27 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^duration_us: {message}$"):
             Scenario(duration_us=duration_us)
 
-    @pytest.mark.parametrize("value", [math.inf, math.nan, 1.5, 1e6])
     @pytest.mark.parametrize(
-        "cls, given, name", INT_FIELDS, ids=[f"{c.__name__}.{n}" for c, _, n in INT_FIELDS]
+        "cls, given, name, hint, value",
+        BAD_NUMBERS,
+        ids=[f"{c.__name__}.{n}-{v}" for c, _, n, _, v in BAD_NUMBERS],
     )
-    def test_every_count_and_time_must_be_an_int(self, cls, given, name, value):
+    def test_every_count_and_time_must_be_an_int(self, cls, given, name, hint, value):
         # A float inf or nan passes a sign check: a nan feedback interval ran
-        # to a negative minimum RTT, and an inf duration would never end.
-        message = f"^{name}: expected an int, got {re.escape(repr(value))}$"
+        # to a negative minimum RTT, an inf duration would never end, and a
+        # nan queue limit let every packet in. So does a nan rate or gain.
+        expected = "an int" if hint is int else "a finite number"
+        message = f"^{name}: expected {expected}, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
-            cls(**given, **{name: value})
+            cls(**{**given, name: value})
+
+    def test_every_config_class_is_covered(self):
+        # The configs a scenario holds and the capacity patterns with number
+        # fields; a config class added later is covered without an edit.
+        assert {cls for cls, *_ in NUMBER_FIELDS} >= {
+            Scenario, DualPi2Config, DropTailConfig, SourceConfig, GccParams, ScalableParams,
+            Constant, SquareWave,
+        }  # fmt: skip
 
     def test_every_time_field_is_whole_microseconds(self):
         # One rule for every time: a `SimTime` field named `*_us`, which a
