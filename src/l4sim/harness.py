@@ -278,8 +278,8 @@ def metrics_csv_lines(report: MetricsReport) -> list[str]:
 #
 # A scenario file mirrors `Scenario`. A numeric key overrides one field of a
 # config dataclass and an absent key keeps that field's default, so each
-# default is defined once, in its dataclass. Range checks stay in the classes'
-# `__post_init__`, so files and code obey the same rules.
+# default is defined once, in its dataclass. Type and range checks stay in the
+# classes (`core.Config`), so files and code obey the same rules.
 
 
 class ScenarioError(ValueError):

@@ -24,13 +24,14 @@ from l4sim.sim import (
 )
 
 
-# Each number field of every config class, with its type and the fields its
-# class requires, each given 1, which every config accepts; and `Scenario`'s
-# fixed forward delay, an `int` in a union with a jitter profile.
 def required_ones(cls):
+    """The fields `cls` requires, each given 1, which every config accepts."""
     return {f.name: 1 for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
 
 
+# Each number field of every config class, with the fields its class
+# requires and its type; and `Scenario`'s fixed forward delay, an `int` in a
+# union with a jitter profile.
 NUMBER_FIELDS = [
     *(
         (cls, required_ones(cls), name, hint)
@@ -238,7 +239,8 @@ class TestValidation:
     def test_every_count_and_time_must_be_an_int(self, cls, given, name, hint, value):
         # A float inf or nan passes a sign check: a nan feedback interval ran
         # to a negative minimum RTT, an inf duration would never end, and a
-        # nan queue limit let every packet in. So does a nan rate or gain.
+        # nan queue limit let every packet in. A nan rate or gain passes its
+        # range check the same way.
         expected = "an int" if hint is int else "a finite number"
         message = f"^{name}: expected {expected}, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
