@@ -2,10 +2,14 @@
 
 `HeapOnlyEngine` runs every event, the per-packet ones included, through
 one heap keyed by ``(due, tie)``: its `run` is the engine loop in which
-sends, service ends and deliveries are all heap events. `_Engine` must give
-the same timeline rows, metrics and audit on every scenario, and call the
-AQM and the receiver in the same order: some ordering faults change no
-output in this model (DECISIONS.md entry 9).
+sends, service ends and deliveries are all heap events, and in which every
+DualPi2 run has a PI update each period, whatever codepoint its source
+sends. `_Engine` must give the same timeline rows, metrics and audit on
+every scenario, and call the AQM and the receiver in the same order: some
+ordering faults change no output in this model (DECISIONS.md entry 9).
+In a DualPi2 run whose source sends ECT(1), each of the reference's PI
+updates must leave the PI state at rest, and the two call orders are
+compared without them (DECISIONS.md entry 20).
 
 The scenarios are short and built to reach the orderings a faster loop
 could get wrong: byte caps of a few kB (overflows, hence losses and
@@ -18,12 +22,13 @@ that a service can end exactly at a send's or a repair's time.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import replace
 
 from hypothesis import example, given, settings, strategies as st
 
 from l4sim.aqm import DropTailConfig, DualPi2, DualPi2Config
-from l4sim.cc import ControllerKind
+from l4sim.cc import ControllerKind, ecn_mode_for
 from l4sim.core import EcnCodepoint, Packet
 from l4sim.harness import compute_metrics
 from l4sim.media import SourceConfig
@@ -54,8 +59,11 @@ class HeapOnlyEngine(_Engine):
     def run(self) -> TimelineLog:
         self._push(0, _ENCODE)
         self._push(self.sc.feedback_interval_us, _FB_BUILD)
-        if self._pi2_period:
-            self._push(self._pi2_period, _PI2)
+        # A PI update every period of every DualPi2 run.
+        aqm = self.sc.aqm
+        pi2_period = aqm.t_update_us if isinstance(aqm, DualPi2Config) else 0
+        if pi2_period:
+            self._push(pi2_period, _PI2)
 
         heap = self.heap
         end = self.end_us
@@ -107,7 +115,7 @@ class HeapOnlyEngine(_Engine):
                     repairs.reverse()
                 elif kind == _PI2:
                     self.aqm.pi2_update(due)
-                    push(heap, (due + self._pi2_period, tie(), _PI2, None))
+                    push(heap, (due + pi2_period, tie(), _PI2, None))
                 else:  # _PLAYOUT
                     self._on_playout(due)
                 continue
@@ -219,8 +227,9 @@ def scenarios(draw):
 
 def log_calls(engine: _Engine) -> list[tuple]:
     """Make the engine's AQM and receiver log each call into them, in call
-    order, as (entry point, time, seq). A dequeue that finds the AQM empty
-    changes nothing and is not logged."""
+    order, as (entry point, time, seq). A PI update is logged as
+    ("pi2_update", time, p_base, prev_c_delay_us), with the state it left. A
+    dequeue that finds the AQM empty changes nothing and is not logged."""
     calls: list[tuple] = []
     aqm, receiver = engine.aqm, engine.receiver
 
@@ -246,7 +255,13 @@ def log_calls(engine: _Engine) -> list[tuple]:
     log_packet_call(receiver, "on_packet")
     log_tick(receiver, "playout_tick")
     if isinstance(aqm, DualPi2):
-        log_tick(aqm, "pi2_update")
+        pi2_update = aqm.pi2_update
+
+        def logged_update(now):
+            pi2_update(now)
+            calls.append(("pi2_update", now, aqm.p_base, aqm.prev_c_delay_us))
+
+        aqm.pi2_update = logged_update
     dequeue = aqm.dequeue
 
     def logged_dequeue(now):
@@ -258,6 +273,18 @@ def log_calls(engine: _Engine) -> list[tuple]:
 
     aqm.dequeue = logged_dequeue
     return calls
+
+
+def sends_ect1_into_dualpi2(scenario):
+    """Whether the scenario's source sends ECT(1), its own codepoint or its
+    controller kind's, into a DualPi2 queue: only the L queue can fill."""
+    ecn = scenario.source.ecn_mode
+    ecn = ecn_mode_for(scenario.controller) if ecn is None else ecn
+    return isinstance(scenario.aqm, DualPi2Config) and ecn is EcnCodepoint.ECT1
+
+
+def without_pi2_updates(calls):
+    return [call for call in calls if call[0] != "pi2_update"]
 
 
 def outputs(engine_class, scenario):
@@ -297,6 +324,19 @@ GRID_BASE = Scenario(
         source=replace(GRID_BASE.source, mtu_bytes=250, start_bitrate_bps=300_000),
     )
 )
+# the same with Not-ECT traffic, whose PI updates move p_base
+@example(
+    replace(
+        GRID_BASE,
+        aqm=DualPi2Config(target_delay_us=1_000, queue_limit_bytes=1_500),
+        source=replace(
+            GRID_BASE.source,
+            mtu_bytes=250,
+            start_bitrate_bps=300_000,
+            ecn_mode=EcnCodepoint.NOT_ECT,
+        ),
+    )
+)
 # repairs arrive exactly when a service ends on an empty queue
 @example(
     replace(
@@ -312,4 +352,10 @@ def test_engine_matches_the_heap_only_loop(scenario):
     assert audit == ref_audit
     assert metrics == ref_metrics
     assert rows == ref_rows
+    if sends_ect1_into_dualpi2(scenario):
+        # Each update of the reference finds the C queue empty and leaves
+        # p_base at +0.0 and the C delay at 0 (DECISIONS.md entry 20).
+        ticks = [call for call in ref_calls if call[0] == "pi2_update"]
+        assert all(call[2:] == (0.0, 0) and math.copysign(1.0, call[2]) > 0 for call in ticks)
+        calls, ref_calls = without_pi2_updates(calls), without_pi2_updates(ref_calls)
     assert calls == ref_calls
