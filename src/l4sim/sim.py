@@ -21,7 +21,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
+from .aqm import _L4S_CODEPOINTS, DropTail, DropTailConfig, DualPi2, DualPi2Config
 from .cc import PARAMS_BY_KIND, ControllerKind, GccParams, RateBounds, ScalableParams
 from .cc import ecn_mode_for, make_controller
 from .core import Config, Packet, SimTime, check_number
@@ -205,18 +205,20 @@ class _Engine:
                 record((now, event, value))
 
         jitter_rng = random.Random(stream_seed(scenario.seed, "jitter"))
+        ecn = scenario.source.ecn_mode  # None: the controller kind's codepoint
+        ecn = ecn_mode_for(scenario.controller) if ecn is None else ecn
 
         if isinstance(scenario.aqm, DualPi2Config):
             aqm_rng = random.Random(stream_seed(scenario.seed, "aqm"))
             self.aqm: DualPi2 | DropTail = DualPi2(scenario.aqm, aqm_rng, aqm_observer)
-            self._pi2_period = scenario.aqm.t_update_us
+            # L4S packets leave the C queue empty, and the PI update then
+            # keeps p_base at 0: no update runs (DECISIONS.md entry 20).
+            self._pi2_period = 0 if ecn in _L4S_CODEPOINTS else scenario.aqm.t_update_us
         else:
             self.aqm = DropTail(scenario.aqm, aqm_observer)
             self._pi2_period = 0
 
         self.link = ForwardLink(scenario.capacity, scenario.forward_delay, jitter_rng)
-        ecn = scenario.source.ecn_mode  # None: the controller kind's codepoint
-        ecn = ecn_mode_for(scenario.controller) if ecn is None else ecn
         self.source = MediaSource(scenario.source, ecn)
         self.receiver = Receiver(
             scenario.source.fps,

@@ -161,32 +161,33 @@ class TestCriterion3UtilizationGap:
     def test_step_marks_alone_cost_utilization(self, monkeypatch):
         # The ledger's mechanism for the gap: case1 has no jitter, yet
         # `l4s-gcc` is marked and uses the link less than `gcc`, which sees
-        # no mark. `p_base` stays 0, so every mark is a step mark.
+        # no mark. `p_base` is 0 at every dequeue, where the coupled mark
+        # reads it, so every mark is a step mark.
         p_base = []
-        pi2_update = DualPi2.pi2_update
+        dequeue = DualPi2.dequeue
 
-        def recording_update(self, now):
-            pi2_update(self, now)
+        def recording_dequeue(self, now):
             p_base.append(self.p_base)
+            return dequeue(self, now)
 
-        monkeypatch.setattr(DualPi2, "pi2_update", recording_update)
+        monkeypatch.setattr(DualPi2, "dequeue", recording_dequeue)
 
         def run(kind):
             return run_scenario(preset_scenario("case1", kind, seed=1, duration_s=30.0))
 
         l4s, l4s_log = run(ControllerKind.L4S_GCC)
-        updates = list(p_base)
+        dequeued = list(p_base)
         gcc, gcc_log = run(ControllerKind.GCC)
         l4s_util, gcc_util = l4s.bandwidth_utilization, gcc.bandwidth_utilization
         ok = (
             l4s_log.mark_count > 0
             and gcc_log.mark_count == 0
-            and max(updates, default=1.0) == 0.0
+            and max(dequeued, default=1.0) == 0.0
             and l4s_util < gcc_util
         )
         detail = (
             f"case1: {l4s_log.mark_count} marks (gcc {gcc_log.mark_count}),"
-            f" max p_base {max(updates, default=None)},"
+            f" max p_base {max(dequeued, default=None)},"
             f" utilization {100 * l4s_util:.1f}% < {100 * gcc_util:.1f}%"
         )
         report_line(3, "step marks alone cost utilization", ok, detail)

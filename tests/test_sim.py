@@ -11,7 +11,7 @@ import pytest
 from l4sim import sim
 from l4sim.aqm import DropTailConfig, DualPi2, DualPi2Config
 from l4sim.cc import ControllerKind, GccParams, ScalableParams
-from l4sim.core import Config, number_fields
+from l4sim.core import Config, EcnCodepoint, number_fields
 from l4sim.harness import PRESET_CASES, ScenarioError, preset_scenario
 from l4sim.media import Receiver, SourceConfig
 from l4sim.netem import Constant, ForwardLink, SquareWave, TracePattern
@@ -159,6 +159,40 @@ class TestEntryPointBoundaries:
         audit = log.audit
         assert audit.dropped == 0 and audit.in_transit > 0
         assert len(calls) == audit.delivered + audit.in_transit
+
+
+class TestPiUpdateSchedule:
+    """DualPi2's PI update runs every `t_update_us` only when the source's
+    codepoint is classic: an L4S codepoint fills only the L queue, where an
+    update would leave `p_base` at 0 (DECISIONS.md entry 20). The rule keys
+    on the codepoint, not on the controller kind."""
+
+    L4S_GCC = short("case1", ControllerKind.L4S_GCC, duration=10.0)
+    NOT_ECT_L4S_GCC = replace(L4S_GCC, source=replace(L4S_GCC.source, ecn_mode=EcnCodepoint.NOT_ECT))
+
+    @pytest.mark.parametrize(
+        "scenario, updates",
+        [
+            (L4S_GCC, 0),
+            (NOT_ECT_L4S_GCC, 10_000_000 // 16_000),
+            (short("case1", ControllerKind.GCC, duration=10.0), 10_000_000 // 16_000),
+        ],
+        ids=["l4s-gcc", "l4s-gcc-not-ect", "gcc"],
+    )
+    def test_updates_only_for_a_classic_codepoint(self, monkeypatch, scenario, updates):
+        calls = []
+        pi2_update = DualPi2.pi2_update
+
+        def counting(self, now):
+            calls.append(now)
+            return pi2_update(self, now)
+
+        monkeypatch.setattr(DualPi2, "pi2_update", counting)
+        engine = _Engine(scenario, timeline=False)
+        engine.run()
+        assert len(calls) == updates
+        if not updates:
+            assert engine.aqm.p_base == 0.0
 
 
 class TestArrivalOrder:
