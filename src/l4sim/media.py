@@ -1,10 +1,12 @@
 """Real-time media endpoints.
 
-``MediaSource`` turns a target bitrate into evenly paced frame packets and
-replays reported losses once. ``Receiver`` tracks arrivals for feedback
-(counts, loss gaps, arrival samples) and runs the playout clock: playback
-starts a dejitter offset after the first frame completes, a frame missing at
-its deadline stalls playback, and the stall shifts every later deadline.
+``MediaSource`` turns a target bitrate into evenly paced frame packets; the
+engine sends one of its repairs per listing of a lost seq in a report.
+``Receiver`` re-lists a missing seq every ``REPAIR_TIMEOUT_US``, tracks
+arrivals for feedback (counts, loss gaps, arrival samples) and runs the
+playout clock: playback starts a dejitter offset after the first frame
+completes, a frame missing at its deadline stalls playback, and the stall
+shifts every later deadline.
 
 Both ends keep only what is in flight: the receiver remembers arrivals as a
 contiguous-prefix watermark plus the seqs above it and drops frames once
@@ -64,8 +66,10 @@ class SourceConfig(Config):
 
 
 class MediaSource:
-    """Frame source with even intra-frame pacing and one-shot loss repair.
-    Every packet, repairs too, carries the codepoint `ecn`.
+    """Frame source with even intra-frame pacing and loss repair: one repair
+    per listing of a seq in a report, and the receiver re-lists a missing
+    seq every `REPAIR_TIMEOUT_US`. Every packet, repairs too, carries the
+    codepoint `ecn`.
 
     It keeps each seq's packet for repair until a feedback report shows
     every seq below it arrived (``forget_below``), so the record holds only
