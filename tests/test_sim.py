@@ -168,13 +168,13 @@ class TestPiUpdateSchedule:
     on the codepoint, not on the controller kind."""
 
     L4S_GCC = short("case1", ControllerKind.L4S_GCC, duration=10.0)
-    NOT_ECT_L4S_GCC = replace(L4S_GCC, source=replace(L4S_GCC.source, ecn_mode=EcnCodepoint.NOT_ECT))
+    NOT_ECT = replace(L4S_GCC, source=replace(L4S_GCC.source, ecn_mode=EcnCodepoint.NOT_ECT))
 
     @pytest.mark.parametrize(
         "scenario, updates",
         [
             (L4S_GCC, 0),
-            (NOT_ECT_L4S_GCC, 10_000_000 // 16_000),
+            (NOT_ECT, 10_000_000 // 16_000),
             (short("case1", ControllerKind.GCC, duration=10.0), 10_000_000 // 16_000),
         ],
         ids=["l4s-gcc", "l4s-gcc-not-ect", "gcc"],
