@@ -13,14 +13,17 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Annotated, Callable, Optional
 
-from .core import Config, EcnCodepoint, Packet, SimTime, apply_ce_mark
+from .core import DELAY_US, GAIN, PERIOD_US, Config, EcnCodepoint, Packet, Range, SimTime
+from .core import apply_ce_mark
 
 # Observer callback: (event, packet, now). Events: "overflow", "drop", "mark".
 AqmObserver = Callable[[str, Packet, SimTime], None]
 
 DEFAULT_QUEUE_LIMIT_BYTES = 375_000
+# A byte cap of up to 1 GB, more than any bottleneck buffer holds.
+QUEUE_BYTES = Range(1, 1_000_000_000)
 
 # ECT(1) is L4S traffic; ECT(0) and Not-ECT are classic. A CE packet may have
 # been ECT(0) upstream, but RFC 9331 has a node classify CE as L4S by
@@ -35,35 +38,19 @@ _CE = EcnCodepoint.CE
 class DualPi2Config(Config):
     """PI gains are per second of delay error per second; durations in us."""
 
-    target_delay_us: SimTime = 15_000
-    t_update_us: SimTime = 16_000
-    alpha: float = 0.16
-    beta: float = 3.2
-    coupling_k: float = 2.0
-    l4s_step_threshold_us: SimTime = 1_000
-    queue_limit_bytes: int = DEFAULT_QUEUE_LIMIT_BYTES
-    time_shift_us: SimTime = 50_000
-
-    def validate(self) -> None:
-        for name in ("target_delay_us", "t_update_us", "l4s_step_threshold_us", "time_shift_us"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive")
-        for name in ("alpha", "beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be non-negative, got {getattr(self, name)}")
-        if self.coupling_k < 1:
-            raise ValueError("coupling_k: must be >= 1")
-        if self.queue_limit_bytes <= 0:
-            raise ValueError("queue_limit_bytes: must be positive")
+    target_delay_us: Annotated[SimTime, DELAY_US] = 15_000
+    t_update_us: Annotated[SimTime, PERIOD_US] = 16_000
+    alpha: Annotated[float, GAIN] = 0.16
+    beta: Annotated[float, GAIN] = 3.2
+    coupling_k: Annotated[float, Range(1.0, GAIN.hi)] = 2.0
+    l4s_step_threshold_us: Annotated[SimTime, DELAY_US] = 1_000
+    queue_limit_bytes: Annotated[int, QUEUE_BYTES] = DEFAULT_QUEUE_LIMIT_BYTES
+    time_shift_us: Annotated[SimTime, DELAY_US] = 50_000
 
 
 @dataclass(frozen=True)
 class DropTailConfig(Config):
-    queue_limit_bytes: int = DEFAULT_QUEUE_LIMIT_BYTES
-
-    def validate(self) -> None:
-        if self.queue_limit_bytes <= 0:
-            raise ValueError("queue_limit_bytes: must be positive")
+    queue_limit_bytes: Annotated[int, QUEUE_BYTES] = DEFAULT_QUEUE_LIMIT_BYTES
 
 
 class ByteFifo:

@@ -19,13 +19,13 @@ target bitrate.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Annotated, Optional, Sequence
 
-from .core import Config, EcnCodepoint, FeedbackReport, SimTime
+from .core import BITRATE_BPS, DELAY_US, FRACTION, GAIN, US_PER_MS, Config, EcnCodepoint
+from .core import FeedbackReport, Range, SimTime
 
 
 class ControllerKind(Enum):
@@ -67,38 +67,35 @@ MAX_WINDOW = 1_000
 TRENDLINE_RECOMPUTE_EVERY = 5
 
 
+# A delay threshold or duration of the detector, in milliseconds.
+DELAY_MS = Range(0.0, DELAY_US.hi / US_PER_MS)
+
+
 @dataclass(frozen=True)
 class GccParams(Config):
-    window: int = 20
-    threshold_gain: float = 4.0
-    gamma_init_ms: float = 12.5
-    gamma_min_ms: float = 6.0
-    gamma_max_ms: float = 600.0
-    k_up: float = 0.0087
-    k_down: float = 0.039
-    overuse_time_ms: float = 10.0
-    eta_increase: float = 1.08  # multiplicative, per second
-    decrease_factor: float = 0.85
-    loss_high: float = 0.10
-    loss_low: float = 0.02
+    window: Annotated[int, Range(2, MAX_WINDOW)] = 20
+    threshold_gain: Annotated[float, GAIN] = 4.0
+    gamma_init_ms: Annotated[float, DELAY_MS] = 12.5
+    gamma_min_ms: Annotated[float, DELAY_MS] = 6.0
+    gamma_max_ms: Annotated[float, DELAY_MS] = 600.0
+    k_up: Annotated[float, GAIN] = 0.0087
+    k_down: Annotated[float, GAIN] = 0.039
+    overuse_time_ms: Annotated[float, DELAY_MS] = 10.0
+    # Multiplicative, per second: up to doubling the rate each second.
+    eta_increase: Annotated[float, Range(1.0, 2.0)] = 1.08
+    decrease_factor: Annotated[float, FRACTION] = 0.85
+    loss_high: Annotated[float, FRACTION] = 0.10
+    loss_low: Annotated[float, FRACTION] = 0.02
     # Freeze threshold adaptation while the slope is far above gamma, so a
     # spike cannot drag the threshold up after itself. Off by default: the
     # stock controller lets the threshold chase every observation.
     adapt_skip: bool = False
 
     def validate(self) -> None:
-        if not 0.0 < self.decrease_factor < 1.0:
-            raise ValueError(f"decrease_factor: must be in (0, 1), got {self.decrease_factor}")
         if not self.loss_low < self.loss_high:
             raise ValueError("loss_low must be below loss_high")
         if not self.gamma_min_ms < self.gamma_max_ms:
             raise ValueError("gamma_min_ms must be below gamma_max_ms")
-        if self.window < 2:
-            raise ValueError(f"window: must hold at least 2 points, got {self.window}")
-        if self.window > MAX_WINDOW:
-            raise ValueError(f"window: must hold at most {MAX_WINDOW} points, got {self.window}")
-        if not self.eta_increase > 0.0:
-            raise ValueError(f"eta_increase: must be positive, got {self.eta_increase}")
 
 
 # The sensitive preset's departures from the stock GCC parameters: earlier
@@ -123,14 +120,8 @@ class ScalableParams(Config):
     that slow post-congestion recovery is the behavior that separates it from
     the gradient-assisted controller."""
 
-    ewma_gain: float = 1.0 / 16.0
-    additive_step_bps: int = 5_000
-
-    def validate(self) -> None:
-        if not 0.0 < self.ewma_gain <= 1.0:
-            raise ValueError(f"ewma_gain: must be in (0, 1], got {self.ewma_gain}")
-        if self.additive_step_bps <= 0:
-            raise ValueError(f"additive_step_bps: must be positive, got {self.additive_step_bps}")
+    ewma_gain: Annotated[float, FRACTION] = 1.0 / 16.0
+    additive_step_bps: Annotated[int, BITRATE_BPS] = 5_000
 
 
 @dataclass(frozen=True)
@@ -443,10 +434,7 @@ class GccController:
             if receive_bps > 0.0:
                 target = p.decrease_factor * receive_bps
         elif signal is _NORMAL:
-            try:
-                target *= p.eta_increase**dt_s
-            except OverflowError:  # infinite, as a product beyond float range is; clamped below
-                target = math.inf
+            target *= p.eta_increase**dt_s
             if loss_rate < p.loss_low:
                 target *= 1.05
 

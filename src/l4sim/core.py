@@ -6,11 +6,10 @@ Everything here is a plain value type. Simulation state lives elsewhere.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cache
-from typing import get_type_hints
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 # Simulation time is integer microseconds since run start. Integer arithmetic
 # keeps event ordering exact across platforms.
@@ -20,31 +19,62 @@ US_PER_MS = 1_000
 US_PER_S = 1_000_000
 
 
+@dataclass(frozen=True)
+class Range:
+    """The closed interval [lo, hi] that a number field's values lie in,
+    declared next to the field's type: `Annotated[float, Range(lo, hi)]`.
+    The ranges are chosen so that no product or quotient the engine forms
+    can overflow (DECISIONS.md entry 21)."""
+
+    lo: int | float
+    hi: int | float
+
+
+# Ranges that several fields share.
+SESSION_US = Range(1, 86_400 * US_PER_S)  # a session, or a span that may last one: a day
+DELAY_US = Range(1, 10 * US_PER_S)  # a delay within a session
+# A timer's period: at most a thousand ticks per simulated second, as frames.
+PERIOD_US = Range(US_PER_MS, DELAY_US.hi)
+BITRATE_BPS = Range(1, 100_000_000_000)  # up to 100 Gbps, the fastest link
+FRACTION = Range(0.0, 1.0)
+GAIN = Range(0.0, 1_000.0)
+
+
 @cache
-def number_fields(cls) -> dict[str, type]:
-    """The `int` and `float` fields of dataclass `cls`, in order, with their types."""
-    return {name: hint for name, hint in get_type_hints(cls).items() if hint in (int, float)}
+def number_fields(cls) -> dict[str, tuple[type, Range]]:
+    """The `int` and `float` fields of dataclass `cls` that declare a range,
+    in order, with their type and range."""
+    return {
+        name: get_args(hint)
+        for name, hint in get_type_hints(cls, include_extras=True).items()
+        if get_origin(hint) is Annotated and get_args(hint)[0] in (int, float)
+    }
 
 
-def check_number(name: str, value, hint: type) -> None:
+def check_number(name: str, value, hint: type, bounds: Range) -> None:
     """Raise `ValueError("<name>: ...")` unless `value` suits a field of type
-    `hint`: an `int`, or for a `float` a finite number (no nan, inf or int
-    beyond float range), and never a `bool`."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int and not (number and isinstance(value, int)):
-        raise ValueError(f"{name}: expected an int, got {value!r}")
-    if hint is float and not (number and abs(value) <= sys.float_info.max):
-        raise ValueError(f"{name}: expected a finite number, got {value!r}")
+    `hint` and range `bounds`: an `int` for an `int` field, an `int` or a
+    `float` for a `float` one, never a `bool`, and from `bounds.lo` to
+    `bounds.hi`, which no nan or infinity is."""
+    if isinstance(value, bool) or not isinstance(value, int if hint is int else (int, float)):
+        expected = "an int" if hint is int else "a number"
+        raise ValueError(f"{name}: expected {expected}, got {value!r}")
+    if not bounds.lo <= value <= bounds.hi:
+        raise ValueError(f"{name}: must be from {bounds.lo} to {bounds.hi}, got {value!r}")
 
 
 class Config:
     """Base of the frozen configs, which check themselves when built, so one that
-    exists is valid: each number field by its type, then the class's `validate`."""
+    exists is valid: each number field against its type and range, then the
+    class's checks across fields, its `validate`."""
 
     def __post_init__(self) -> None:
-        for name, hint in number_fields(type(self)).items():
-            check_number(name, getattr(self, name), hint)
+        for name, (hint, bounds) in number_fields(type(self)).items():
+            check_number(name, getattr(self, name), hint, bounds)
         self.validate()
+
+    def validate(self) -> None:
+        """The checks across fields, for a class that has any."""
 
 
 class EcnCodepoint(IntEnum):

@@ -12,7 +12,8 @@ from typing import Iterable, Sequence
 
 from .aqm import DropTailConfig, DualPi2Config
 from .cc import PARAMS_BY_KIND, ControllerKind, GccParams, ScalableParams, gcc_departures
-from .core import US_PER_MS, US_PER_S, EcnCodepoint, SimTime, number_fields
+from .core import DELAY_US, FRACTION, US_PER_MS, US_PER_S, EcnCodepoint, Range, SimTime
+from .core import check_number, number_fields
 from .media import SourceConfig
 from .netem import (
     CapacityPattern,
@@ -278,8 +279,9 @@ def metrics_csv_lines(report: MetricsReport) -> list[str]:
 #
 # A scenario file mirrors `Scenario`. A numeric key overrides one field of a
 # config dataclass and an absent key keeps that field's default, so each
-# default is defined once, in its dataclass. Type and range checks stay in the
-# classes (`core.Config`), so files and code obey the same rules.
+# default is defined once, in its dataclass. Each range is the one its field
+# declares (`core.Config`), so files and code obey the same rules; a key's is
+# checked in the key's unit, which its message then names.
 
 
 class ScenarioError(ValueError):
@@ -291,17 +293,17 @@ _SECONDS_FIELDS = ("duration_us", "half_period_us")
 
 
 @cache
-def _file_keys(cls) -> dict[str, tuple[str, bool, int]]:
+def _file_keys(cls) -> dict[str, tuple[str, type, Range, int]]:
     """The file keys of config class `cls`, one per number field in field
-    order: key -> (field, whether it holds an int, microseconds per unit)."""
+    order: key -> (field, its type, its range, microseconds per unit)."""
     keys = {}
-    for name, hint in number_fields(cls).items():  # other fields have their own sections
+    for name, (hint, bounds) in number_fields(cls).items():  # others have their own sections
         key, unit = name, 1
         if name in _SECONDS_FIELDS:
             key, unit = name[:-3] + "_s", US_PER_S
         elif name.endswith("_us"):
             key, unit = name[:-3] + "_ms", US_PER_MS
-        keys[key] = (name, hint is int, unit)
+        keys[key] = (name, hint, bounds, unit)
     return keys
 
 
@@ -348,23 +350,23 @@ def _kind(spec, path: str, kinds: dict, default: str | None = None) -> str:
     return kind
 
 
-def _number(value, path: str, integral: bool, scale: int = 1) -> int | float:
-    """`value` times `scale`, which must be a finite number and, for an
-    `integral` field, whole."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}: expected a number, got {value!r}")
-    if integral and isinstance(value, int):
-        return value * scale
+def _number(value, path: str, hint: type, bounds: Range, unit: int = 1) -> int | float:
+    """`value`, a number within the field range `bounds` in the key's unit,
+    as the field of type `hint` holds it: times `unit` microseconds, which
+    for an `int` field must come to a whole number."""
+    if unit > 1:  # only `int` fields have a unit
+        bounds = Range(bounds.lo / unit, bounds.hi / unit)
     try:
-        scaled = float(value) * scale
-    except OverflowError:  # an int beyond float range
-        scaled = math.inf
-    if not math.isfinite(scaled):
-        raise ScenarioError(f"{path}: expected a finite number, got {value!r}")
-    if integral and not math.isclose(scaled, round(scaled), rel_tol=1e-12):
-        unit = " of microseconds" if scale > 1 else ""
-        raise ScenarioError(f"{path}: expected a whole number{unit}, got {value!r}")
-    return round(scaled) if integral else scaled
+        check_number(path, value, float, bounds)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+    if hint is float:
+        return float(value)
+    scaled = value * unit
+    if isinstance(value, float) and not math.isclose(scaled, round(scaled), rel_tol=1e-12):
+        whole = " of microseconds" if unit > 1 else ""
+        raise ScenarioError(f"{path}: expected a whole number{whole}, got {value!r}")
+    return round(scaled)
 
 
 def _build(cls, spec: dict, path: str, given_paths: dict[str, str] | None = None, **given):
@@ -375,10 +377,10 @@ def _build(cls, spec: dict, path: str, given_paths: dict[str, str] | None = None
     the file key that sets it where that is not `path`'s, for its messages."""
     values = dict(given)
     key_paths = dict(given_paths or {})  # field -> the file key that sets it
-    for key, (name, integral, scale) in _file_keys(cls).items():
+    for key, (name, hint, bounds, unit) in _file_keys(cls).items():
         key_paths.setdefault(name, _join(path, key))
         if key in spec or not hasattr(cls, name):  # a field's default is its class attribute
-            values[name] = _number(spec.get(key), key_paths[name], integral, scale)
+            values[name] = _number(spec.get(key), key_paths[name], hint, bounds, unit)
     try:
         return cls(**values)
     except ValueError as exc:
@@ -407,14 +409,15 @@ def _forward_delay(spec) -> SimTime | JitterProfile:
     """The forward delay that `link.forward_delay` sets."""
     path = "link.forward_delay"
     if _kind(spec, path, _DELAY_KINDS) == "fixed":
-        return _number(spec.get("delay_ms"), f"{path}.delay_ms", True, US_PER_MS)
+        return _number(spec.get("delay_ms"), f"{path}.delay_ms", int, DELAY_US, US_PER_MS)
     entries, path = spec.get("entries"), f"{path}.entries"
     if not isinstance(entries, list) or not all(isinstance(e, list) and len(e) == 2 for e in entries):
         raise ScenarioError(f"{path}: expected [delay_ms, probability] pairs")
     pairs = tuple(
-        (_number(d, f"{path}[{i}]", True, US_PER_MS), _number(p, f"{path}[{i}]", False))
+        (_number(d, f"{path}[{i}]", int, DELAY_US, US_PER_MS),
+         _number(p, f"{path}[{i}]", float, FRACTION))
         for i, (d, p) in enumerate(entries)
-    )
+    )  # fmt: skip
     return _build(JitterProfile, {}, path, entries=pairs)
 
 

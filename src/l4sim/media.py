@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Annotated, Callable, Optional
 
-from .core import Config, EcnCodepoint, FeedbackReport, Packet, SimTime, US_PER_S
+from .core import BITRATE_BPS, Config, EcnCodepoint, FeedbackReport, Packet, Range, SimTime
+from .core import US_PER_S
 
 # Observer callback: (event, value_us, now). Events: "stall_begin", "stall_end".
 PlayoutObserver = Callable[[str, int, SimTime], None]
@@ -37,30 +38,31 @@ _ECT1, _CE = EcnCodepoint.ECT1, EcnCodepoint.CE
 # by under 0.1% and the playout catch-up step is at least 100 us. Past 10**6
 # fps the interval would be 0 us.
 MAX_FPS = 1_000
+# The highest packet rate a source may send at, `max_bitrate_bps / (8 *
+# mtu_bytes)`: one packet per microsecond, the send clock's step. Past it the
+# packets of a frame would share send times, and a run's work grows with the
+# packet rate times duration, as it does with fps.
+MAX_PPS = 1_000_000
 
 
 @dataclass(frozen=True)
 class SourceConfig(Config):
-    fps: int = 30
-    mtu_bytes: int = 1_200
-    min_bitrate_bps: int = 150_000
-    max_bitrate_bps: int = 5_000_000
-    start_bitrate_bps: int = 1_000_000
+    fps: Annotated[int, Range(1, MAX_FPS)] = 30
+    mtu_bytes: Annotated[int, Range(1, 65_535)] = 1_200  # at most an IPv4 datagram
+    min_bitrate_bps: Annotated[int, BITRATE_BPS] = 150_000
+    max_bitrate_bps: Annotated[int, BITRATE_BPS] = 5_000_000
+    start_bitrate_bps: Annotated[int, BITRATE_BPS] = 1_000_000
     # None: the controller kind's codepoint (`cc.ecn_mode_for`), set when the run starts.
     ecn_mode: EcnCodepoint | None = None
 
     def validate(self) -> None:
-        if not 0 < self.fps <= MAX_FPS:
-            raise ValueError(
-                f"fps: must be from 1 to {MAX_FPS}, so that a frame interval is at"
-                f" least {US_PER_S // MAX_FPS} whole microseconds, got {self.fps}"
-            )
-        if self.mtu_bytes <= 0:
-            raise ValueError(f"mtu_bytes: must be positive, got {self.mtu_bytes}")
-        if self.min_bitrate_bps <= 0:
-            raise ValueError(f"min_bitrate_bps: must be positive, got {self.min_bitrate_bps}")
         if not self.min_bitrate_bps <= self.start_bitrate_bps <= self.max_bitrate_bps:
             raise ValueError("bitrates must satisfy min <= start <= max")
+        if self.max_bitrate_bps > MAX_PPS * 8 * self.mtu_bytes:
+            raise ValueError(
+                f"max_bitrate_bps must be at most {MAX_PPS} packets of mtu_bytes per second,"
+                f" {MAX_PPS * 8 * self.mtu_bytes}, got {self.max_bitrate_bps}"
+            )
         if self.ecn_mode not in (None, EcnCodepoint.ECT1, EcnCodepoint.NOT_ECT):
             raise ValueError("source ecn_mode must be ECT1, NOT_ECT or None")
 

@@ -12,30 +12,25 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Annotated, Sequence, Union
 
-from .core import Config, SimTime, US_PER_S, check_number
+from .core import BITRATE_BPS, DELAY_US, FRACTION, SESSION_US, US_PER_S, Config, Range
+from .core import SimTime, check_number
 
 # Traces normalized onto [0, max] may contain zero-rate samples; a literal
 # zero would freeze queued bytes forever, so link construction floors them.
 TRACE_FLOOR_MBPS = 0.1
 # The rate a trace's highest sample is scaled to by default.
 TRACE_MAX_MBPS = 5.0
-
-
-def _check_rate(name: str, mbps: float) -> None:
-    if mbps <= 0:
-        raise ValueError(f"{name}: must be positive, got {mbps}")
-    if mbps * 1e6 == math.inf:
-        raise ValueError(f"{name}: {mbps} Mbps is not a finite number of bits/s")
+# A link's capacity, from 1 kbps to 100 Gbps, in Mbps.
+CAPACITY_MBPS = Range(0.001, BITRATE_BPS.hi / 1e6)
+# A trace sample's time: no session reaches a later one.
+TRACE_US = Range(0, SESSION_US.hi)
 
 
 @dataclass(frozen=True)
 class Constant(Config):
-    mbps: float
-
-    def validate(self) -> None:
-        _check_rate("mbps", self.mbps)
+    mbps: Annotated[float, CAPACITY_MBPS]
 
 
 @dataclass(frozen=True)
@@ -43,21 +38,16 @@ class SquareWave(Config):
     """Alternating capacity: low on [0, half_period), high on the next
     half period, repeating."""
 
-    low_mbps: float
-    high_mbps: float
-    half_period_us: SimTime
-
-    def validate(self) -> None:
-        _check_rate("low_mbps", self.low_mbps)
-        _check_rate("high_mbps", self.high_mbps)
-        if self.half_period_us <= 0:
-            raise ValueError("half_period_us: must be positive")
+    low_mbps: Annotated[float, CAPACITY_MBPS]
+    high_mbps: Annotated[float, CAPACITY_MBPS]
+    half_period_us: Annotated[SimTime, SESSION_US]
 
 
 @dataclass(frozen=True)
 class TracePattern:
     """Step function over (t_us, mbps) samples; each rate holds until the
-    next sample time, the last rate holds forever."""
+    next sample time, the last rate holds forever. Its times lie in
+    `TRACE_US` and its rates in `CAPACITY_MBPS`, as `Constant.mbps` does."""
 
     samples: tuple[tuple[SimTime, float], ...]
 
@@ -67,14 +57,12 @@ class TracePattern:
         if self.samples[0][0] != 0:
             raise ValueError("trace must start at t=0")
         prev = -1
-        for t, mbps in self.samples:
-            if not isinstance(t, int):
-                raise ValueError(f"trace time must be an int, got {t!r}")
+        for i, (t, mbps) in enumerate(self.samples):
+            name = f"samples[{i}]"
+            check_number(name, t, int, TRACE_US)
+            check_number(name, mbps, float, CAPACITY_MBPS)
             if t <= prev:
                 raise ValueError("trace times must be strictly increasing")
-            check_number("samples", mbps, float)
-            if mbps <= 0:
-                raise ValueError(f"trace rate must be positive, got {mbps} at t={t}")
             prev = t
 
 
@@ -144,14 +132,10 @@ class JitterProfile:
             raise ValueError("jitter profile needs at least one entry")
         total = 0.0
         cumulative = []
-        for delay, prob in self.entries:
-            if not isinstance(delay, int):  # a float nan passes the sign check
-                raise ValueError(f"jitter delay must be an int, got {delay!r}")
-            if delay <= 0:
-                raise ValueError(f"jitter delay must be positive, got {delay}")
-            check_number("entries", prob, float)
-            if prob < 0:
-                raise ValueError(f"jitter probability must be non-negative, got {prob}")
+        for i, (delay, prob) in enumerate(self.entries):
+            name = f"entries[{i}]"
+            check_number(name, delay, int, DELAY_US)
+            check_number(name, prob, float, FRACTION)
             total += prob
             cumulative.append(total)
         if abs(total - 1.0) > 1e-9:
@@ -209,12 +193,7 @@ class ForwardLink:
             self._serialization = {}
         us = self._serialization.get(size_bytes)
         if us is None:
-            bit_us = size_bytes * 8 * US_PER_S
-            us = bit_us / self._rate
-            if us == math.inf:  # a rate too small for a float quotient: the exact one, rounded down
-                num, den = self._rate.as_integer_ratio()
-                us = bit_us * den // num
-            us = self._serialization[size_bytes] = round(us)
+            us = self._serialization[size_bytes] = round(size_bytes * 8 * US_PER_S / self._rate)
         return us
 
     def deliver(self, wire_exit: SimTime) -> SimTime:
@@ -238,8 +217,7 @@ def normalize_trace(
     Flooring for link use happens at pattern construction, not here, so the
     written trace preserves the exact scaled values.
     """
-    if not (math.isfinite(max_mbps) and max_mbps > 0):
-        raise ValueError(f"max_mbps must be a finite positive rate, got {max_mbps}")
+    check_number("max_mbps", max_mbps, float, CAPACITY_MBPS)  # a link's rate, once scaled
     if len(samples) < 2:
         raise ValueError("normalization needs at least two samples")
     rates = [r for _, r in samples]
@@ -258,13 +236,17 @@ def trace_pattern(samples: Sequence[tuple[SimTime, float]]) -> TracePattern:
 
 
 TRACE_HEADER = ("t_s", "mbps")
+# `TRACE_US` in a trace file's seconds.
+_TRACE_S = Range(TRACE_US.lo / US_PER_S, TRACE_US.hi / US_PER_S)
 
 
 def load_trace_csv(path: str) -> list[tuple[SimTime, float]]:
     """Read a `t_s,mbps` CSV into (t_us, mbps) samples.
 
-    Rejects bad headers, non-finite values, non-monotone or negative times,
-    negative rates and non-numeric rows with a line-numbered message.
+    Rejects bad headers, times out of `TRACE_US`'s range or not strictly
+    increasing, non-finite or negative rates and non-numeric rows with a
+    line-numbered message. A rate may be in any unit, as `normalize_trace`
+    reads it; `TracePattern` checks the range of a rate a link runs at.
     """
     samples: list[tuple[SimTime, float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -286,22 +268,12 @@ def load_trace_csv(path: str) -> list[tuple[SimTime, float]]:
                 mbps = float(row[1])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric entry {row!r}") from None
-            if not math.isfinite(t_s):
-                raise ValueError(f"{path}:{lineno}: non-finite time {t_s}")
+            check_number(f"{path}:{lineno}: t_s", t_s, float, _TRACE_S)
             if not math.isfinite(mbps):
                 raise ValueError(f"{path}:{lineno}: non-finite rate {mbps}")
-            if mbps * 1e6 == math.inf:
-                raise ValueError(f"{path}:{lineno}: {mbps} Mbps is not a finite number of bits/s")
-            if t_s < 0:
-                raise ValueError(f"{path}:{lineno}: negative time {t_s}")
             if mbps < 0:
                 raise ValueError(f"{path}:{lineno}: negative rate {mbps}")
-            t_us = t_s * US_PER_S
-            if t_us == math.inf:
-                raise ValueError(
-                    f"{path}:{lineno}: time {t_s} s is not a finite number of microseconds"
-                )
-            t_us = round(t_us)
+            t_us = round(t_s * US_PER_S)
             if t_us <= prev_t:
                 raise ValueError(f"{path}:{lineno}: time {t_s} not strictly increasing")
             if prev_t == -1 and t_us != 0:

@@ -12,21 +12,20 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import math
 import os
 import random
 import tempfile
 import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Annotated, Iterator
 
 from .aqm import _L4S_CODEPOINTS, DropTail, DropTailConfig, DualPi2, DualPi2Config
 from .cc import PARAMS_BY_KIND, ControllerKind, GccParams, RateBounds, ScalableParams
 from .cc import ecn_mode_for, make_controller
-from .core import Config, Packet, SimTime, check_number
+from .core import DELAY_US, PERIOD_US, SESSION_US, Config, Packet, Range, SimTime, check_number
 from .media import MediaSource, Receiver, SourceConfig
-from .netem import CapacityPattern, Constant, ForwardLink, JitterProfile, average_capacity_bps
+from .netem import CapacityPattern, Constant, ForwardLink, JitterProfile
 
 
 def stream_seed(seed: int, label: str) -> int:
@@ -41,31 +40,25 @@ def stream_seed(seed: int, label: str) -> int:
 class Scenario(Config):
     """One simulated session: link, queue discipline, controller, source."""
 
-    seed: int = 1
-    duration_us: SimTime = 120_000_000
+    seed: Annotated[int, Range(0, 2**64 - 1)] = 1  # `stream_seed` reads its low 64 bits
+    duration_us: Annotated[SimTime, SESSION_US] = 120_000_000
     capacity: CapacityPattern = field(default_factory=lambda: Constant(3.0))
-    forward_delay: SimTime | JitterProfile = 6_000  # fixed, in us, or drawn per packet
-    reverse_delay_us: SimTime = 6_000
+    forward_delay: SimTime | JitterProfile = 6_000  # fixed, in DELAY_US, or drawn per packet
+    reverse_delay_us: Annotated[SimTime, DELAY_US] = 6_000
     aqm: DualPi2Config | DropTailConfig = field(default_factory=DualPi2Config)
     controller: ControllerKind = ControllerKind.GCC
     gcc_params: GccParams | None = None
     scalable_params: ScalableParams | None = None
     source: SourceConfig = field(default_factory=SourceConfig)
-    feedback_interval_us: SimTime = 100_000
-    dejitter_us: SimTime = 15_000
+    feedback_interval_us: Annotated[SimTime, PERIOD_US] = 100_000
+    dejitter_us: Annotated[SimTime, Range(0, DELAY_US.hi)] = 15_000
 
     def validate(self) -> None:
-        """Range checks of the scenario's own fields; each config it holds checked itself."""
-        if not isinstance(self.forward_delay, JitterProfile):  # a union: no number field
-            check_number("forward_delay", self.forward_delay, int)
-        for name in ("duration_us", "forward_delay", "reverse_delay_us", "feedback_interval_us"):
-            value = getattr(self, name)  # a jitter profile checked its own delays
-            if not isinstance(value, JitterProfile) and value <= 0:
-                raise ValueError(f"{name}: must be positive")
-        if self.dejitter_us < 0:
-            raise ValueError("dejitter_us: must be non-negative")
-        if not math.isfinite(average_capacity_bps(self.capacity, self.duration_us)):
-            raise ValueError("capacity: its mean over the session is not a finite number of bits/s")
+        """The checks across fields, and the fixed forward delay's: a union
+        with a jitter profile, which checked its own delays, is no number
+        field. Each config the scenario holds checked itself."""
+        if not isinstance(self.forward_delay, JitterProfile):
+            check_number("forward_delay", self.forward_delay, int, DELAY_US)
         for name in ("gcc_params", "scalable_params"):
             if getattr(self, name) is not None and name not in PARAMS_BY_KIND[self.controller]:
                 raise ValueError(f"{name}: not read by the {self.controller.value} controller")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from l4sim.aqm import DropTail, DropTailConfig, DualPi2, DualPi2Config
-from l4sim.core import EcnCodepoint, Packet
+from l4sim.core import DELAY_US, GAIN, EcnCodepoint, Packet
 
 
 def packet(seq, ecn=EcnCodepoint.ECT1, size=1200):
@@ -67,7 +67,9 @@ class TestPi2Update:
             assert aqm.p_l4s_coupled == min(1.0, config.coupling_k * aqm.p_base)
 
     def test_p_base_clamped_to_unit_interval(self):
-        aqm = make_aqm(alpha=1e9)
+        # At the largest alpha one update over a 1 s C-queue delay adds
+        # about 1,000 * 0.985 s * 0.016 s, far above 1.
+        aqm = make_aqm(alpha=GAIN.hi)
         aqm.enqueue(packet(0, ecn=EcnCodepoint.NOT_ECT), 0)
         aqm.pi2_update(1_000_000)
         assert aqm.p_base == 1.0
@@ -224,8 +226,9 @@ class TestScheduling:
     )
     @settings(max_examples=60)
     def test_merge_matches_oracle(self, arrivals):
-        # huge step threshold and p_base 0: dequeue is a pure merge
-        aqm = make_aqm(l4s_step_threshold_us=10**12, queue_limit_bytes=10**9)
+        # The largest step threshold, above any sojourn here (at most 40 gaps
+        # of 0.1 s), and p_base 0: dequeue is a pure merge.
+        aqm = make_aqm(l4s_step_threshold_us=DELAY_US.hi, queue_limit_bytes=10**9)
         l_entries, c_entries = [], []
         now = 0
         for seq, (is_l4s, gap) in enumerate(arrivals):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -35,9 +36,10 @@ from l4sim.cc import (
     make_controller,
     trendline_slope,
 )
-from l4sim.core import FeedbackReport
+from l4sim.core import FeedbackReport, number_fields
 from l4sim.harness import PRESET_CASES, _sum_in_order, compute_metrics, preset_scenario
-from l4sim.sim import _Engine
+from l4sim.media import SourceConfig
+from l4sim.sim import Scenario, _Engine
 
 BOUNDS = RateBounds(min_bps=150_000, max_bps=5_000_000, start_bps=1_000_000)
 
@@ -539,12 +541,17 @@ class TestGccRateUpdate:
         # targets are integer bits/s
         assert grown == int(2_000_000 * 1.08**0.1 * 1.05)
 
-    def test_increase_beyond_float_range_saturates_at_the_cap(self):
-        controller = gcc(GccParams(eta_increase=1e300))
-        controller._last_rate_update_us = 0
-        # 1e300 ** 1.5 is beyond float range
-        target = controller.apply_rate_update(Signal.NORMAL, self.neutral_report(), 1_500_000)
-        assert target == BOUNDS.max_bps
+    def test_largest_increase_over_the_longest_update_gap_clamps_at_the_cap(self):
+        # The longest gap between rate updates is the first: one feedback
+        # interval and the feedback delay, each at its upper bound.
+        scenario = number_fields(Scenario)
+        gap_us = scenario["feedback_interval_us"][1].hi + scenario["reverse_delay_us"][1].hi
+        eta = number_fields(GccParams)["eta_increase"][1].hi
+        top = number_fields(SourceConfig)["max_bitrate_bps"][1].hi
+        controller = gcc(GccParams(eta_increase=eta), RateBounds(top, top, top))
+        assert math.isfinite(top * eta ** (gap_us / 1e6) * 1.05)  # with the low-loss step
+        target = controller.apply_rate_update(Signal.NORMAL, report(received=100), gap_us)
+        assert target == top and isinstance(target, int)
 
     def test_target_capped_by_receive_rate(self):
         controller = gcc()

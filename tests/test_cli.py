@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -7,7 +8,9 @@ from importlib import resources
 
 import pytest
 
+from l4sim import cli
 from l4sim.cli import main
+from l4sim import harness
 from l4sim.netem import load_trace_csv, write_trace_csv
 
 
@@ -91,10 +94,10 @@ class TestRun:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            ({"aqm": {"alpha": -5, "beta": -50}}, "aqm.alpha: must be non-negative, got -5.0"),
+            ({"aqm": {"alpha": -5, "beta": -50}}, "aqm.alpha: must be from 0.0 to 1000.0, got -5"),
             (
                 {"controller": {"kind": "l4s-gcc", "eta_increase": -1.08}},
-                "controller.eta_increase: must be positive, got -1.08",
+                "controller.eta_increase: must be from 1.0 to 2.0, got -1.08",
             ),
         ],
     )
@@ -167,23 +170,65 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith("l4sim: error: duration_s")
 
+    @pytest.mark.parametrize("duration", [math.nextafter(86_400.0, math.inf), 1e300, 1e308])
+    @pytest.mark.parametrize("case", ["case1", "case2"], ids=["constant", "square"])
     @pytest.mark.parametrize("from_file", [False, True])
-    def test_duration_overflowing_microseconds_names_field(self, tmp_path, capsys, from_file):
-        # 1e308 s is finite but 1e308 * 1e6 us is not; both forms used to end
-        # in an OverflowError traceback.
+    def test_duration_beyond_a_day_names_field(
+        self, tmp_path, capsys, monkeypatch, duration, case, from_file
+    ):
+        # 1e300 s built a run that would never end, and with a square-wave
+        # capacity it was rejected as the capacity's fault. 1e308 s is not
+        # even a finite number of microseconds. No run may start.
+        def started(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(cli, "run_scenario", started)
         if from_file:
             path = tmp_path / "scenario.json"
             path.write_text(json.dumps({
-                "link": {"capacity": {"kind": "constant", "mbps": 3}},
+                "link": harness.PRESETS[case],
                 "controller": {"kind": "gcc"},
-                "duration_s": 1e308,
+                "duration_s": duration,
             }))  # fmt: skip
             argv = ["--scenario", str(path)]
         else:
-            argv = ["--scenario", "case1", "--controller", "gcc", "--duration", "1e308"]
+            argv = ["--scenario", case, "--controller", "gcc", "--duration", repr(duration)]
         assert run_cli("run", *argv) == 1
         err = capsys.readouterr().err
-        assert err == "l4sim: error: duration_s: expected a finite number, got 1e+308\n"
+        assert err == f"l4sim: error: duration_s: must be from 1e-06 to 86400.0, got {duration!r}\n"
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ({"max_bitrate_bps": 1e15, "start_bitrate_bps": 1e15},
+             "source.max_bitrate_bps: must be from 1 to 100000000000, got 1000000000000000.0"),
+            # 10 Gbps of 1,200-byte packets is 1,041,667 packets per second.
+            ({"max_bitrate_bps": 10**10, "start_bitrate_bps": 10**10},
+             "source: max_bitrate_bps must be at most 1000000 packets of mtu_bytes per second,"
+             " 9600000000, got 10000000000"),
+            ({"mtu_bytes": 1, "max_bitrate_bps": 8_000_001},
+             "source: max_bitrate_bps must be at most 1000000 packets of mtu_bytes per second,"
+             " 8000000, got 8000001"),
+        ],
+        ids=["1e15-bps", "10-gbps", "mtu-1"],
+    )  # fmt: skip
+    def test_source_beyond_a_million_packets_per_second_names_source(
+        self, tmp_path, capsys, monkeypatch, source, message
+    ):
+        # At 1e15 b/s the first frame alone would be 3,472,222,223 packets.
+        def started(*args, **kwargs):
+            raise AssertionError("a run was started")
+
+        monkeypatch.setattr(cli, "run_scenario", started)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": {"kind": "constant", "mbps": 3}},
+            "controller": {"kind": "gcc"},
+            "source": source,
+            "duration_s": 1,
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr() == ("", f"l4sim: error: {message}\n")
 
     def test_frame_rate_beyond_the_bound_names_field(self, tmp_path, capsys):
         # 2 * 10**6 fps makes a zero-microsecond frame interval; a 2 s run
@@ -198,7 +243,7 @@ class TestRun:
         assert run_cli("run", "--scenario", str(path)) == 1
         assert capsys.readouterr().err.startswith("l4sim: error: source.fps: must be from 1 to 1000")
 
-    @pytest.mark.parametrize("duration", [1e-7, 4.9e-7])
+    @pytest.mark.parametrize("duration", [1e-7, 4.9e-7, math.nextafter(1e-6, 0.0)])
     @pytest.mark.parametrize("from_file", [False, True])
     def test_duration_rounding_to_zero_microseconds_names_field(
         self, tmp_path, capsys, duration, from_file
@@ -216,9 +261,7 @@ class TestRun:
             argv = ["--scenario", "case1", "--controller", "gcc", "--duration", str(duration)]
         assert run_cli("run", *argv) == 1
         err = capsys.readouterr().err
-        assert err == (
-            f"l4sim: error: duration_s: expected a whole number of microseconds, got {duration!r}\n"
-        )
+        assert err == f"l4sim: error: duration_s: must be from 1e-06 to 86400.0, got {duration!r}\n"
 
     @pytest.mark.parametrize("source", ["file", "preset", "compare"])
     def test_duration_of_no_whole_microseconds_names_field(self, tmp_path, capsys, source):
@@ -243,23 +286,27 @@ class TestRun:
         )
 
     def test_run_that_delivers_nothing_names_fields(self, tmp_path, capsys):
-        # A 1e-9 Mbps link serializes no packet in 2 s. Such a run used to
-        # end in "empty run: no RTT samples to aggregate", naming no field.
+        # A link at the slowest capacity, 1 kbps, serializes no 1,200-byte
+        # packet in 2 s. Such a run used to end in "empty run: no RTT
+        # samples to aggregate", naming no field.
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({
-            "link": {"capacity": {"kind": "constant", "mbps": 1e-9}},
+            "link": {"capacity": {"kind": "constant", "mbps": 0.001}},
             "controller": {"kind": "gcc"},
             "duration_s": 2,
         }))  # fmt: skip
         assert run_cli("run", "--scenario", str(path)) == 1
         err = capsys.readouterr().err
         assert err.startswith("l4sim: error: duration_s: no packet was delivered in 2 s;")
-        assert "link.capacity (mean 1e-09 Mbps)" in err
+        assert "link.capacity (mean 0.001 Mbps)" in err
 
     @pytest.mark.parametrize(
-        "row", ["inf,2", "1,nan", "1,inf"], ids=["time-inf", "rate-nan", "rate-inf"]
-    )
-    def test_non_finite_trace_value_names_field_and_line(self, tmp_path, capsys, row):
+        "row, message",
+        [("inf,2", "t_s: must be from 0.0 to 86400.0, got inf"), ("1,nan", "non-finite rate"),
+         ("1,inf", "non-finite rate")],
+        ids=["time-inf", "rate-nan", "rate-inf"],
+    )  # fmt: skip
+    def test_non_finite_trace_value_names_field_and_line(self, tmp_path, capsys, row, message):
         trace = tmp_path / "trace.csv"
         trace.write_text(f"t_s,mbps\n0,1\n{row}\n")
         path = tmp_path / "scenario.json"
@@ -270,27 +317,30 @@ class TestRun:
         }))  # fmt: skip
         assert run_cli("run", "--scenario", str(path)) == 1
         assert capsys.readouterr().err.startswith(
-            f"l4sim: error: link.capacity.path: {trace}:3: non-finite "
+            f"l4sim: error: link.capacity.path: {trace}:3: {message}"
         )
 
     @pytest.mark.parametrize(
         "capacity, duration_s, message",
         [
             ({"kind": "constant", "mbps": 1e303}, 1,
-             "link.capacity.mbps: 1e+303 Mbps is not a finite number of bits/s"),
+             "link.capacity.mbps: must be from 0.001 to 100000.0, got 1e+303"),
             ({"kind": "square", "low_mbps": 2.5, "high_mbps": 1e303, "half_period_s": 10}, 1,
-             "link.capacity.high_mbps: 1e+303 Mbps is not a finite number of bits/s"),
-            # Each rate is finite in bits/s, but 20 s of both overflow the mean's sum.
+             "link.capacity.high_mbps: must be from 0.001 to 100000.0, got 1e+303"),
+            # Each rate is finite in bits/s, but 20 s of both overflowed the mean's sum.
             ({"kind": "square", "low_mbps": 1e302, "high_mbps": 1e302, "half_period_s": 10}, 30,
-             "link.capacity: its mean over the session is not a finite number of bits/s"),
+             "link.capacity.low_mbps: must be from 0.001 to 100000.0, got 1e+302"),
+            ({"kind": "constant", "mbps": math.nextafter(1e5, math.inf)}, 1,
+             "link.capacity.mbps: must be from 0.001 to 100000.0, got 100000.00000000001"),
         ],
-        ids=["constant", "square", "square-mean"],
+        ids=["constant", "square", "square-mean", "constant-bound"],
     )  # fmt: skip
-    def test_capacity_beyond_float_bits_per_second_names_field(
+    def test_capacity_above_100_gbps_names_field(
         self, tmp_path, capsys, capacity, duration_s, message
     ):
-        # Each of these ran to `bandwidth_utilization 0.0`: an infinite rate
-        # serializes in 0 us, and utilization divided by an infinite mean.
+        # The first three ran to `bandwidth_utilization 0.0`, before rates
+        # were bounded: an infinite rate serializes in 0 us, and utilization
+        # divided by an infinite mean.
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({
             "link": {"capacity": capacity},
@@ -300,7 +350,7 @@ class TestRun:
         assert run_cli("run", "--scenario", str(path)) == 1
         assert capsys.readouterr() == ("", f"l4sim: error: {message}\n")
 
-    def test_trace_rate_beyond_float_bits_per_second_names_field_and_line(self, tmp_path, capsys):
+    def test_trace_rate_above_100_gbps_names_field_and_sample(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         trace.write_text("t_s,mbps\n0,1\n1,1e303\n")
         path = tmp_path / "scenario.json"
@@ -311,11 +361,11 @@ class TestRun:
         }))  # fmt: skip
         assert run_cli("run", "--scenario", str(path)) == 1
         assert capsys.readouterr() == ("", (
-            f"l4sim: error: link.capacity.path: {trace}:3: 1e+303 Mbps is not a finite"
-            " number of bits/s\n"
+            "l4sim: error: link.capacity.path: samples[1]: must be from 0.001 to 100000.0,"
+            " got 1e+303\n"
         ))  # fmt: skip
 
-    def test_trace_time_beyond_float_microseconds_names_field_and_line(self, tmp_path, capsys):
+    def test_trace_time_beyond_a_day_names_field_and_line(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         trace.write_text("t_s,mbps\n0,1\n1e303,4\n")
         path = tmp_path / "scenario.json"
@@ -325,36 +375,41 @@ class TestRun:
         }))  # fmt: skip
         assert run_cli("run", "--scenario", str(path)) == 1
         assert capsys.readouterr() == ("", (
-            f"l4sim: error: link.capacity.path: {trace}:3: time 1e+303 s is not a finite"
-            " number of microseconds\n"
+            f"l4sim: error: link.capacity.path: {trace}:3: t_s: must be from 0.0 to 86400.0,"
+            " got 1e+303\n"
         ))  # fmt: skip
 
     @pytest.mark.parametrize(
-        "capacity",
+        "capacity, key, rate",
         [
-            {"kind": "constant", "mbps": 1e-310},
-            {"kind": "constant", "mbps": 5e-324},
-            {"kind": "square", "low_mbps": 1e-320, "high_mbps": 4, "half_period_s": 1},
+            ({"kind": "constant", "mbps": 1e-310}, "mbps", "1e-310"),
+            ({"kind": "constant", "mbps": 5e-324}, "mbps", "5e-324"),
+            ({"kind": "square", "low_mbps": 1e-320, "high_mbps": 4, "half_period_s": 1},
+             "low_mbps", "1e-320"),
+            ({"kind": "constant", "mbps": math.nextafter(0.001, 0.0)}, "mbps",
+             "0.0009999999999999998"),
         ],
-        ids=["constant-1e-310", "constant-5e-324", "square-low-1e-320"],
-    )
-    def test_capacity_too_small_for_a_float_serialization_time(self, tmp_path, capsys, capacity):
-        # 1,200 bytes at these rates take longer than a float holds, in
-        # microseconds; a rate of 1e-300 Mbps already ended this way.
+        ids=["constant-1e-310", "constant-5e-324", "square-low-1e-320", "constant-bound"],
+    )  # fmt: skip
+    def test_capacity_below_1_kbps_names_field(self, tmp_path, capsys, capacity, key, rate):
+        # 1,200 bytes at the first three rates took longer than a float
+        # holds, in microseconds, before rates were bounded.
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({
             "link": {"capacity": capacity}, "controller": {"kind": "gcc"}, "duration_s": 2
         }))  # fmt: skip
         assert run_cli("run", "--scenario", str(path)) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.count("\n") == 1
-        assert err.startswith("l4sim: error: duration_s: no packet was delivered in 2 s;")
+        assert capsys.readouterr() == (
+            "", f"l4sim: error: link.capacity.{key}: must be from 0.001 to 100000.0, got {rate}\n"
+        )
 
     def test_tiny_high_rate_runs_as_a_larger_tiny_one(self, tmp_path):
-        # Packets sent in the first, low half period arrive; those of the
-        # 1e-320 Mbps half never do, as at 1e-300 Mbps.
+        # Packets sent in the first, low half period arrive; none served in
+        # the high half does, at the slowest capacity (1,200 bytes take
+        # 9.6 s) as at twice that rate. Only utilization, which divides by
+        # the mean capacity, differs.
         outputs = []
-        for high in (1e-300, 1e-320):
+        for high in (0.001, 0.002):
             path = tmp_path / f"{high}.json"
             path.write_text(json.dumps({
                 "link": {"capacity": {"kind": "square", "low_mbps": 2.5, "high_mbps": high,
@@ -364,7 +419,11 @@ class TestRun:
             }))  # fmt: skip
             out = tmp_path / f"{high}.csv"
             assert run_cli("run", "--scenario", str(path), "--out", str(out)) == 0
-            outputs.append(out.read_text())
+            with open(out, newline="", encoding="utf-8") as fh:
+                (row,) = csv.DictReader(fh)
+            mean_mbps = (2 * 2.5 + high) / 3
+            assert float(row.pop("bandwidth_utilization")) == float(row["quality_mbps"]) / mean_mbps
+            outputs.append(row)
         assert outputs[0] == outputs[1]
 
     def test_missing_file(self, capsys):
@@ -494,8 +553,8 @@ class TestInputsCheckedBeforeAnyRun:
             ("--cases", ",", "--cases: expected at least one value"),
             ("--cases", "case1,case99", "--cases: unknown preset 'case99'; choose one of case1,"),
             ("--controllers", ",", "--controllers: expected at least one value"),
-            ("--duration", "-1", "duration_s: must be positive"),
-            ("--duration", "1e-9", "duration_s: expected a whole number of microseconds, got 1e-09"),
+            ("--duration", "-1", "duration_s: must be from 1e-06 to 86400.0, got -1.0"),
+            ("--duration", "1e-9", "duration_s: must be from 1e-06 to 86400.0, got 1e-09"),
         ],
     )
     def test_bad_input_fails_before_any_run(
@@ -566,17 +625,17 @@ class TestNormalizeTrace:
         assert f"{raw}:3: non-finite rate inf" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_time_beyond_float_microseconds_fails(self, tmp_path, capsys):
+    def test_time_beyond_a_day_fails(self, tmp_path, capsys):
         raw = tmp_path / "t.csv"
         raw.write_text("t_s,mbps\n0,1\n1e303,4\n")
         out = tmp_path / "norm.csv"
         assert run_cli("normalize-trace", "--in", str(raw), "--out", str(out)) == 1
         assert capsys.readouterr() == (
-            "", f"l4sim: error: {raw}:3: time 1e+303 s is not a finite number of microseconds\n"
+            "", f"l4sim: error: {raw}:3: t_s: must be from 0.0 to 86400.0, got 1e+303\n"
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("max_mbps", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("max_mbps", ["nan", "inf", "-1", "0", "1e303"])
     def test_bad_max_mbps_fails(self, tmp_path, capsys, max_mbps):
         raw = tmp_path / "raw.csv"
         write_trace_csv(str(raw), [(0, 10.0), (1_000_000, 30.0)])
@@ -585,7 +644,7 @@ class TestNormalizeTrace:
             "normalize-trace", "--in", str(raw), "--out", str(out), "--max-mbps", max_mbps
         )
         assert code == 1
-        assert "max_mbps must be a finite positive rate" in capsys.readouterr().err
+        assert "max_mbps: must be from 0.001 to 100000.0, got " in capsys.readouterr().err
         assert not out.exists()
 
     def test_degenerate_trace_fails(self, tmp_path, capsys):

@@ -1,11 +1,18 @@
 import dataclasses
+import math
 import random
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, strategies as st
 
 from l4sim.aqm import DualPi2, DualPi2Config
-from l4sim.core import EcnCodepoint, FeedbackReport, Packet, apply_ce_mark
+from l4sim.cc import GccParams
+from l4sim.core import US_PER_S, Config, EcnCodepoint, FeedbackReport, Packet, apply_ce_mark
+from l4sim.core import number_fields
+from l4sim.media import SourceConfig
+from l4sim.netem import CAPACITY_MBPS, Constant, SquareWave
+from l4sim.sim import Scenario
 
 
 def make_packet(ecn=EcnCodepoint.ECT1, seq=0, size=1200):
@@ -94,3 +101,70 @@ class TestPacket:
         assert report.received_count == 0
         assert report.lost_seqs == []
         assert report.ect1_count + report.ce_count <= report.received_count
+
+
+def config_classes(cls=Config):
+    """Every subclass of `cls`, at any depth."""
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from config_classes(sub)
+
+
+CONFIGS = list(config_classes())
+
+
+def bound(cls, name):
+    return number_fields(cls)[name][1]
+
+
+class TestDeclaredRanges:
+    """Every number field of every config declares a closed range, and the
+    ranges keep every product and quotient the engine forms finite
+    (DECISIONS.md entry 21)."""
+
+    def test_every_config_is_walked(self):
+        assert {cls.__name__ for cls in CONFIGS} >= {
+            "Scenario", "Constant", "SquareWave", "DualPi2Config", "DropTailConfig",
+            "SourceConfig", "GccParams", "ScalableParams",
+        }  # fmt: skip
+
+    @pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+    def test_every_number_field_declares_a_range(self, cls):
+        numbers = {name for name, hint in get_type_hints(cls).items() if hint in (int, float)}
+        assert set(number_fields(cls)) == numbers
+        for name, (hint, bounds) in number_fields(cls).items():
+            # Bounds of the field's own type, so an int field's message is exact.
+            assert type(bounds.lo) is hint and type(bounds.hi) is hint, name
+            assert bounds.lo < bounds.hi, name
+
+    @pytest.mark.parametrize("cls", CONFIGS, ids=lambda cls: cls.__name__)
+    def test_every_default_lies_in_its_range(self, cls):
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        for name, (_hint, bounds) in number_fields(cls).items():
+            if defaults[name] is not dataclasses.MISSING:
+                assert bounds.lo <= defaults[name] <= bounds.hi, name
+
+    def test_capacities_share_one_range(self):
+        # A trace's rates lie in the range of the other patterns' rates.
+        rates = {bound(Constant, "mbps"), bound(SquareWave, "low_mbps")}
+        assert rates == {bound(SquareWave, "high_mbps"), CAPACITY_MBPS}
+
+    def test_longest_serialization_is_finite(self):
+        # The largest packet at the slowest link: `ForwardLink.serialization_us`.
+        max_bits = 8 * bound(SourceConfig, "mtu_bytes").hi
+        min_rate_bps = CAPACITY_MBPS.lo * 1e6
+        assert math.isfinite(max_bits * US_PER_S / min_rate_bps)
+
+    def test_longest_session_at_the_fastest_rate_is_finite(self):
+        # `average_capacity_bps` sums rate times time over the session.
+        max_rate_bps = CAPACITY_MBPS.hi * 1e6
+        assert math.isfinite(max_rate_bps * bound(Scenario, "duration_us").hi)
+
+    def test_largest_increase_over_the_longest_update_gap_is_finite(self):
+        # `apply_rate_update` multiplies the target by eta ** dt_s, then by
+        # 1.05. The longest gap between two updates is the first: a feedback
+        # interval and the feedback delay.
+        gap_us = bound(Scenario, "feedback_interval_us").hi + bound(Scenario, "reverse_delay_us").hi
+        max_eta = bound(GccParams, "eta_increase").hi
+        max_bitrate = bound(SourceConfig, "max_bitrate_bps").hi
+        assert math.isfinite(max_eta ** (gap_us / US_PER_S) * max_bitrate * 1.05)

@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -17,6 +18,7 @@ from l4sim.cc import SENSITIVE_GCC, ControllerKind, GccParams, ScalableParams
 from l4sim.media import SourceConfig
 from l4sim.harness import (
     METRIC_FIELDS,
+    _file_keys,
     PRESET_CASES,
     MetricsReport,
     ScenarioError,
@@ -29,7 +31,8 @@ from l4sim.harness import (
     table_csv_lines,
     write_lines,
 )
-from l4sim.core import EcnCodepoint
+from l4sim import netem
+from l4sim.core import DELAY_US, FRACTION, US_PER_MS, US_PER_S, EcnCodepoint, Range
 from l4sim.netem import (
     Constant,
     JitterProfile,
@@ -413,7 +416,11 @@ class TestScenarioFromDict:
             ("source", {"fps": 29.97}, "source.fps"),
             ("source", {"ecn_mode": "ect0"}, "source.ecn_mode"),
             ("aqm", {"queue_limit_bytes": 1.5}, "aqm.queue_limit_bytes"),
-            ("aqm", {"target_delay_ms": 0}, "aqm.target_delay_ms: must be positive"),
+            (
+                "aqm",
+                {"target_delay_ms": 0},
+                "aqm.target_delay_ms: must be from 0.001 to 10000.0, got 0",
+            ),
             ("duration_s", math.nan, "duration_s"),
             ("duration_s", math.inf, "duration_s"),
             ("seed", 1.5, "seed"),
@@ -434,48 +441,60 @@ class TestScenarioFromDict:
                 "link",
                 {"capacity": {"kind": "constant", "mbps": 3},
                  "forward_delay": {"kind": "fixed", "delay_ms": 0}},
-                "link.forward_delay.delay_ms: must be positive",
+                "link.forward_delay.delay_ms: must be from 0.001 to 10000.0, got 0",
             ),
             ("link", {"capacity": {"kind": "constant"}}, "link.capacity.mbps: expected a number"),
             ("link", {"capacity": {"kind": "trace", "path": "/nope.csv"}}, "link.capacity.path"),
             # Single-field range checks name their key; cross-field ones the section.
-            ("controller", {"kind": "gcc", "window": 1}, "controller.window: must hold at least 2"),
-            ("controller", {"kind": "gcc", "decrease_factor": 1}, "controller.decrease_factor: must"),
-            ("controller", {"kind": "l4s-cc", "ewma_gain": 0}, "controller.ewma_gain: must be in"),
+            ("controller", {"kind": "gcc", "window": 1}, "controller.window: must be from 2 to"),
+            (
+                "controller",
+                {"kind": "gcc", "decrease_factor": math.nextafter(1.0, 2.0)},
+                "controller.decrease_factor: must be from 0.0 to 1.0",
+            ),
+            (
+                "controller",
+                {"kind": "l4s-cc", "ewma_gain": math.nextafter(0.0, -1.0)},
+                "controller.ewma_gain: must be from 0.0 to 1.0",
+            ),
             (
                 "controller",
                 {"kind": "l4s-cc", "additive_step_bps": 0},
-                "controller.additive_step_bps: must be positive",
+                "controller.additive_step_bps: must be from 1 to 100000000000, got 0",
             ),
-            ("source", {"mtu_bytes": 0}, "source.mtu_bytes: must be positive, got 0"),
+            ("source", {"mtu_bytes": 0}, "source.mtu_bytes: must be from 1 to 65535, got 0"),
             (
                 "source",
                 {"min_bitrate_bps": -100, "start_bitrate_bps": -50},
-                "source.min_bitrate_bps: must be positive, got -100",
+                "source.min_bitrate_bps: must be from 1 to 100000000000, got -100",
             ),
             ("source", {"max_bitrate_bps": 100_000}, "source: bitrates must satisfy"),
             ("link", {"capacity": {"kind": "constant", "mbps": 0}}, "link.capacity.mbps: must be"),
             (
                 "link",
                 {"capacity": dict(SQUARE, low_mbps=0)},
-                "link.capacity.low_mbps: must be positive",
+                "link.capacity.low_mbps: must be from 0.001 to 100000.0, got 0",
             ),
             (
                 "link",
                 {"capacity": dict(SQUARE, high_mbps=-4)},
-                "link.capacity.high_mbps: must be positive",
+                "link.capacity.high_mbps: must be from 0.001 to 100000.0, got -4",
             ),
             (
                 "link",
                 {"capacity": dict(SQUARE, half_period_s=0)},
-                "link.capacity.half_period_s: must be positive",
+                "link.capacity.half_period_s: must be from 1e-06 to 86400.0, got 0",
             ),
-            ("feedback_interval_ms", 0, "^feedback_interval_ms: must be positive$"),
-            ("dejitter_ms", -1, "^dejitter_ms: must be non-negative$"),
+            (
+                "feedback_interval_ms",
+                0,
+                "^feedback_interval_ms: must be from 1.0 to 10000.0, got 0$",
+            ),
+            ("dejitter_ms", -1, "^dejitter_ms: must be from 0.0 to 10000.0, got -1$"),
             (
                 "link",
                 dict(VALID_SCENARIO["link"], reverse_delay_ms=0),
-                "^link.reverse_delay_ms: must be positive$",
+                "^link.reverse_delay_ms: must be from 0.001 to 10000.0, got 0$",
             ),
             (
                 "link",
@@ -485,16 +504,16 @@ class TestScenarioFromDict:
             (
                 "controller",
                 {"kind": "gcc", "eta_increase": -1.08},
-                "^controller.eta_increase: must be positive, got -1.08$",
+                "^controller.eta_increase: must be from 1.0 to 2.0, got -1.08$",
             ),
             (
                 "controller",
                 {"kind": "gcc", "window": 1001},
-                "^controller.window: must hold at most 1000 points, got 1001$",
+                "^controller.window: must be from 2 to 1000, got 1001$",
             ),
-            ("aqm", {"alpha": -5}, "^aqm.alpha: must be non-negative, got -5.0$"),
-            ("aqm", {"beta": -50}, "^aqm.beta: must be non-negative, got -50.0$"),
-            ("duration_s", 1e308, r"^duration_s: expected a finite number, got 1e\+308$"),
+            ("aqm", {"alpha": -5}, "^aqm.alpha: must be from 0.0 to 1000.0, got -5$"),
+            ("aqm", {"beta": -50}, "^aqm.beta: must be from 0.0 to 1000.0, got -50$"),
+            ("duration_s", 1e308, r"^duration_s: must be from 1e-06 to 86400.0, got 1e\+308$"),
         ],
     )  # fmt: skip
     def test_invalid_value_names_field_path(self, section, value, where):
@@ -655,6 +674,48 @@ def test_accepted_key_set_per_section(path, spec, accepted):
     assert found == accepted
 
 
+# The README table's rows that are not a config class's number field: each
+# with its range, in the unit the row names.
+_README_ELEMENT_RANGES = {
+    "`link.forward_delay.entries`: each delay, in ms": Range(
+        DELAY_US.lo / US_PER_MS, DELAY_US.hi / US_PER_MS
+    ),
+    "`link.forward_delay.entries`: each probability": FRACTION,
+    "`link.capacity.path`: each time, `t_s`": netem._TRACE_S,
+    "`link.capacity.path`: each rate, floored at 0.1": netem.CAPACITY_MBPS,
+    "`link.forward_delay.delay_ms`": Range(DELAY_US.lo / US_PER_MS, DELAY_US.hi / US_PER_MS),
+}
+# Each section of a file with the config classes whose fields are its keys.
+_SECTION_CLASSES = [
+    ("", Scenario), ("link.capacity", Constant), ("link.capacity", SquareWave),
+    ("aqm", DualPi2Config), ("aqm", DropTailConfig), ("controller", GccParams),
+    ("controller", ScalableParams), ("source", SourceConfig),
+]  # fmt: skip
+
+
+def test_readme_range_table_agrees_with_the_declared_ranges():
+    expected = {row: f"{r.lo} to {r.hi}" for row, r in _README_ELEMENT_RANGES.items()}
+    for section, cls in _SECTION_CLASSES:
+        for key, (_name, _hint, r, unit) in _file_keys(cls).items():
+            # `reverse_delay_ms` is the one `Scenario` key that the link section holds.
+            path = "link" if key == "reverse_delay_ms" else section
+            shown = r if unit == 1 else Range(r.lo / unit, r.hi / unit)
+            expected[f"`{path + '.' if path else ''}{key}`"] = f"{shown.lo} to {shown.hi}"
+    text = Path(__file__).resolve().parents[1].joinpath("README.md").read_text(encoding="utf-8")
+    table = text.split("  | key | range |\n  |---|---|\n")[1].split("\n\n")[0]
+    found = {}
+    for line in table.splitlines():
+        cell, shown = (part.strip() for part in line.strip().strip("|").split("|"))
+        if cell in _README_ELEMENT_RANGES:
+            found[cell] = shown
+            continue
+        first, *more = re.findall(r"`([^`]+)`", cell)  # `a.b.key`, `key`: keys of one section
+        section = first.rpartition(".")[0]
+        for key in [first, *(f"{section}.{key}" for key in more)]:
+            found[f"`{key}`"] = shown
+    assert found == expected
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -691,27 +752,58 @@ def test_any_edit_of_a_valid_file_builds_or_raises_scenario_error(edits):
     _builds_or_rejects(data)
 
 
+def _beside_bounds(hint, bounds, unit=1):
+    """Each bound of a field's range, just inside it and just outside it, in
+    its file key's unit (`unit` microseconds), each with whether the field
+    takes it. A step is 1 for an `int` field and one float for a `float`
+    one."""
+    if hint is int:
+        values = [(bounds.lo - 1, False), (bounds.lo, True), (bounds.lo + 1, True),
+                  (bounds.hi - 1, True), (bounds.hi, True), (bounds.hi + 1, False)]  # fmt: skip
+        return [(value / unit if unit > 1 else value, inside) for value, inside in values]
+    lo, hi, step = bounds.lo, bounds.hi, math.nextafter
+    return [(step(lo, -math.inf), False), (lo, True), (step(lo, math.inf), True),
+            (step(hi, -math.inf), True), (hi, True), (step(hi, math.inf), False)]  # fmt: skip
+
+
+def _key_bounds(cls, key):
+    """`_beside_bounds` of the field that file key `key` of `cls` sets."""
+    _name, hint, bounds, unit = _file_keys(cls)[key]
+    return _beside_bounds(hint, bounds, unit)
+
+
+def _near_bounds(draws):
+    return st.sampled_from([value for value, _inside in draws])
+
+
 _GAIN_KEYS = [("aqm", "alpha"), ("aqm", "beta")] + [
     ("controller", key) for key in sorted(_GCC_FILE_KEYS | _SCALABLE_FILE_KEYS)
 ]
-_INTEGER_GAIN_KEYS = {"window", "additive_step_bps"}
+
+
+def _gain_class(section, key):
+    if section == "aqm":
+        return DualPi2Config
+    return GccParams if key in _GCC_FILE_KEYS else ScalableParams
 
 
 def _gain(section, key):
+    cls = _gain_class(section, key)
     values = (
-        st.integers(-(10**300), 10**300) if key in _INTEGER_GAIN_KEYS
+        st.integers(-(10**300), 10**300) if _file_keys(cls)[key][1] is int
         else st.floats(-1e300, 1e300)
     )  # fmt: skip
-    return st.tuples(st.just(section), st.just(key), values)
+    return st.tuples(st.just(section), st.just(key), _near_bounds(_key_bounds(cls, key)) | values)
 
 
 @given(st.one_of(*(_gain(*k) for k in _GAIN_KEYS)), st.integers(1, 1_500))
 @settings(deadline=None)
 @example(("controller", "eta_increase", -1.08), 100)
-@example(("controller", "eta_increase", 1e300), 1_500)
+@example(("controller", "eta_increase", 2.0), 1_500)
 def test_any_gain_runs_cleanly_or_names_its_key(gain, feedback_interval_ms):
     """A gain either runs to a clean audit or is rejected with its key's
-    path. Feedback up to 1.5 s apart makes rate updates more than 1 s apart."""
+    path. Feedback up to 1.5 s apart makes rate updates more than 1 s apart.
+    Each gain is drawn at its bounds, beside them, and anywhere."""
     section, key, value = gain
     data = {
         "duration_s": 3,
@@ -735,11 +827,15 @@ def test_any_gain_runs_cleanly_or_names_its_key(gain, feedback_interval_ms):
     assert log.audit.errors() == []
 
 
-# Delays in milliseconds: zero, negative and positive ones in whole
-# milliseconds and microseconds, fractions of a microsecond, and any finite
-# float, most of which outlast a 1 s session.
+# Delays in milliseconds: at the bounds of their range and beside them,
+# zero, negative and positive ones in whole milliseconds and microseconds,
+# fractions of a microsecond, and any finite float, most of which outlast a
+# 1 s session.
+_DELAY_BOUNDS = _beside_bounds(int, DELAY_US, US_PER_MS)
+_PROBABILITY_BOUNDS = _beside_bounds(float, FRACTION)
 _DELAY_MS = (
-    st.integers(-5, 2_000)
+    _near_bounds(_DELAY_BOUNDS)
+    | st.integers(-5, 2_000)
     | st.integers(-5_000, 2_000_000).map(lambda us: us / 1_000)
     | st.floats(-10.0, 2_000.0)
     | st.floats(-1e300, 1e300)
@@ -757,12 +853,14 @@ def _link_delays(draw):
         delay = {"kind": "fixed", "delay_ms": draw(_DELAY_MS)}
         return "forward_delay", delay, "link.forward_delay.delay_ms"
     delays = draw(st.lists(_DELAY_MS, max_size=5))
-    # Weights that sum to 1, or any finite ones.
+    # Weights that sum to 1, or any finite ones, those of a probability's
+    # bounds among them.
+    any_weight = _near_bounds(_PROBABILITY_BOUNDS) | st.floats(-2.0, 2.0)
     weights = draw(
         st.lists(st.integers(1, 20), min_size=len(delays), max_size=len(delays)).map(
             lambda ws: [w / sum(ws) for w in ws]
         )
-        | st.lists(st.floats(-2.0, 2.0), min_size=len(delays), max_size=len(delays))
+        | st.lists(any_weight, min_size=len(delays), max_size=len(delays))
     )
     entries = [[d, w] for d, w in zip(delays, weights)]
     return "forward_delay", {"kind": "jitter", "entries": entries}, "link.forward_delay.entries"
@@ -805,34 +903,28 @@ def test_any_link_delay_runs_cleanly_or_names_its_key(delay, kind):
 
 
 # Every other number key of a scenario file, with the section object it sits
-# in: the source, a constant and a square capacity (a 1 s session crosses
-# this square wave's steps), the rest of the AQM keys of both kinds, and the
-# top-level keys.
+# in and the config class that reads it: the source, a constant and a square
+# capacity (a 1 s session crosses this square wave's steps), the rest of the
+# AQM keys of both kinds, and the top-level keys.
 _SQUARE_1S = {"kind": "square", "low_mbps": 2.5, "high_mbps": 4.0, "half_period_s": 0.25}
 _DUALPI2_KEYS = ("target_delay_ms", "t_update_ms", "coupling_k", "l4s_step_threshold_ms",
                  "queue_limit_bytes", "time_shift_ms")  # fmt: skip
 _SOURCE_KEYS = ("fps", "mtu_bytes", "min_bitrate_bps", "max_bitrate_bps", "start_bitrate_bps")
 _OTHER_KEYS = [
-    *(("source", {}, key) for key in _SOURCE_KEYS),
-    ("link.capacity", {"kind": "constant", "mbps": 3}, "mbps"),
-    *(("link.capacity", _SQUARE_1S, key) for key in ("low_mbps", "high_mbps", "half_period_s")),
-    *(("aqm", {"kind": "dualpi2"}, key) for key in _DUALPI2_KEYS),
-    ("aqm", {"kind": "droptail"}, "queue_limit_bytes"),
-    *(("", None, key) for key in ("seed", "duration_s", "feedback_interval_ms", "dejitter_ms")),
-]
+    *(("source", {}, key, SourceConfig) for key in _SOURCE_KEYS),
+    ("link.capacity", {"kind": "constant", "mbps": 3}, "mbps", Constant),
+    *(("link.capacity", _SQUARE_1S, key, SquareWave)
+      for key in ("low_mbps", "high_mbps", "half_period_s")),
+    *(("aqm", {"kind": "dualpi2"}, key, DualPi2Config) for key in _DUALPI2_KEYS),
+    ("aqm", {"kind": "droptail"}, "queue_limit_bytes", DropTailConfig),
+    *(("", None, key, Scenario)
+      for key in ("seed", "duration_s", "feedback_interval_ms", "dejitter_ms")),
+]  # fmt: skip
 _ANY_NUMBER = st.integers(-(10**300), 10**300) | st.floats()
-# A session of at most 1 s, or one that cannot be held in float microseconds.
-# Longer sessions are valid and their work grows with their length, so they
-# are left out: no bound on `duration_s` keeps such a draw short (ROADMAP
-# item 8).
-_DURATION_S = (
-    st.integers(max_value=1) | st.floats(max_value=1.0) | st.floats(min_value=1e303)
-    | st.just(math.nan)
-)  # fmt: skip
 
 
 def test_every_number_key_is_fuzzed_end_to_end():
-    fuzzed = {(path, key) for path, _, key in _OTHER_KEYS} | set(_GAIN_KEYS) | {
+    fuzzed = {(path, key) for path, _, key, _ in _OTHER_KEYS} | set(_GAIN_KEYS) | {
         ("link", "reverse_delay_ms"), ("link.forward_delay", "delay_ms"),
         ("link.forward_delay", "entries"),
     }  # fmt: skip
@@ -843,24 +935,9 @@ def test_every_number_key_is_fuzzed_end_to_end():
     }
 
 
-@st.composite
-def _other_key(draw):
-    path, spec, key = draw(st.sampled_from(_OTHER_KEYS))
-    return path, spec, key, draw(_DURATION_S if key == "duration_s" else _ANY_NUMBER)
-
-
-@given(_other_key(), st.sampled_from(list(ControllerKind)))
-@settings(max_examples=400, deadline=None)
-@example(("link.capacity", {"kind": "constant", "mbps": 3}, "mbps", 1e303), ControllerKind.GCC)
-@example(("link.capacity", _SQUARE_1S, "high_mbps", 1e303), ControllerKind.GCC)
-@example(("link.capacity", _SQUARE_1S, "low_mbps", 1e302), ControllerKind.L4S_GCC)
-@example(("source", {}, "mtu_bytes", 1), ControllerKind.L4S_GCC)
-@example(("aqm", {"kind": "droptail"}, "queue_limit_bytes", 1), ControllerKind.GCC)
-def test_any_other_key_runs_cleanly_or_names_its_key(drawn, kind):
-    """Any value of any other number key either runs 1 s to a clean audit,
-    is rejected with its key's path (or, for a check across fields, its
-    section's), or delivers no packet, which names `duration_s`."""
-    path, spec, key, value = drawn
+def _file_with(path, spec, key, value, kind=ControllerKind.L4S_GCC):
+    """A 1 s scenario file on a constant 3 Mbps link whose `path` section is
+    `spec` (None: as it is) with `key` set to `value`."""
     data = {
         "duration_s": 1,
         "link": {"capacity": {"kind": "constant", "mbps": 3}},
@@ -870,23 +947,109 @@ def test_any_other_key_runs_cleanly_or_names_its_key(drawn, kind):
         parent, _, name = path.rpartition(".")
         _section(data, parent)[name] = copy.deepcopy(spec)
     _section(data, path)[key] = value
+    return data
+
+
+def _runs_cleanly_or_names(data, path, key_path):
+    """What `data` does: it is rejected with the path of the drawn key,
+    `key_path` (or, for a check across fields, its section's, `path`); it
+    is built and not run, as its session could not finish in 1 s; it
+    delivers no packet, which names `duration_s`; or it runs to a clean
+    audit, finite metrics and a utilization that is positive exactly when
+    it plays a frame."""
     try:
         scenario = scenario_from_dict(data)
     except ScenarioError as exc:
         message = str(exc)
-        assert message.startswith(f"{path + '.' if path else ''}{key}: ") or (
+        assert message.startswith(f"{key_path}: ") or (
             path and message.startswith(f"{path}: ")
         ), message
-        event("rejected")
-        return
+        return "rejected"
+    if scenario.duration_us > US_PER_S:
+        return "built, not run"  # a longer session is valid; its work grows with its length
     try:
         metrics, log = run_scenario(scenario)
     except ValueError as exc:
         assert str(exc).startswith("duration_s: no packet was delivered in "), str(exc)
-        event("no packet delivered")
-        return
-    event("ran")
+        return "no packet delivered"
     assert all(math.isfinite(getattr(metrics, name)) for name in METRIC_FIELDS), metrics
     # Utilization divides quality by the mean capacity: an infinite mean read 0.
     assert (metrics.bandwidth_utilization > 0) == (metrics.quality_mbps > 0), metrics
     assert log.audit.errors() == []
+    return "ran"
+
+
+@st.composite
+def _other_key(draw):
+    path, spec, key, cls = draw(st.sampled_from(_OTHER_KEYS))
+    return path, spec, key, draw(_near_bounds(_key_bounds(cls, key)) | _ANY_NUMBER)
+
+
+@given(_other_key(), st.sampled_from(list(ControllerKind)))
+@settings(max_examples=400, deadline=None)
+@example(("link.capacity", {"kind": "constant", "mbps": 3}, "mbps", 1e303), ControllerKind.GCC)
+@example(("link.capacity", _SQUARE_1S, "high_mbps", 1e303), ControllerKind.GCC)
+@example(("link.capacity", _SQUARE_1S, "low_mbps", 1e302), ControllerKind.L4S_GCC)
+@example(("source", {}, "mtu_bytes", 1), ControllerKind.L4S_GCC)
+@example(("aqm", {"kind": "droptail"}, "queue_limit_bytes", 1), ControllerKind.GCC)
+@example(("", None, "duration_s", 1e300), ControllerKind.GCC)
+def test_any_other_key_runs_cleanly_or_names_its_key(drawn, kind):
+    """Any value of any other number key, drawn at its bounds, beside them
+    or anywhere, is rejected with its key's path, is built and not run, or
+    runs cleanly (`_runs_cleanly_or_names`)."""
+    path, spec, key, value = drawn
+    key_path = f"{path}.{key}" if path else key
+    event(_runs_cleanly_or_names(_file_with(path, spec, key, value, kind), path, key_path))
+
+
+# Every number key of a file at each bound of its range, just inside it and
+# just outside it, in a 1 s l4s-gcc scenario, which reads every controller
+# key: (file, the path a rejection names, the value, whether it is in range).
+_BOUND_DRAWS = [
+    *(
+        (_file_with(path, spec, key, value), f"{path}.{key}" if path else key, value, inside)
+        for path, spec, key, cls in [
+            *_OTHER_KEYS,
+            *((section, {"kind": "dualpi2"} if section == "aqm" else None, key,
+               _gain_class(section, key)) for section, key in _GAIN_KEYS),
+            ("link", None, "reverse_delay_ms", Scenario),
+        ]
+        for value, inside in _key_bounds(cls, key)
+    ),
+    *(
+        (_file_with("link.forward_delay", {"kind": "fixed"}, "delay_ms", value),
+         "link.forward_delay.delay_ms", value, inside)
+        for value, inside in _DELAY_BOUNDS
+    ),
+    *(
+        (_file_with("link.forward_delay", {"kind": "jitter"}, "entries", [[value, 1.0]]),
+         "link.forward_delay.entries[0]", value, inside)
+        for value, inside in _DELAY_BOUNDS
+    ),
+    *(
+        (_file_with("link.forward_delay", {"kind": "jitter"}, "entries",
+                    [[10, value], [12, 1.0 - value]]),
+         "link.forward_delay.entries[0]", value, inside)
+        for value, inside in _PROBABILITY_BOUNDS
+    ),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "data, where, value, inside", _BOUND_DRAWS, ids=[f"{w}={v!r}" for _, w, v, _ in _BOUND_DRAWS]
+)
+def test_every_number_key_at_and_beside_its_bounds(data, where, value, inside):
+    """A value just outside a key's range is rejected with the key's path
+    and its range; one at a bound or just inside runs cleanly, or is
+    rejected only by a check across fields (`_runs_cleanly_or_names`)."""
+    if not inside:
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(where)}: must be from "):
+            scenario_from_dict(data)
+        return
+    try:
+        scenario_from_dict(data)
+    except ScenarioError as exc:  # only a check across fields may refuse a value in range
+        section = where.rpartition(".")[0]
+        assert section and str(exc).startswith(f"{section}: "), str(exc)
+        return
+    assert _runs_cleanly_or_names(data, "", where) != "rejected"

@@ -110,7 +110,7 @@ class TestCapacityAt:
     @pytest.mark.parametrize("t", [math.nan, math.inf, 1e6])
     def test_trace_times_must_be_ints(self, t):
         # A nan time passes the order check and breaks the lookup's bisect.
-        with pytest.raises(ValueError, match=f"^trace time must be an int, got {t!r}$"):
+        with pytest.raises(ValueError, match=rf"^samples\[1\]: expected an int, got {t!r}$"):
             TracePattern(((0, 1.0), (t, 2.0)))
 
 
@@ -165,7 +165,7 @@ class TestSampleJitter:
 
     @pytest.mark.parametrize("delay", [math.nan, math.inf, 6000.5])
     def test_delays_must_be_ints(self, delay):
-        with pytest.raises(ValueError, match=f"^jitter delay must be an int, got {delay!r}$"):
+        with pytest.raises(ValueError, match=rf"^entries\[0\]: expected an int, got {delay!r}$"):
             JitterProfile(((delay, 1.0),))
 
 
@@ -346,14 +346,17 @@ class TestSegmentCache:
         with pytest.raises(ValueError):
             link.serialization_us(1_200, -1)
 
-    @pytest.mark.parametrize("mbps", [1e-310, 5e-324])
-    def test_rate_too_small_for_a_float_quotient_serializes_exactly(self, mbps):
-        # 9,600 bits over 1e-304 b/s is beyond float range: the time is the
-        # integer quotient of the bits and the rate's exact ratio.
-        rate = mbps * 1e6
-        num, den = rate.as_integer_ratio()
-        link = ForwardLink(Constant(mbps), 6_000, random.Random(0))
-        assert link.serialization_us(1_200, 0) == 1_200 * 8 * US_PER_S * den // num > 10**308
+    @pytest.mark.parametrize("mbps", [1e-310, 5e-324, math.nextafter(0.001, 0.0)])
+    def test_rate_too_small_for_a_float_quotient_rejected(self, mbps):
+        # 9,600 bits over 1e-304 b/s was beyond float range; no rate below
+        # 1 kbps is a capacity now.
+        message = rf"^mbps: must be from 0.001 to 100000.0, got {mbps!r}$"
+        with pytest.raises(ValueError, match=message):
+            Constant(mbps)
+
+    def test_slowest_rate_serializes_the_largest_packet_as_a_float_quotient(self):
+        link = ForwardLink(Constant(0.001), 6_000, random.Random(0))
+        assert link.serialization_us(65_535, 0) == 524_280_000  # 65,535 * 8 bits at 1 kbps
 
 
 class TestNormalizeTrace:
@@ -436,21 +439,26 @@ class TestTraceCsv:
 
     @pytest.mark.parametrize(
         "row, what",
-        [("inf,1", "time"), ("-inf,1", "time"), ("nan,1", "time"),
-         ("1,inf", "rate"), ("1,nan", "rate")],
+        [("inf,1", "t_s: must be from 0.0 to 86400.0, got inf"),
+         ("-inf,1", "t_s: must be from 0.0 to 86400.0, got -inf"),
+         ("nan,1", "t_s: must be from 0.0 to 86400.0, got nan"),
+         ("1,inf", "non-finite rate"), ("1,nan", "non-finite rate")],
     )  # fmt: skip
     def test_non_finite_rejected(self, tmp_path, row, what):
         path = tmp_path / "bad.csv"
         path.write_text(f"t_s,mbps\n0,1\n{row}\n")
-        with pytest.raises(ValueError, match=rf"bad\.csv:3: non-finite {what}"):
+        with pytest.raises(ValueError, match=rf"bad\.csv:3: {what}"):
             load_trace_csv(str(path))
 
-    def test_time_beyond_float_microseconds_line_numbered(self, tmp_path):
+    @pytest.mark.parametrize("t_s", [1e303, math.nextafter(86_400.0, math.inf)])
+    def test_time_beyond_a_day_line_numbered(self, tmp_path, t_s):
         path = tmp_path / "t.csv"
-        path.write_text("t_s,mbps\n0,1\n1e303,4\n")
+        path.write_text(f"t_s,mbps\n0,1\n{t_s!r},4\n")
         with pytest.raises(ValueError) as exc:
             load_trace_csv(str(path))
-        assert str(exc.value) == f"{path}:3: time 1e+303 s is not a finite number of microseconds"
+        assert str(exc.value) == f"{path}:3: t_s: must be from 0.0 to 86400.0, got {t_s!r}"
+        path.write_text("t_s,mbps\n0,1\n86400,4\n")  # a day, the bound
+        assert load_trace_csv(str(path)) == [(0, 1.0), (86_400 * US_PER_S, 4.0)]
 
     def test_must_start_at_zero(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -11,9 +11,9 @@ import pytest
 from l4sim import sim
 from l4sim.aqm import DropTailConfig, DualPi2, DualPi2Config
 from l4sim.cc import ControllerKind, GccParams, ScalableParams
-from l4sim.core import Config, EcnCodepoint, number_fields
+from l4sim.core import DELAY_US, Config, EcnCodepoint, number_fields
 from l4sim.harness import PRESET_CASES, ScenarioError, preset_scenario
-from l4sim.media import Receiver, SourceConfig
+from l4sim.media import MAX_PPS, Receiver, SourceConfig
 from l4sim.netem import Constant, ForwardLink, SquareWave, TracePattern
 from l4sim.sim import (
     Scenario,
@@ -30,21 +30,22 @@ def required_ones(cls):
 
 
 # Each number field of every config class, with the fields its class
-# requires and its type; and `Scenario`'s fixed forward delay, an `int` in a
-# union with a jitter profile.
+# requires, its type and its range; and `Scenario`'s fixed forward delay, an
+# `int` in a union with a jitter profile.
 NUMBER_FIELDS = [
     *(
-        (cls, required_ones(cls), name, hint)
+        (cls, required_ones(cls), name, hint, bounds)
         for cls in Config.__subclasses__()
-        for name, hint in number_fields(cls).items()
+        for name, (hint, bounds) in number_fields(cls).items()
     ),
-    (Scenario, {}, "forward_delay", int),
+    (Scenario, {}, "forward_delay", int, DELAY_US),
 ]
-# Values no number field may hold: a float nan or inf passes every range
-# check, and a bool is an int to `isinstance`. An int field takes no fraction.
+# Values no number field may hold: a float nan or inf fails a sign check as
+# no value does, and a bool is an int to `isinstance`. An int field takes no
+# fraction.
 BAD_NUMBERS = [
-    (cls, given, name, hint, value)
-    for cls, given, name, hint in NUMBER_FIELDS
+    (cls, given, name, hint, bounds, value)
+    for cls, given, name, hint, bounds in NUMBER_FIELDS
     for value in (math.inf, math.nan, -math.inf, True, *((1.5, 1e6) if hint is int else ()))
 ]
 
@@ -244,9 +245,10 @@ class TestDegeneratePath:
 
 class TestValidation:
     def test_bad_duration_rejected_before_running(self):
-        with pytest.raises(ScenarioError, match="^duration_s: must be positive$"):
+        message = "^duration_s: must be from 1e-06 to 86400.0, got 0$"
+        with pytest.raises(ScenarioError, match=message):
             short("case1", ControllerKind.GCC, duration=0)
-        with pytest.raises(ValueError, match="^duration_us: must be positive$"):
+        with pytest.raises(ValueError, match="^duration_us: must be from 1 to 86400000000, got 0$"):
             replace(short("case1", ControllerKind.GCC), duration_us=0)
 
     @pytest.mark.parametrize(
@@ -256,8 +258,9 @@ class TestValidation:
             (math.nan, "expected an int, got nan"),
             (1.5, "expected an int, got 1.5"),
             (1e6, "expected an int, got 1000000.0"),
-            (0, "must be positive"),
-            (-1, "must be positive"),
+            (0, "must be from 1 to 86400000000, got 0"),
+            (-1, "must be from 1 to 86400000000, got -1"),
+            (86_400_000_001, "must be from 1 to 86400000000, got 86400000001"),
         ],
     )
     def test_duration_us_must_be_a_positive_int(self, duration_us, message):
@@ -266,17 +269,22 @@ class TestValidation:
             Scenario(duration_us=duration_us)
 
     @pytest.mark.parametrize(
-        "cls, given, name, hint, value",
+        "cls, given, name, hint, bounds, value",
         BAD_NUMBERS,
-        ids=[f"{c.__name__}.{n}-{v}" for c, _, n, _, v in BAD_NUMBERS],
+        ids=[f"{c.__name__}.{n}-{v}" for c, _, n, _, _, v in BAD_NUMBERS],
     )
-    def test_every_count_and_time_must_be_an_int(self, cls, given, name, hint, value):
-        # A float inf or nan passes a sign check: a nan feedback interval ran
+    def test_every_count_and_time_must_be_an_int(self, cls, given, name, hint, bounds, value):
+        # A float inf or nan passed a sign check: a nan feedback interval ran
         # to a negative minimum RTT, an inf duration would never end, and a
-        # nan queue limit let every packet in. A nan rate or gain passes its
-        # range check the same way.
-        expected = "an int" if hint is int else "a finite number"
-        message = f"^{name}: expected {expected}, got {re.escape(repr(value))}$"
+        # nan queue limit let every packet in. A float field's range rejects
+        # nan and the infinities.
+        if hint is int:
+            problem = "expected an int"
+        elif value is True:
+            problem = "expected a number"
+        else:
+            problem = f"must be from {bounds.lo} to {bounds.hi}"
+        message = f"^{name}: {problem}, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             cls(**{**given, name: value})
 
@@ -295,7 +303,7 @@ class TestValidation:
             for f in fields(cls):
                 where = f"{cls.__name__}.{f.name}"
                 assert not f.name.endswith(("_s", "_ms")), where
-                assert f.name.endswith("_us") == (f.type == "SimTime"), where
+                assert f.name.endswith("_us") == f.type.startswith("Annotated[SimTime, "), where
 
     @pytest.mark.parametrize(
         "kind, params",
@@ -320,6 +328,20 @@ class TestValidation:
         Scenario(controller=ControllerKind.GCC, gcc_params=both["gcc_params"])
         Scenario(controller=ControllerKind.L4S_CC, scalable_params=both["scalable_params"])
 
+    @pytest.mark.parametrize(
+        "capacity", [Constant(3.0), SquareWave(2.5, 4.0, 10_000_000)], ids=["constant", "square"]
+    )
+    def test_duration_beyond_a_day_names_field(self, capacity):
+        # With a square wave, 10**400 us raised OverflowError from the
+        # capacity's mean over the session; with a constant one it built.
+        with pytest.raises(ValueError, match="^duration_us: must be from 1 to 86400000000, got 1"):
+            Scenario(capacity=capacity, duration_us=10**400)
+
+    def test_source_packet_rate_bounded(self):
+        SourceConfig(mtu_bytes=1, max_bitrate_bps=8 * MAX_PPS)  # a million 1-byte packets a second
+        with pytest.raises(ValueError, match="^max_bitrate_bps must be at most 1000000 packets"):
+            SourceConfig(mtu_bytes=1, max_bitrate_bps=8 * MAX_PPS + 1)
+
     def test_bad_source_rejected(self):
         scenario = short("case1", ControllerKind.GCC)
         with pytest.raises(ValueError, match="min <= start <= max"):
@@ -330,12 +352,12 @@ class TestValidation:
     # Each config class with a field, a value its check refuses, and the
     # message that names the field.
     BAD_VALUES = [
-        (DualPi2Config, "target_delay_us", 0, "target_delay_us: must be positive"),
-        (DropTailConfig, "queue_limit_bytes", 0, "queue_limit_bytes: must be positive"),
+        (DualPi2Config, "target_delay_us", 0, "target_delay_us: must be from 1 to 10000000"),
+        (DropTailConfig, "queue_limit_bytes", 0, "queue_limit_bytes: must be from 1 to 1000000000"),
         (SourceConfig, "fps", 0, "fps: must be from 1 to 1000"),
-        (GccParams, "window", 1, "window: must hold at least 2 points"),
-        (ScalableParams, "ewma_gain", 0.0, r"ewma_gain: must be in \(0, 1\]"),
-        (Scenario, "feedback_interval_us", 0, "feedback_interval_us: must be positive"),
+        (GccParams, "window", 1, "window: must be from 2 to 1000"),
+        (ScalableParams, "ewma_gain", 1.5, r"ewma_gain: must be from 0.0 to 1.0"),
+        (Scenario, "feedback_interval_us", 999, "feedback_interval_us: must be from 1000 to"),
     ]
 
     @pytest.mark.parametrize(
