@@ -8,9 +8,8 @@ from importlib import resources
 
 import pytest
 
-from l4sim import cli
+from l4sim import cli, harness
 from l4sim.cli import main
-from l4sim import harness
 from l4sim.netem import load_trace_csv, write_trace_csv
 
 

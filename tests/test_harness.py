@@ -18,7 +18,6 @@ from l4sim.cc import SENSITIVE_GCC, ControllerKind, GccParams, ScalableParams
 from l4sim.media import SourceConfig
 from l4sim.harness import (
     METRIC_FIELDS,
-    _file_keys,
     PRESET_CASES,
     MetricsReport,
     ScenarioError,
@@ -30,6 +29,7 @@ from l4sim.harness import (
     scenario_from_dict,
     table_csv_lines,
     write_lines,
+    _file_keys,
 )
 from l4sim import netem
 from l4sim.core import DELAY_US, FRACTION, US_PER_MS, US_PER_S, EcnCodepoint, Range
