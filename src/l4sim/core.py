@@ -60,7 +60,11 @@ def check_number(name: str, value, hint: type, bounds: Range) -> None:
         expected = "an int" if hint is int else "a number"
         raise ValueError(f"{name}: expected {expected}, got {value!r}")
     if not bounds.lo <= value <= bounds.hi:
-        raise ValueError(f"{name}: must be from {bounds.lo} to {bounds.hi}, got {value!r}")
+        try:
+            got = repr(value)
+        except ValueError:  # an int of more digits than Python prints, 4,300
+            got = f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        raise ValueError(f"{name}: must be from {bounds.lo} to {bounds.hi}, got {got}")
 
 
 class Config:

@@ -369,25 +369,19 @@ def _number(value, path: str, hint: type, bounds: Range, unit: int = 1) -> int |
     return round(scaled)
 
 
-def _build(cls, spec: dict, path: str, given_paths: dict[str, str] | None = None, **given):
+def _build(cls, spec: dict, path: str, **given):
     """One `cls`, made from `given` and each of its file keys present in
-    `spec`, and range-checked by the class as it is made. A key overrides a
-    given value, and an absent key keeps the class default; for a field with
-    no default, an absent key reads as null. `given_paths` maps a field to
-    the file key that sets it where that is not `path`'s, for its messages."""
+    `spec`. Each key is checked against its field's range under its own path,
+    so what the class then rejects is the object, named by `path`. A key
+    overrides a given value, and an absent key keeps the class default; for a
+    field with no default, an absent key reads as null."""
     values = dict(given)
-    key_paths = dict(given_paths or {})  # field -> the file key that sets it
     for key, (name, hint, bounds, unit) in _file_keys(cls).items():
-        key_paths.setdefault(name, _join(path, key))
         if key in spec or not hasattr(cls, name):  # a field's default is its class attribute
-            values[name] = _number(spec.get(key), key_paths[name], hint, bounds, unit)
+            values[name] = _number(spec.get(key), _join(path, key), hint, bounds, unit)
     try:
         return cls(**values)
     except ValueError as exc:
-        # "<field>: <problem>" names one field; any other message the object.
-        name, colon, problem = str(exc).partition(": ")
-        if colon and name in key_paths:
-            raise ScenarioError(f"{key_paths[name]}: {problem}") from exc
         raise ScenarioError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
@@ -432,6 +426,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     delay = {}
     if "forward_delay" in link:
         delay["forward_delay"] = _forward_delay(link["forward_delay"])
+    if "reverse_delay_ms" in link:
+        name, *field = _file_keys(Scenario)["reverse_delay_ms"]
+        delay[name] = _number(link["reverse_delay_ms"], "link.reverse_delay_ms", *field)
     capacity = _capacity(link.get("capacity"))
     ctl = data.get("controller")
     kind = ControllerKind(_kind(ctl, "controller", _CONTROLLER_KEYS))
@@ -445,12 +442,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     ecn = source.get("ecn_mode")  # absent: None, the controller kind's codepoint
     ecn = None if ecn is None else _choice(ecn, "source.ecn_mode", _ECN_MODES)
     return _build(
-        Scenario, {**data, **link}, "",
-        given_paths={
-            "forward_delay": "link.forward_delay.delay_ms",
-            "reverse_delay_us": "link.reverse_delay_ms",
-            "capacity": "link.capacity",
-        },
+        Scenario, data, "",
         capacity=capacity,
         **delay,
         aqm=_build(_AQM_KINDS[aqm_kind], aqm, "aqm"),

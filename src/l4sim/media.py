@@ -2,11 +2,11 @@
 
 ``MediaSource`` turns a target bitrate into evenly paced frame packets; the
 engine sends one of its repairs per listing of a lost seq in a report.
-``Receiver`` re-lists a missing seq every ``REPAIR_TIMEOUT_US``, tracks
-arrivals for feedback (counts, loss gaps, arrival samples) and runs the
-playout clock: playback starts a dejitter offset after the first frame
-completes, a frame missing at its deadline stalls playback, and the stall
-shifts every later deadline.
+``Receiver`` lists a missing seq in the next report and again every
+``REPAIR_TIMEOUT_US`` until it arrives, tracks arrivals for feedback (counts,
+loss gaps, arrival samples) and runs the playout clock: playback starts a
+dejitter offset after the first frame completes, a frame missing at its
+deadline stalls playback, and the stall shifts every later deadline.
 
 Both ends keep only what is in flight: the receiver remembers arrivals as a
 contiguous-prefix watermark plus the seqs above it and drops frames once
@@ -120,16 +120,11 @@ class MediaSource:
 
     def make_retransmit(self, seq: int, now: SimTime) -> Packet:
         """Clone a reported-lost packet for immediate resend: one repair per
-        loss report listing it. Raises KeyError for a seq never sent or
-        already forgotten. A seq below `_oldest` must not reach the list,
-        whose negative indices would name a later seq's record."""
-        index = seq - self._oldest
-        if index < 0:
+        loss report listing it. Raises KeyError for a seq outside the kept
+        records, `_oldest` up to `next_seq`: never sent or already forgotten."""
+        if not self._oldest <= seq < self.next_seq:
             raise KeyError(seq)
-        try:
-            sent = self._sent[index]
-        except IndexError:
-            raise KeyError(seq) from None
+        sent = self._sent[seq - self._oldest]
         return Packet(
             seq, sent.size_bytes, self.ecn, now, sent.frame_id, sent.frame_packet_count, True
         )
@@ -160,11 +155,12 @@ class Receiver:
     deadlines; both return the next playout event time to schedule, if any.
 
     State is bounded by what is in flight: arrivals are a watermark (every
-    seq below it arrived) plus the set of seqs that arrived above it, a frame
-    is dropped once played, and the run's RTTs are an exact count per integer
-    microsecond value (``rtt_samples_us``), not a list of every sample. The
-    count takes an interval's RTTs when its report is built, so it is
-    complete after ``finalize``.
+    seq below it arrived) plus the set of seqs that arrived above it, missing
+    seqs map to the time a report last listed them (``None``: not yet), a
+    frame is dropped once played, and the run's RTTs are an exact count per
+    integer microsecond value (``rtt_samples_us``), not a list of every
+    sample. The count takes an interval's RTTs when its report is built, so
+    it is complete after ``finalize``.
     """
 
     # Fraction of a frame interval clawed back per smoothly played frame:
@@ -196,10 +192,7 @@ class Receiver:
         self._ect1 = 0
         self._ce = 0
         self._samples: list[tuple[int, SimTime, SimTime]] = []  # (size, sent, arrival)
-        self._pending_lost: list[int] = []
-        # Sequences reported lost but not yet repaired, by last report time;
-        # re-reported when the repair itself goes missing too long.
-        self._outstanding_lost: dict[int, SimTime] = {}
+        self._missing: dict[int, SimTime | None] = {}
 
         # Playout state.
         self.playout_anchor: SimTime | None = None
@@ -237,8 +230,8 @@ class Receiver:
             return None  # duplicate: counted once, ignored afterwards
         else:
             above.add(seq)
-        if self._outstanding_lost:
-            self._outstanding_lost.pop(seq, None)
+        if self._missing:
+            self._missing.pop(seq, None)
 
         self._rtts.append((now - packet.sent_at) + self.reverse_delay_us)
         ecn = packet.ecn
@@ -252,7 +245,7 @@ class Receiver:
         if seq > self._highest_seq:
             # In-order links: any gap below the new highest is a loss.
             if seq > self._highest_seq + 1:
-                self._pending_lost.extend(range(self._highest_seq + 1, seq))
+                self._missing.update(dict.fromkeys(range(self._highest_seq + 1, seq)))
             self._highest_seq = seq
 
         frame = self._frames.get(packet.frame_id)
@@ -305,15 +298,12 @@ class Receiver:
     def build_feedback(self, now: SimTime) -> FeedbackReport:
         """Emit the interval report and reset the accumulators.
 
-        Newly detected gaps are reported once; a sequence still missing a
-        repair after the repair timeout is reported again."""
-        lost = list(self._pending_lost)
-        for seq, reported_at in self._outstanding_lost.items():
-            if now - reported_at >= self.REPAIR_TIMEOUT_US:
-                lost.append(seq)
-        lost.sort()
-        for seq in lost:
-            self._outstanding_lost[seq] = now
+        It lists each missing seq that no report has listed yet or that one
+        listed `REPAIR_TIMEOUT_US` ago or more, in seq order: the order the
+        gaps came in, as each lies above every seq seen before it."""
+        due = now - self.REPAIR_TIMEOUT_US
+        lost = [seq for seq, at in self._missing.items() if at is None or at <= due]
+        self._missing.update(dict.fromkeys(lost, now))
         self.rtt_samples_us.update(self._rtts)  # one C-level count (DECISIONS.md entry 4)
         report = FeedbackReport(
             received_count=len(self._rtts),
@@ -327,7 +317,6 @@ class Receiver:
         self._ect1 = 0
         self._ce = 0
         self._samples = []
-        self._pending_lost = []
         return report
 
     def finalize(self, end: SimTime) -> None:

@@ -73,6 +73,12 @@ class TestRun:
         assert run_cli("run", "--scenario", str(path)) == 1
         assert "oops" in capsys.readouterr().err
 
+    def test_file_that_is_not_an_object_fails_with_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr().err == "l4sim: error: scenario: expected an object, got []\n"
+
     def test_file_that_is_not_json_names_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{bad")

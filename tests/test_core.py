@@ -122,6 +122,17 @@ class TestDeclaredRanges:
     ranges keep every product and quotient the engine forms finite
     (DECISIONS.md entry 21)."""
 
+    def test_an_int_too_long_to_print_is_named_by_its_size(self):
+        # Python prints no int of more than 4,300 digits: formatting one
+        # raised its own error, without the field's name.
+        with pytest.raises(ValueError) as exc:
+            Scenario(seed=10**5000)
+        assert str(exc.value) == (
+            "seed: must be from 0 to 18446744073709551615, got an int of 16610 bits"
+        )
+        with pytest.raises(ValueError, match="^seed: .*, got a negative int of 16610 bits$"):
+            Scenario(seed=-(10**5000))
+
     def test_every_config_is_walked(self):
         assert {cls.__name__ for cls in CONFIGS} >= {
             "Scenario", "Constant", "SquareWave", "DualPi2Config", "DropTailConfig",

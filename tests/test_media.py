@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -124,6 +125,11 @@ class TestEncodeTick:
         with pytest.raises(KeyError):
             source.make_retransmit(10**9, 0)  # unknown seq
 
+    @pytest.mark.parametrize("ecn", [EcnCodepoint.CE, EcnCodepoint.ECT0])
+    def test_codepoint_must_be_ect1_or_not_ect(self, ecn):
+        with pytest.raises(ValueError, match="^source ecn_mode must be ECT1, NOT_ECT or None$"):
+            SourceConfig(ecn_mode=ecn)
+
 
 class TestReceiverCounting:
     def test_ce_and_ect1_accumulators(self):
@@ -182,6 +188,47 @@ class TestReceiverCounting:
             160_000,
         )
         assert receiver.build_feedback(500_000).lost_seqs == []
+
+    @given(
+        steps=st.lists(
+            st.one_of(
+                st.none(),  # build a feedback report
+                st.tuples(st.integers(0, 30), st.booleans()),  # (seq, retransmit)
+            ),
+            max_size=120,
+        )
+    )
+    @example(steps=[(1, False), (0, False), None])  # seq 0 came late, and is no loss
+    @settings(max_examples=200, deadline=None)
+    def test_reports_list_each_missing_seq_when_due(self, steps):
+        # Any arrival order, with duplicates, repairs and reports, one step
+        # each 50 ms, so a listing comes due again after exactly six steps. A
+        # report lists, in order, each seq below the highest arrived that has
+        # not arrived: at once if no report listed it yet, and again exactly
+        # when the last report that did is REPAIR_TIMEOUT_US old.
+        receiver = make_receiver()
+        seen, highest, listed_at = set(), -1, {}
+        now = 0
+        for step in steps + [None]:
+            now += 50_000
+            if step is None:
+                lost = receiver.build_feedback(now).lost_seqs
+                assert not seen.intersection(lost)
+                assert lost == [
+                    seq
+                    for seq in range(highest)
+                    if seq not in seen
+                    and now - listed_at.get(seq, -math.inf) >= Receiver.REPAIR_TIMEOUT_US
+                ]
+                listed_at.update(dict.fromkeys(lost, now))
+                continue
+            seq, retransmit = step
+            packet = Packet(
+                seq, 100, EcnCodepoint.ECT1, now - 20_000, **OPEN_FRAME, is_retransmit=retransmit
+            )
+            receiver.on_packet(packet, now)
+            seen.add(seq)
+            highest = max(highest, seq)
 
     def test_duplicate_ignored(self):
         receiver = make_receiver()
@@ -334,7 +381,8 @@ class PlainSetFeedback:
         return None
 
     def build_feedback(self, now):
-        lost = self.pending + [
+        # A gap seq that arrived before this report, out of order, is not lost.
+        lost = [seq for seq in self.pending if seq not in self.seen] + [
             seq
             for seq, reported_at in self.outstanding.items()
             if now - reported_at >= Receiver.REPAIR_TIMEOUT_US

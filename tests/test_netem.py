@@ -460,6 +460,25 @@ class TestTraceCsv:
         path.write_text("t_s,mbps\n0,1\n86400,4\n")  # a day, the bound
         assert load_trace_csv(str(path)) == [(0, 1.0), (86_400 * US_PER_S, 4.0)]
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", ": empty trace file"), ("t_s,mbps\n", ": trace has no data rows"),
+         ("t_s,mbps\n\n", ": trace has no data rows"),
+         ("t_s,mbps\n0,1,2\n", ":2: expected 2 columns, got 3")],
+        ids=["empty", "header-only", "blank-line-only", "three-columns"],
+    )  # fmt: skip
+    def test_file_shape_rejected(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_trace_csv(str(path))
+        assert str(exc.value) == f"{path}{message}"
+
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("t_s,mbps\n0,1\n\n , \n2,3\n")
+        assert load_trace_csv(str(path)) == [(0, 1.0), (2 * US_PER_S, 3.0)]
+
     def test_must_start_at_zero(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_s,mbps\n1,1\n2,2\n")

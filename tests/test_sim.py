@@ -16,6 +16,7 @@ from l4sim.harness import PRESET_CASES, ScenarioError, preset_scenario
 from l4sim.media import MAX_PPS, Receiver, SourceConfig
 from l4sim.netem import Constant, ForwardLink, SquareWave, TracePattern
 from l4sim.sim import (
+    RunAudit,
     Scenario,
     TimelineRows,
     _Engine,
@@ -114,6 +115,13 @@ class TestConservation:
             + log.audit.in_queue
             + log.audit.in_transit
         )
+
+
+    def test_audit_names_an_end_to_end_mismatch(self):
+        assert RunAudit(5, 2, 1, 0, 1, []).errors() == [
+            "end-to-end: sent 5 != delivered 2 + dropped 1 + in-queue 0 + in-transit 1"
+        ]
+        assert RunAudit(4, 2, 1, 0, 1, ["l-queue: x"]).errors() == ["l-queue: x"]
 
 
 class TestEntryPointBoundaries:
