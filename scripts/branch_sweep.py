@@ -7,8 +7,8 @@ frames whose code lies in `src/l4sim`. It records the lines each frame runs
 and each step from one line to the next, then reads every module's syntax
 tree and prints one line per finding, in file and line order:
 
-    src/l4sim/cli.py:166: not run
-    src/l4sim/cc.py:120: if never false
+    src/l4sim/cc.py:549: if never false
+    src/l4sim/cc.py:551: not run
 
 A branch counts as taken when the first statement of its body ran, and an
 `if` or `while` without an `else` counts as false when its test went on to a
@@ -89,7 +89,7 @@ def _own_lines(node: ast.stmt) -> range:
     simple statement's, or a compound one's header with its decorators."""
     start = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
     body = getattr(node, "body", None)
-    end = body[0].lineno if isinstance(body, list) and body else node.end_lineno + 1
+    end = body[0].lineno if body else node.end_lineno + 1
     return range(start, max(end, start + 1))
 
 
@@ -126,24 +126,15 @@ def findings(source: str, lines: set[int], steps: set[tuple[int, int]]) -> list[
     return sorted(found)
 
 
-def report(package: Path, recorder: Recorder) -> list[str]:
-    """The findings of every module under `package`, one line each, with
-    paths relative to the repo root where they lie inside it."""
-    out = []
-    for path in sorted(package.rglob("*.py")):
-        name = str(path)
-        shown = path.relative_to(ROOT) if path.is_relative_to(ROOT) else path
-        lines, steps = recorder.lines.get(name, set()), recorder.steps.get(name, set())
-        for lineno, finding in findings(path.read_text(encoding="utf-8"), lines, steps):
-            out.append(f"{shown}:{lineno}: {finding}")
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     sys.path.insert(0, str(PACKAGE.parent))
     with Recorder(PACKAGE) as recorder:
         status = pytest.main(list(sys.argv[1:] if argv is None else argv))
-    print("\n".join(report(PACKAGE, recorder)))
+    for path in sorted(PACKAGE.rglob("*.py")):
+        name = str(path)
+        lines, steps = recorder.lines.get(name, set()), recorder.steps.get(name, set())
+        for lineno, finding in findings(path.read_text(encoding="utf-8"), lines, steps):
+            print(f"{path.relative_to(ROOT)}:{lineno}: {finding}")
     return int(status)
 
 

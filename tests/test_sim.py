@@ -116,7 +116,6 @@ class TestConservation:
             + log.audit.in_transit
         )
 
-
     def test_audit_names_an_end_to_end_mismatch(self):
         assert RunAudit(5, 2, 1, 0, 1, []).errors() == [
             "end-to-end: sent 5 != delivered 2 + dropped 1 + in-queue 0 + in-transit 1"
