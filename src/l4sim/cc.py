@@ -338,10 +338,9 @@ class ReceiveRateTracker:
         self._samples: deque[tuple[int, SimTime, SimTime]] = deque()
         self._total_bytes = 0
         self._first_arrival: SimTime | None = None
-        self._newest: SimTime = 0
 
-    def _current_window(self) -> SimTime:
-        if self._newest - self._first_arrival < RECEIVE_WINDOW_INITIAL_US:
+    def _current_window(self, newest: SimTime) -> SimTime:
+        if newest - self._first_arrival < RECEIVE_WINDOW_INITIAL_US:
             return RECEIVE_WINDOW_INITIAL_US
         return RECEIVE_WINDOW_US
 
@@ -356,8 +355,8 @@ class ReceiveRateTracker:
             total += size
         if self._first_arrival is None:
             self._first_arrival = samples[0][2]
-        self._newest = newest = arrivals[-1][2]
-        cutoff = newest - self._current_window()
+        newest = arrivals[-1][2]
+        cutoff = newest - self._current_window(newest)
         while samples[0][2] <= cutoff:
             total -= samples.popleft()[0]
         self._total_bytes = total
@@ -365,8 +364,8 @@ class ReceiveRateTracker:
     def rate_bps(self) -> float:
         if not self._samples:
             return 0.0
-        window = self._current_window()
-        span = min(window, self._newest - self._first_arrival)
+        newest = self._samples[-1][2]  # the window is > 0, so pruning keeps it
+        span = min(self._current_window(newest), newest - self._first_arrival)
         span = max(span, 100_000)  # floor the divisor at 100 ms of history
         return self._total_bytes * 8 * 1e6 / span
 

@@ -8,9 +8,9 @@ loss gaps, arrival samples) and runs the playout clock: playback starts a
 dejitter offset after the first frame completes, a frame missing at its
 deadline stalls playback, and the stall shifts every later deadline.
 
-Both ends keep only what is in flight: the receiver remembers arrivals as a
-contiguous-prefix watermark plus the seqs above it and drops frames once
-played, and the source forgets the seqs below the watermark a feedback report
+Both ends keep only what is in flight: the receiver remembers arrivals as
+the highest seq plus the seqs missing below it and drops frames once played,
+and the source forgets the seqs below the lowest missing seq a feedback report
 carries. Memory follows the packets in flight, not the session length.
 """
 
@@ -154,13 +154,13 @@ class Receiver:
     The engine calls ``on_packet`` per delivery and ``playout_tick`` at frame
     deadlines; both return the next playout event time to schedule, if any.
 
-    State is bounded by what is in flight: arrivals are a watermark (every
-    seq below it arrived) plus the set of seqs that arrived above it, missing
-    seqs map to the time a report last listed them (``None``: not yet), a
-    frame is dropped once played, and the run's RTTs are an exact count per
-    integer microsecond value (``rtt_samples_us``), not a list of every
-    sample. The count takes an interval's RTTs when its report is built, so
-    it is complete after ``finalize``.
+    State is bounded by what is in flight: arrivals are the highest seq plus
+    the seqs missing below it, each mapped to the time a report last listed
+    it (``None``: not yet), a frame is dropped once played, and the run's
+    RTTs are an exact count per integer microsecond value
+    (``rtt_samples_us``), not a list of every sample. The count takes an
+    interval's RTTs when its report is built, so it is complete after
+    ``finalize``.
     """
 
     # Fraction of a frame interval clawed back per smoothly played frame:
@@ -181,9 +181,9 @@ class Receiver:
         self.dejitter_us = dejitter_us
         self._observer = observer
 
-        self._watermark = 0
-        self._above_watermark: set[int] = set()
+        # Every seq up to `_highest_seq` arrived but the keys of `_missing`.
         self._highest_seq = -1
+        self._missing: dict[int, SimTime | None] = {}  # seq -> time last listed
         self._frames: dict[int, _FrameState] = {}
 
         # Interval accumulators, reset at every feedback emission. `_rtts`
@@ -192,7 +192,6 @@ class Receiver:
         self._ect1 = 0
         self._ce = 0
         self._samples: list[tuple[int, SimTime, SimTime]] = []  # (size, sent, arrival)
-        self._missing: dict[int, SimTime | None] = {}
 
         # Playout state.
         self.playout_anchor: SimTime | None = None
@@ -218,20 +217,15 @@ class Receiver:
         """Account one delivery. Returns a playout event time to schedule
         when this arrival starts or resumes the playout clock."""
         seq = packet.seq
-        above = self._above_watermark
-        if seq == self._watermark:
-            seq_next = seq + 1
-            if above:
-                while seq_next in above:
-                    above.remove(seq_next)
-                    seq_next += 1
-            self._watermark = seq_next
-        elif seq < self._watermark or seq in above:
-            return None  # duplicate: counted once, ignored afterwards
+        if seq > self._highest_seq:
+            # In-order links: any gap below the new highest is a loss.
+            if seq > self._highest_seq + 1:
+                self._missing.update(dict.fromkeys(range(self._highest_seq + 1, seq)))
+            self._highest_seq = seq
+        elif seq in self._missing:
+            del self._missing[seq]
         else:
-            above.add(seq)
-        if self._missing:
-            self._missing.pop(seq, None)
+            return None  # duplicate: counted once, ignored afterwards
 
         self._rtts.append((now - packet.sent_at) + self.reverse_delay_us)
         ecn = packet.ecn
@@ -241,12 +235,6 @@ class Receiver:
             self._ce += 1
         if not packet.is_retransmit:
             self._samples.append((packet.size_bytes, packet.sent_at, now))
-
-        if seq > self._highest_seq:
-            # In-order links: any gap below the new highest is a loss.
-            if seq > self._highest_seq + 1:
-                self._missing.update(dict.fromkeys(range(self._highest_seq + 1, seq)))
-            self._highest_seq = seq
 
         frame = self._frames.get(packet.frame_id)
         if frame is None:
@@ -311,7 +299,7 @@ class Receiver:
             ect1_count=self._ect1,
             ce_count=self._ce,
             arrival_samples=self._samples,
-            received_below=self._watermark,
+            received_below=next(iter(self._missing), self._highest_seq + 1),  # lowest missing
         )
         self._rtts = []
         self._ect1 = 0

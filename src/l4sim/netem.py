@@ -231,7 +231,11 @@ def normalize_trace(
 
 def trace_pattern(samples: Sequence[tuple[SimTime, float]]) -> TracePattern:
     """Build a capacity pattern from trace samples, flooring rates at
-    TRACE_FLOOR_MBPS so the simulation clock can always advance."""
+    TRACE_FLOOR_MBPS so the simulation clock can always advance. A trace
+    with no rate at the floor would run as a constant floor-rate link, so
+    it is refused: most likely its rates are in another unit."""
+    if max((r for _, r in samples), default=TRACE_FLOOR_MBPS) < TRACE_FLOOR_MBPS:
+        raise ValueError(f"no rate reaches the {TRACE_FLOOR_MBPS} Mbps floor; rates are in Mbps")
     return TracePattern(tuple((t, max(TRACE_FLOOR_MBPS, r)) for t, r in samples))
 
 

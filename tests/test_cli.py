@@ -370,6 +370,29 @@ class TestRun:
             " got 1e+303\n"
         ))  # fmt: skip
 
+    def test_trace_with_no_rate_at_the_floor_names_field(self, tmp_path, capsys):
+        # Rates in another unit, Gbps here, used to run floored into a
+        # constant 0.1 Mbps link. A trace with one rate at the floor builds,
+        # as does the bundled one, whose low samples lie under it.
+        low, at_floor = tmp_path / "low.csv", tmp_path / "at_floor.csv"
+        low.write_text("t_s,mbps\n0,0.003\n1,0.004\n")
+        at_floor.write_text("t_s,mbps\n0,0.003\n1,0.1\n")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": {"kind": "trace", "path": str(low)}},
+            "controller": {"kind": "gcc"},
+            "duration_s": 1,
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr() == ("", (
+            "l4sim: error: link.capacity.path: no rate reaches the 0.1 Mbps floor;"
+            " rates are in Mbps\n"
+        ))  # fmt: skip
+        assert min(r for _, r in load_trace_csv(str(BUNDLED_TRACE))) < 0.1
+        for trace in (BUNDLED_TRACE, at_floor):
+            link = {"capacity": {"kind": "trace", "path": str(trace)}}
+            harness.scenario_from_dict({"link": link, "controller": {"kind": "gcc"}})
+
     def test_trace_time_beyond_a_day_names_field_and_line(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         trace.write_text("t_s,mbps\n0,1\n1e303,4\n")

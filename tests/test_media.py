@@ -412,9 +412,10 @@ class TestReceiverWatermark:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_plain_set_reference(self, steps):
-        # Arbitrary arrival orders with duplicates and repairs: the watermark
-        # plus the set above it must decide first arrivals exactly as a set
-        # of every seq seen, in returns and in every report field.
+        # Arbitrary arrival orders with duplicates and repairs: the highest
+        # seq plus the missing seqs below it must decide first arrivals
+        # exactly as a set of every seq seen, in returns and in every report
+        # field.
         receiver = make_receiver()
         reference = PlainSetFeedback(receiver.dejitter_us)
         now = 0
@@ -441,10 +442,10 @@ class TestReceiverWatermark:
                 is_retransmit=retransmit,
             )
             assert receiver.on_packet(packet, now) == reference.on_packet(packet, now)
-            watermark = receiver._watermark
-            assert watermark not in reference.seen
-            assert set(range(watermark)) <= reference.seen
-            assert receiver._above_watermark == {s for s in reference.seen if s > watermark}
+            highest = receiver._highest_seq
+            assert highest == max(reference.seen, default=-1)
+            # The missing keys are the unseen seqs below it, in seq order.
+            assert list(receiver._missing) == [s for s in range(highest) if s not in reference.seen]
 
     def test_source_forgets_below_the_watermark(self):
         source = make_source()

@@ -6,13 +6,21 @@ form from the scenario alone. The golden lock detects change; these tests
 detect error.
 """
 
+import math
+
 import pytest
 
 from l4sim.aqm import DropTailConfig, DualPi2Config
 from l4sim.cc import ControllerKind
 from l4sim.core import US_PER_S, EcnCodepoint
 from l4sim.media import SourceConfig
-from l4sim.netem import Constant, SquareWave, average_capacity_bps, capacity_segment
+from l4sim.netem import (
+    Constant,
+    JitterProfile,
+    SquareWave,
+    average_capacity_bps,
+    capacity_segment,
+)
 from l4sim.sim import Scenario, run_scenario
 
 RATE_BPS = 2_000_000
@@ -96,3 +104,65 @@ def test_underload_runs_at_the_source_rate_with_no_queue(aqm, ecn, capacity):
     assert log.stalled_us == 0
     assert log.mark_count == 0
     assert log.audit.dropped == 0
+
+
+# case4c's forward delay: (delay_us, weight) entries.
+CASE4C_JITTER = ((10_000, 0.85), (18_000, 0.10), (26_000, 0.04), (34_000, 0.01))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("aqm", [DropTailConfig(), DualPi2Config()], ids=["droptail", "dualpi2"])
+def test_jitter_profile_sets_the_rtt_distribution(aqm, seed):
+    """An 80 kbps source at 10 fps for 120 s, on a constant 5 Mbps link
+    whose forward delay is case4c's profile: 10, 18, 26 or 34 ms, drawn
+    per packet with weights 0.85, 0.10, 0.04 and 0.01; 6 ms back.
+
+    *One packet per frame, on an idle link.* A frame is `round(R / fps /
+    8)` = 1,000 bytes, under the 1,200-byte MTU, so each frame is one
+    packet, sent at the frame's start: 1,200 packets, 100 ms apart, the
+    last at 119.9 s. Each serializes in 1,000 * 8 / 5 Mbps = 1,600 us, far
+    less than the gap, so each finds the queue empty and the link idle:
+    no drop, and no sojourn over DualPi2's 1 ms step threshold or PI error
+    above target, so no mark.
+
+    *The monotone clamp never acts.* The link delivers a packet at its
+    wire exit plus its draw, or at the previous delivery if that is later.
+    The previous packet left 100 ms earlier and drew at most 24 ms more
+    than this one, so it was delivered first: each delivery is the packet's
+    send time plus 1,600 us plus its own draw.
+
+    *The RTTs.* A sample is the delivery time less the send time, plus the
+    6 ms feedback echo: `delay + 1,600 + 6,000` us for the delay drawn,
+    one of four values. The last packet arrives by 119.9 s + 35.6 ms, so
+    all 1,200 are sampled. The draws are independent, so the count of
+    each value is binomial, n = 1,200 and p the entry's weight, with mean
+    n·p and standard deviation σ = √(n·p·(1 − p)): 12.4, 10.4, 6.8 and
+    3.4. Each count may lie 4 σ from its mean. Measured at seeds 1–3, alike
+    on both queues: {1034, 106, 51, 9}, {1025, 111, 52, 12} and {1015, 120,
+    54, 11}, each within 1.4 σ.
+    """
+    rate = 80_000
+    source = SourceConfig(
+        fps=10, min_bitrate_bps=rate, max_bitrate_bps=rate, start_bitrate_bps=rate
+    )
+    scenario = Scenario(
+        seed=seed,
+        duration_us=120 * US_PER_S,
+        capacity=Constant(5.0),
+        forward_delay=JitterProfile(CASE4C_JITTER),
+        reverse_delay_us=6_000,
+        aqm=aqm,
+        source=source,
+    )
+    _, log = run_scenario(scenario)
+
+    n = 1_200
+    fixed_us = 1_600 + scenario.reverse_delay_us  # serialization and the echo
+    counts = log.rtt_samples_us
+    assert sorted(counts) == [delay + fixed_us for delay, _ in CASE4C_JITTER]
+    assert sum(counts.values()) == n
+    for delay, weight in CASE4C_JITTER:
+        sigma = math.sqrt(n * weight * (1 - weight))
+        assert abs(counts[delay + fixed_us] - n * weight) <= 4 * sigma, (delay, counts)
+    assert log.audit.dropped == 0
+    assert log.mark_count == 0
