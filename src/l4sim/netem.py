@@ -249,41 +249,45 @@ def load_trace_csv(path: str) -> list[tuple[SimTime, float]]:
 
     Rejects bad headers, times out of `TRACE_US`'s range or not strictly
     increasing, non-finite or negative rates and non-numeric rows with a
-    line-numbered message. A rate may be in any unit, as `normalize_trace`
-    reads it; `TracePattern` checks the range of a rate a link runs at.
+    line-numbered message, and text that is not UTF-8 with its path. A rate
+    may be in any unit, as `normalize_trace` reads it; `TracePattern`
+    checks the range of a rate a link runs at.
     """
     samples: list[tuple[SimTime, float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty trace file") from None
-        if tuple(h.strip() for h in header) != TRACE_HEADER:
-            raise ValueError(f"{path}:1: expected header 't_s,mbps', got {','.join(header)!r}")
-        prev_t = -1
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
             try:
-                t_s = float(row[0])
-                mbps = float(row[1])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric entry {row!r}") from None
-            check_number(f"{path}:{lineno}: t_s", t_s, float, _TRACE_S)
-            if not math.isfinite(mbps):
-                raise ValueError(f"{path}:{lineno}: non-finite rate {mbps}")
-            if mbps < 0:
-                raise ValueError(f"{path}:{lineno}: negative rate {mbps}")
-            t_us = round(t_s * US_PER_S)
-            if t_us <= prev_t:
-                raise ValueError(f"{path}:{lineno}: time {t_s} not strictly increasing")
-            if prev_t == -1 and t_us != 0:
-                raise ValueError(f"{path}:{lineno}: trace must start at t_s=0, got {t_s}")
-            samples.append((t_us, mbps))
-            prev_t = t_us
+                header = next(reader)
+            except StopIteration:
+                raise ValueError(f"{path}: empty trace file") from None
+            if tuple(h.strip() for h in header) != TRACE_HEADER:
+                raise ValueError(f"{path}:1: expected header 't_s,mbps', got {','.join(header)!r}")
+            prev_t = -1
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != 2:
+                    raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
+                try:
+                    t_s = float(row[0])
+                    mbps = float(row[1])
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: non-numeric entry {row!r}") from None
+                check_number(f"{path}:{lineno}: t_s", t_s, float, _TRACE_S)
+                if not math.isfinite(mbps):
+                    raise ValueError(f"{path}:{lineno}: non-finite rate {mbps}")
+                if mbps < 0:
+                    raise ValueError(f"{path}:{lineno}: negative rate {mbps}")
+                t_us = round(t_s * US_PER_S)
+                if t_us <= prev_t:
+                    raise ValueError(f"{path}:{lineno}: time {t_s} not strictly increasing")
+                if prev_t == -1 and t_us != 0:
+                    raise ValueError(f"{path}:{lineno}: trace must start at t_s=0, got {t_s}")
+                samples.append((t_us, mbps))
+                prev_t = t_us
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if len(samples) < 1:
         raise ValueError(f"{path}: trace has no data rows")
     return samples

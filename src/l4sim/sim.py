@@ -12,13 +12,13 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
-import os
 import random
 import tempfile
 import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Annotated, Iterator
+from functools import partial
+from typing import Annotated
 
 from .aqm import _L4S_CODEPOINTS, DropTail, DropTailConfig, DualPi2, DualPi2Config
 from .cc import PARAMS_BY_KIND, ControllerKind, GccParams, RateBounds, ScalableParams
@@ -85,14 +85,10 @@ class RunAudit:
         return errs
 
 
-# Rows are read back in chunks of at most 64 KiB.
-_CHUNK_BYTES = 1 << 16
-
-
 class TimelineRows:
     """Timeline rows ``(t_us, event, value)``, kept as the timeline CSV's
     lines in an unnamed temporary file that closes when the rows are freed.
-    ``len`` counts the rows and ``chunks`` reads their text back.
+    ``len`` counts the rows; ``TimelineLog.to_csv`` copies their text out.
 
     ``record`` takes a ``(t_us, event name, value)`` tuple. It is a plain
     list append, so recording costs what a list of tuples costs; ``pack``
@@ -124,21 +120,6 @@ class TimelineRows:
             self._count += len(pending)
             pending.clear()
 
-    def _read(self, at: int, size: int) -> bytes:
-        file = self._file
-        file.seek(at)
-        chunk = file.read(size)
-        file.seek(0, os.SEEK_END)  # back where the next pack writes
-        return chunk
-
-    def chunks(self) -> Iterator[bytes]:
-        """The rows as CSV text, at most 64 KiB at a time. Each read puts the
-        file position back, so recording can go on after a read, even one
-        left half way, and two reads of the same rows can interleave."""
-        self.pack()
-        end = self._file.tell()
-        return (self._read(at, min(_CHUNK_BYTES, end - at)) for at in range(0, end, _CHUNK_BYTES))
-
     def __len__(self) -> int:
         return self._count + len(self._pending)
 
@@ -159,10 +140,13 @@ class TimelineLog:
     def to_csv(self, path: str) -> None:
         if self.rows is None:
             raise ValueError("run was executed without timeline recording")
+        self.rows.pack()
+        file = self.rows._file
         try:
             with open(path, "wb") as fh:
                 fh.write(b"t_us,event,value\n")
-                fh.writelines(self.rows.chunks())
+                file.seek(0)  # the copy ends at the end, where the next pack writes
+                fh.writelines(iter(partial(file.read, 1 << 16), b""))
         except OSError as exc:
             raise OSError(f"cannot write output file {path!r}: {exc}") from exc
 

@@ -29,6 +29,8 @@ from l4sim.media import SourceConfig
 from l4sim.netem import Constant
 from l4sim.sim import Scenario, run_scenario
 
+from helpers import timeline_text
+
 SEEDS = (1, 2, 3, 4, 5)
 DURATION_S = 120.0
 STALL_CASES = ("case1", "case2", "case3")
@@ -384,7 +386,7 @@ class TestCriterion9Determinism:
             for seed in (21, 22):
                 scenario = preset_scenario(case, kind, seed=seed, duration_s=30.0)
                 _, log = run_scenario(scenario, timeline=True)
-                logs.append(b"".join(log.rows.chunks()))
+                logs.append(timeline_text(log.rows))
             changed.append(logs[0] != logs[1])
         report_line(9, "seed changes timeline", all(changed), "case4a/b/c")
         assert all(changed)

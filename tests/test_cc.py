@@ -41,6 +41,8 @@ from l4sim.harness import PRESET_CASES, _sum_in_order, compute_metrics, preset_s
 from l4sim.media import SourceConfig
 from l4sim.sim import Scenario, _Engine
 
+from helpers import timeline_text
+
 BOUNDS = RateBounds(min_bps=150_000, max_bps=5_000_000, start_bps=1_000_000)
 
 
@@ -782,7 +784,7 @@ def run_with_log(scenario, two_pass: bool):
 
     gcc.process_delay_signal, controller.update = logged_process, logged_update
     log = engine.run()
-    return signals, targets, b"".join(log.rows.chunks()), compute_metrics(log, scenario), log.audit
+    return signals, targets, timeline_text(log.rows), compute_metrics(log, scenario), log.audit
 
 
 TRENDLINE_KINDS = (ControllerKind.GCC, ControllerKind.SENSITIVE_GCC, ControllerKind.L4S_GCC)

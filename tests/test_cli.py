@@ -407,6 +407,23 @@ class TestRun:
             " got 1e+303\n"
         ))  # fmt: skip
 
+    def test_trace_that_is_not_utf8_names_field_and_file(self, tmp_path, capsys):
+        # The bad byte lies past the text the first read decodes. The
+        # decoder's own message named no file.
+        trace = tmp_path / "t.csv"
+        rows = b"".join(b"%d,1\n" % t for t in range(2_000))
+        trace.write_bytes(b"t_s,mbps\n" + rows + b"9\xe9,1\n")
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({
+            "link": {"capacity": {"kind": "trace", "path": str(trace)}},
+            "controller": {"kind": "gcc"},
+        }))  # fmt: skip
+        assert run_cli("run", "--scenario", str(path)) == 1
+        assert capsys.readouterr() == ("", (
+            f"l4sim: error: link.capacity.path: {trace}: not UTF-8 text"
+            " (invalid continuation byte)\n"
+        ))  # fmt: skip
+
     @pytest.mark.parametrize(
         "capacity, key, rate",
         [
@@ -660,6 +677,16 @@ class TestNormalizeTrace:
         assert run_cli("normalize-trace", "--in", str(raw), "--out", str(out)) == 1
         assert capsys.readouterr() == (
             "", f"l4sim: error: {raw}:3: t_s: must be from 0.0 to 86400.0, got 1e+303\n"
+        )
+        assert not out.exists()
+
+    def test_trace_that_is_not_utf8_fails_naming_it(self, tmp_path, capsys):
+        raw = tmp_path / "bad.csv"
+        raw.write_bytes(b"\xff\xfet_s,mbps\n0,1\n")
+        out = tmp_path / "norm.csv"
+        assert run_cli("normalize-trace", "--in", str(raw), "--out", str(out)) == 1
+        assert capsys.readouterr() == (
+            "", f"l4sim: error: {raw}: not UTF-8 text (invalid start byte)\n"
         )
         assert not out.exists()
 

@@ -47,6 +47,8 @@ from l4sim.sim import (
     _Engine,
 )
 
+from helpers import timeline_text
+
 
 _DELIVER = 3  # the delivery event's kind; the engine has no such heap event
 
@@ -291,7 +293,7 @@ def outputs(engine_class, scenario):
     engine = engine_class(scenario, timeline=True)
     calls = log_calls(engine)
     log = engine.run()
-    return b"".join(log.rows.chunks()), compute_metrics(log, scenario), log.audit, calls
+    return timeline_text(log.rows), compute_metrics(log, scenario), log.audit, calls
 
 
 # Scenarios on which a loop with one of the faults DECISIONS.md entry 9

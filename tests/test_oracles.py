@@ -13,7 +13,7 @@ import pytest
 from l4sim.aqm import DropTailConfig, DualPi2Config
 from l4sim.cc import ControllerKind
 from l4sim.core import US_PER_S, EcnCodepoint
-from l4sim.media import SourceConfig
+from l4sim.media import Receiver, SourceConfig
 from l4sim.netem import (
     Constant,
     JitterProfile,
@@ -166,3 +166,135 @@ def test_jitter_profile_sets_the_rtt_distribution(aqm, seed):
         assert abs(counts[delay + fixed_us] - n * weight) <= 4 * sigma, (delay, counts)
     assert log.audit.dropped == 0
     assert log.mark_count == 0
+
+
+# A source pinned above the link: 4 Mbps on a constant 3 Mbps link for 30 s.
+OVERLOAD_BPS = 4_000_000
+LINK_BPS = 3_000_000
+
+
+def run_overload(monkeypatch, aqm):
+    """Runs the pinned overload; returns its log and each delivered
+    packet's (delivery time, queue delay, size). The queue delay is the
+    packet's time from its send to the start of its service: its delivery
+    less its send, its serialization and the forward delay."""
+    delivered = []
+    on_packet = Receiver.on_packet
+
+    def logged(receiver, packet, at):
+        delivered.append((at, packet.sent_at, packet.size_bytes))
+        return on_packet(receiver, packet, at)
+
+    monkeypatch.setattr(Receiver, "on_packet", logged)
+    rate = OVERLOAD_BPS
+    source = SourceConfig(min_bitrate_bps=rate, start_bitrate_bps=rate, max_bitrate_bps=rate)
+    scenario = Scenario(
+        seed=1,
+        duration_us=DURATION_US,
+        capacity=Constant(LINK_BPS / 1e6),
+        aqm=aqm,
+        source=source,
+    )
+    _, log = run_scenario(scenario)
+    forward_us = scenario.forward_delay
+    return log, [
+        (at, at - sent_at - round(size * 8 * US_PER_S / LINK_BPS) - forward_us, size)
+        for at, sent_at, size in delivered
+    ]
+
+
+def test_overload_droptail_fills_the_link_and_holds_a_full_queue(monkeypatch):
+    """A 4 Mbps source for 30 s on a constant 3 Mbps link behind DropTail's
+    375,000-byte queue, 6 ms each way.
+
+    *The link never idles.* A frame is `round(R / fps / 8)` = 16,667
+    bytes: 13 packets of 1,200 bytes and one of 1,067, paced `interval //
+    14` = 2,380 or 2,381 us apart, and the next frame starts 2,381 or
+    2,382 us after a frame's last packet. A 1,200-byte packet takes 3,200
+    us to serialize at 3 Mbps, longer than any gap, so from the first send,
+    at 0, each packet arrives before the link has served the one before
+    it. Repairs only add sends. So the link serializes C bits a second from
+    0 to T, and the bytes delivered by T are those whose serialization
+    ended by T less the 6 ms forward delay: C·(T − 6 ms) / 8 = 11,247,750
+    bytes, less at most the MTU in service then. Each 1,067-byte packet
+    serializes in `round(2,845.3)` = 2,845 us, a third of a microsecond
+    early, which adds under 1/8 byte per frame, 113 bytes in all. So the
+    delivered bytes lie within one MTU of C·(T − 6 ms) / 8, and within one
+    queue limit of C·T / 8. Measured: 11,247,057.
+
+    *The queue fills, then stays full.* New packets arrive at R and leave
+    at C, so the queue grows by (R − C) / 8 bytes a second and first
+    overflows at `limit · 8 / (R − C)` = 3 s. Its packets wait up to 1 s,
+    so every packet delivered after 5 s was sent after that overflow. At an
+    overflow the queue holds more than the limit less the refused packet's
+    size, and from then on it loses at most one packet's bytes between two
+    arrivals, since each gap is shorter than a serialization. So a packet
+    that enters waits behind more than `limit − 2·MTU` bytes, 993.6 ms at
+    C; allow a third MTU, 990.4 ms. It waits behind at most `limit − size`
+    queued bytes and the MTU in service, so at most `limit · 8 / C` = 1 s.
+    Its RTT adds its own serialization and the two 6 ms delays: at most
+    1,015.2 ms. Measured: queue delays of 994.7 to 999.8 ms after 5 s, and
+    an RTT maximum of 1,015.0 ms.
+    """
+    aqm = DropTailConfig()
+    log, delivered = run_overload(monkeypatch, aqm)
+
+    mtu = SourceConfig().mtu_bytes
+    bytes_by_t = LINK_BPS * DURATION_US // (8 * US_PER_S)
+    served = LINK_BPS * (DURATION_US - 6_000) // (8 * US_PER_S)
+    total = sum(size for _, _, size in delivered)
+    assert served - mtu <= total <= served + mtu
+    assert bytes_by_t - aqm.queue_limit_bytes <= total <= bytes_by_t
+
+    full_us = aqm.queue_limit_bytes * 8 * US_PER_S // LINK_BPS
+    mtu_us = mtu * 8 * US_PER_S // LINK_BPS
+    settled = [delay for at, delay, _ in delivered if at > 5 * US_PER_S]
+    assert len(settled) > 7_000
+    assert full_us - 3 * mtu_us <= min(settled) and max(settled) <= full_us
+    assert max(log.rtt_samples_us) <= full_us + mtu_us + 12_000
+    assert log.audit.errors() == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "each drop is listed for repair every 300 ms until the seq arrives, "
+        "and the repairs, sent on top of the pinned rate, keep the C queue "
+        "above target; see ROADMAP item 16"
+    ),
+)
+def test_overload_dualpi2_holds_the_classic_queue_at_most_at_target(monkeypatch):
+    """The same 4 Mbps source on the same 3 Mbps link, Not-ECT, behind
+    DualPi2 with its defaults: target 15 ms, α = 0.16 and β = 3.2 per
+    second, an update every 16 ms, and the classic drop probability the
+    square of the PI output p'.
+
+    *Where the PI goes.* The queue is stable only when the drops take the
+    new packets' excess: p'² = 1 − C/R = 1/4, so p' = 1/2. Each update adds
+    α·(q − target)·16 ms + β·Δq·16 ms to p', so p' rests only where the
+    sampled sojourn q averages the target, and the β term adds at most
+    β·16 ms·1 s = 0.05 for a queue that moves by its whole 1 s.
+
+    *It overshoots, and comes back from below.* Until p' nears 1/2 the
+    queue grows by (R − C)/C = 1/3 s of delay a second and caps at 1 s
+    after 3 s; p' integrates α·(q − target) and reaches 1/2 at about
+    5 s. The queue then drains, and while it is still above the target
+    p' keeps rising, to above 1/2, where the drops exceed the excess and
+    the queue stays short. From there p' falls by at most α·target =
+    0.0024 a second, so it needs tens of seconds to come back to 1/2, and
+    until then the sojourn lies below the target. So over the last 10 s of
+    the 30 s run the mean sojourn of the packets the C queue delivers is
+    at most the target.
+
+    Measured with the engine's repairs removed, the stand-in for item 16's
+    fix: p' peaks at 0.68 near 10 s, and the mean sojourn is 1.3 to 1.8 ms
+    from 10 s on. Today 188,740 sends, 15 times the 12,601 new packets,
+    hold p' at 0.97 and the mean sojourn at 27 to 33 ms over the last 10 s.
+    """
+    aqm = DualPi2Config()
+    log, delivered = run_overload(monkeypatch, aqm)
+
+    last = [delay for at, delay, _ in delivered if at > DURATION_US - 10 * US_PER_S]
+    assert len(last) > 1_000
+    assert sum(last) / len(last) <= aqm.target_delay_us
+    assert log.audit.errors() == []

@@ -3,7 +3,7 @@ import math
 import re
 import tracemalloc
 import weakref
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
 import pytest
@@ -18,11 +18,14 @@ from l4sim.netem import Constant, ForwardLink, SquareWave, TracePattern
 from l4sim.sim import (
     RunAudit,
     Scenario,
+    TimelineLog,
     TimelineRows,
     _Engine,
     run_scenario,
     stream_seed,
 )
+
+from helpers import timeline_text
 
 
 def required_ones(cls):
@@ -55,11 +58,6 @@ def short(case, kind, seed=1, duration=15.0):
     return preset_scenario(case, kind, seed=seed, duration_s=duration)
 
 
-def text(rows):
-    """The rows' CSV text, header excluded."""
-    return b"".join(rows.chunks())
-
-
 def csv_text(triples):
     """The CSV text that rows of these triples are kept as."""
     return "".join(f"{t},{event},{value}\n" for t, event, value in triples).encode()
@@ -69,7 +67,7 @@ def parse(rows):
     """The rows as ``(t_us, event, value)`` triples, parsed from their text."""
     return [
         (int(t), event, int(value))
-        for t, event, value in (line.split(",") for line in text(rows).decode().splitlines())
+        for t, event, value in (line.split(",") for line in timeline_text(rows).decode().splitlines())
     ]
 
 
@@ -89,13 +87,13 @@ class TestDeterminism:
         m1, log1 = run_scenario(short("case4a", ControllerKind.L4S_GCC), timeline=True)
         m2, log2 = run_scenario(short("case4a", ControllerKind.L4S_GCC), timeline=True)
         assert m1 == m2
-        assert text(log1.rows) == text(log2.rows)
+        assert timeline_text(log1.rows) == timeline_text(log2.rows)
         assert log1.rtt_samples_us == log2.rtt_samples_us
 
     def test_seed_changes_timeline(self):
         _, log1 = run_scenario(short("case4a", ControllerKind.GCC, seed=1), timeline=True)
         _, log2 = run_scenario(short("case4a", ControllerKind.GCC, seed=2), timeline=True)
-        assert text(log1.rows) != text(log2.rows)
+        assert timeline_text(log1.rows) != timeline_text(log2.rows)
 
     def test_event_times_non_decreasing(self):
         _, log = run_scenario(short("case2", ControllerKind.GCC), timeline=True)
@@ -418,8 +416,8 @@ EVENTS = ("send", "deliver", "rate", "mark", "drop", "overflow", "stall_begin", 
 class TestTimelineRows:
     def test_behaves_as_the_list_of_triples(self):
         triples = [(0, "send", 0), (7, "mark", 0), (9, "rate", 5_000_000), (12, "stall_end", 3)]
-        # Times and values of any width and sign, and enough rows to fill
-        # several 64 KiB chunks.
+        # Times and values of any width and sign, and rows enough for
+        # several 64 KiB reads.
         triples += [(2**32, "deliver", 1), (13, "rate", 2**32), (14, "drop", -1)]
         triples += [(15 + i, EVENTS[i % 8], i) for i in range(20_000)]
         triples += [(2**40, "send", -(2**40)), (16, "deliver", 2), (17, "send", 3)]
@@ -433,32 +431,31 @@ class TestTimelineRows:
                     log.pack()
         for log in logs.values():
             assert len(log) == len(triples)
-            chunks = list(log.chunks())
-            assert len(chunks) > 2 and all(len(chunk) <= 65_536 for chunk in chunks)
-            assert b"".join(chunks) == csv_text(triples)
+            assert len(timeline_text(log)) > 3 * 65_536
+            assert timeline_text(log) == csv_text(triples)
             assert parse(log) == triples
 
-    def test_reads_between_packs_leave_recording_intact(self):
-        # Rows of growing width, several 64 KiB chunks in all. Every read
+    def test_reads_between_packs_leave_recording_intact(self, tmp_path):
+        # Rows of growing width, several 64 KiB reads in all. Every copy
         # moves the file position, and recording must still append.
         triples = [(t, EVENTS[t % 8], t) for t in range(20_000)]
         triples += [(2**32 + t, EVENTS[t % 8], t) for t in range(20_000)]
         rows, whole = TimelineRows(), TimelineRows()
         for triple in triples:
             whole.record(triple)
+        log = TimelineLog(0, Counter(), 0, 0, 0, RunAudit(0, 0, 0, 0, 0, []), rows)
+        path = tmp_path / "timeline.csv"
         recorded = 0
         for upto in (7_001, 15_000, 20_000, 20_001, 33_333, len(triples)):
             for triple in triples[recorded:upto]:
                 rows.record(triple)
             if upto % 2:
-                rows.pack()  # otherwise the read packs the pending rows
+                rows.pack()  # otherwise the copy packs the pending rows
             recorded = upto
             assert len(rows) == upto
-            assert text(rows) == csv_text(triples[:upto])
-            # two reads of one file, interleaved
-            assert all(a == b for a, b in zip(rows.chunks(), rows.chunks()))
-            next(rows.chunks())  # a read left after its first chunk
-        assert text(rows) == text(whole) == csv_text(triples)
+            log.to_csv(str(path))
+            assert path.read_bytes() == b"t_us,event,value\n" + csv_text(triples[:upto])
+        assert timeline_text(rows) == timeline_text(whole) == csv_text(triples)
 
 
 class TestBoundedState:
@@ -544,10 +541,13 @@ class TestBoundedState:
     @pytest.mark.parametrize(
         "feedback_interval_us, duration_s", [(100_000, 60.0), (100_000, 180.0), (1_000, 30.0)]
     )  # fmt: skip
-    def test_timeline_peak_does_not_grow_with_rows(self, feedback_interval_us, duration_s):
-        # Rows leave the process at every feedback build, and are read back
-        # a chunk at a time. At a 1 ms feedback interval each pack holds 1 to
-        # 3 rows, so an object kept per pack would grow with the rows.
+    def test_timeline_peak_does_not_grow_with_rows(
+        self, feedback_interval_us, duration_s, tmp_path
+    ):
+        # Rows leave the process at every feedback build, and `to_csv` copies
+        # them out 64 KiB at a time. At a 1 ms feedback interval each pack
+        # holds 1 to 3 rows, so an object kept per pack would grow with the
+        # rows.
         scenario = replace(
             preset_scenario("case2", ControllerKind.L4S_GCC, duration_s=duration_s),
             feedback_interval_us=feedback_interval_us,
@@ -558,7 +558,7 @@ class TestBoundedState:
             try:
                 _, log = run_scenario(scenario, timeline=timeline)
                 if timeline:
-                    deque(log.rows.chunks(), maxlen=0)  # read every row back
+                    log.to_csv(str(tmp_path / "timeline.csv"))  # copy every row out
                 return tracemalloc.get_traced_memory()[1], log
             finally:
                 tracemalloc.stop()
@@ -566,7 +566,7 @@ class TestBoundedState:
         base, _ = traced_peak(False)
         peak, log = traced_peak(True)
         assert len(log.rows) > 35_000
-        # The run's own state, plus at most one 64 KiB chunk.
+        # The run's own state, plus at most one 64 KiB read.
         assert peak <= base + 65_536, f"{peak - base} bytes above the run without rows"
 
     def test_traced_peak_below_one_megabyte(self):
