@@ -65,10 +65,8 @@ def csv_text(triples):
 
 def parse(rows):
     """The rows as ``(t_us, event, value)`` triples, parsed from their text."""
-    return [
-        (int(t), event, int(value))
-        for t, event, value in (line.split(",") for line in timeline_text(rows).decode().splitlines())
-    ]
+    lines = timeline_text(rows).decode().splitlines()
+    return [(int(t), event, int(value)) for t, event, value in (line.split(",") for line in lines)]
 
 
 class TestStreamSeed:
